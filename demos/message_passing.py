@@ -50,17 +50,18 @@ for t, phase, sender, recipient, size in round0:
     print(f"  {phase:22s} {sender} -> {recipient}  ({size})")
 print()
 
-# --- determinism across worker counts ----------------------------------------------
+# --- determinism across runs ---------------------------------------------------------
+# every node reads only its mailbox and sums neighbor data in ascending index
+# order, so two fresh engines driven for the same rounds agree bit for bit
 
 states = []
-for workers in (1, 2, 4):
-    with Engine(instance, steps, n_workers=workers) as eng:
+for _ in range(2):
+    with Engine(instance, steps) as eng:
         eng.run(200)
         states.append(eng.state())
-same = all(
-    np.array_equal(states[0].theta, s.theta)
-    and np.array_equal(states[0].mu, s.mu)
-    and np.array_equal(states[0].xi, s.xi)
-    for s in states[1:]
+same = (
+    np.array_equal(states[0].theta, states[1].theta)
+    and np.array_equal(states[0].mu, states[1].mu)
+    and np.array_equal(states[0].xi, states[1].xi)
 )
-print("1, 2, and 4 worker threads agree bit-for-bit:", same)
+print("two fresh engines agree bit-for-bit after 200 rounds:", same)

@@ -11,16 +11,15 @@ Run from the repository root:  python demos/prox_and_conjugates.py
 import numpy as np
 
 from dualprox import Box, L1, NormPenalty, Quadratic, Zero
-from dualprox import conjugate_gradient, conjugate_value, prox, prox_conjugate, support_value
 
 rng = np.random.default_rng(0)
 
 # --- proximal maps of the nonsmooth kinds -------------------------------------
 
 v = np.array([3.0, -0.5, 0.2])
-print("soft threshold    prox of ||.||_1 at", v, "->", prox(L1(1.0), 1.0, v))
-print("box projection    prox of [0, 1.5]  at", v, "->", prox(Box(0.0, 1.5), 1.0, v))
-print("no-op             prox of zero      at", v, "->", prox(Zero(), 1.0, v))
+print("soft threshold    prox of ||.||_1 at", v, "->", L1(1.0).prox(1.0, v))
+print("box projection    prox of [0, 1.5]  at", v, "->", Box(0.0, 1.5).prox(1.0, v))
+print("no-op             prox of zero      at", v, "->", Zero().prox(1.0, v))
 print()
 
 # --- the Moreau decomposition --------------------------------------------------
@@ -40,10 +39,10 @@ print()
 # conjugate prox is a clamp; for the self-dual 2-norm it is a radial shrink
 
 w = np.array([2.5, -0.3])
-print("conjugate prox of l1(w=1) at", w, "->", prox_conjugate(L1(1.0), 1.0, w),
+print("conjugate prox of l1(w=1) at", w, "->", L1(1.0).conjugate_prox(1.0, w),
       " (clamp to [-1, 1])")
 print("conjugate prox of ||.||_2 at", w, "->",
-      np.round(prox_conjugate(NormPenalty(2), 1.0, w), 4), " (unit-ball projection)")
+      np.round(NormPenalty(2).conjugate_prox(1.0, w), 4), " (unit-ball projection)")
 print()
 
 # --- smooth conjugates ----------------------------------------------------------
@@ -52,7 +51,7 @@ print()
 
 company1 = Quadratic(0.0031, 8.71)  # generation cost 0.0031 x^2 + 8.71 x
 for price in (5.0, 8.71, 12.0):
-    u = conjugate_gradient(company1, np.array([price]))[0]
+    u = company1.conjugate_gradient(np.array([price]))[0]
     print(f"best response of company 1 to price {price:5.2f}: produce {u:8.2f}")
 print()
 
@@ -61,7 +60,7 @@ print()
 box = Box(0.0, 150.0)
 for mu in (2.34, -0.61, 0.0):
     print(f"support of [0, 150] at multiplier {mu:+.2f}: "
-          f"{support_value(box, np.array([mu])):7.2f}")
+          f"{box.support_value(np.array([mu])):7.2f}")
 print()
 print("conjugate value of the company-1 cost at its own marginal price:",
-      round(conjugate_value(company1, np.array([8.71])), 6))
+      round(company1.conjugate_value(np.array([8.71])), 6))

@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 
 from .functions import (
     Box,
+    ConjugateUnavailable,
     CustomProx,
     CustomSmooth,
     CustomStronglyConvex,
@@ -25,11 +26,6 @@ from .functions import (
     Quadratic,
     SmoothFunction,
     Zero,
-    conjugate_gradient,
-    conjugate_value,
-    prox,
-    prox_conjugate,
-    support_value,
 )
 from .netsim import Engine, InMemoryTransport, message_count, message_volume
 from .oracle import (
@@ -56,6 +52,7 @@ from .solver import (
     EdgeMultiplier,
     Residuals,
     RunningAverage,
+    SetupError,
     SolveResult,
     SolverConfig,
     SolverState,

@@ -1,8 +1,8 @@
 """Command-line front end: validate instances, run solves, market demo.
 
 Exit codes are a stable contract: 0 success/converged, 1 non-converged,
-2 validation failure (including rejected step sizes), 3 I/O or parse
-failure.  Trace files are plain comma-separated text with one header row;
+2 validation failure (an instance, step size or option that the solver
+rejects before round 0), 3 I/O or parse failure.  Trace files are plain comma-separated text with one header row;
 the default output directory comes from DUALPROX_TRACE_DIR when set.
 """
 
@@ -17,16 +17,9 @@ import numpy as np
 
 from . import __version__
 from .problems import ParseError, build_market, load_instance, validate
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    StepSizeError,
-    max_lipschitz,
-    solve,
-    suggest_step_sizes,
-    validate_step_sizes,
-)
-from .topology import laplacian_spectral_radius
+from .solver import SetupError, SolveResult, SolverConfig, solve
+# unused here; bench/tracer.py wraps this name in this module's namespace
+from .topology import laplacian_spectral_radius  # noqa: F401
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -58,11 +51,27 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the spectral-radius start vector")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the per-round agent updates")
+                   help="accepted for compatibility; has no effect (rounds "
+                   "run on one thread)")
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
+def _load(path: str):
+    """The instance in ``path``; ``None`` after reporting why it cannot be read."""
+    try:
+        return load_instance(path)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _solve(
+    instance, args, default_trace: str, trace_state: bool = False
+) -> SolveResult | None:
+    """Solve and write the trace; ``None`` after a set-up rejection, which is
+    reported on stderr.  Errors raised during the rounds propagate."""
+    config = SolverConfig(
         c=args.c,
         gamma=args.gamma,
         max_iter=args.max_iter,
@@ -70,9 +79,19 @@ def _config_from_args(args) -> SolverConfig:
         tol_primal=args.tol_primal,
         tol_step=args.tol_step,
         trace_every=args.trace_every,
+        trace_state=trace_state,
         n_workers=args.workers,
         seed=args.seed,
     )
+    try:
+        result = solve(instance, config)
+    except SetupError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    trace_path = _trace_path(args.trace_out, default_trace)
+    result.trace.write_csv(trace_path)
+    print(f"trace: {trace_path}")
+    return result
 
 
 def _fmt_row(v) -> str:
@@ -99,13 +118,8 @@ def _print_result(result: SolveResult) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except OSError as exc:
-        print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    instance = _load(args.instance)
+    if instance is None:
         return EXIT_IO
     report = validate(instance)
     print(report)
@@ -113,61 +127,23 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except OSError as exc:
-        print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
+    instance = _load(args.instance)
+    if instance is None:
         return EXIT_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    report = validate(instance)
-    if not report.ok:
-        print(report, file=sys.stderr)
+    result = _solve(instance, args, "trace.csv")
+    if result is None:
         return EXIT_VALIDATION
-
-    if args.c is not None:
-        # reject a bad step size before iteration 0
-        h = max_lipschitz(instance)
-        tau = laplacian_spectral_radius(instance.graph, seed=args.seed).value
-        try:
-            validate_step_sizes(h, tau, args.c, args.gamma)
-        except (StepSizeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-
-    result = solve(instance, _config_from_args(args))
-    trace_path = _trace_path(args.trace_out, "trace.csv")
-    result.trace.write_csv(trace_path)
-    print(f"trace: {trace_path}")
     _print_result(result)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_market_demo(args) -> int:
-    instance = build_market()
-    h = max_lipschitz(instance)
-    tau = laplacian_spectral_radius(instance.graph, seed=args.seed).value
-    if args.c is not None:
-        try:
-            validate_step_sizes(h, tau, args.c, args.gamma)
-        except (StepSizeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        c = args.c
-    else:
-        c = suggest_step_sizes(h, tau, args.gamma).c
-
-    config = _config_from_args(args)
-    config.c = c
-    config.trace_state = True  # theta/mu/xi trajectory columns in the trace
-    result = solve(instance, config)
-    trace_path = _trace_path(args.trace_out, "market_trace.csv")
-    result.trace.write_csv(trace_path)
-    print(f"trace: {trace_path}")
-    print(f"h: {h!r}")
-    print(f"laplacian_spectral_radius: {tau!r}")
+    # trace_state adds the theta/mu/xi trajectory columns to the trace
+    result = _solve(build_market(), args, "market_trace.csv", trace_state=True)
+    if result is None:
+        return EXIT_VALIDATION
+    print(f"h: {result.h!r}")
+    print(f"laplacian_spectral_radius: {result.tau!r}")
     _print_result(result)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

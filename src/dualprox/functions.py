@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "Box",
+    "ConjugateUnavailable",
     "CustomProx",
     "CustomSmooth",
     "CustomStronglyConvex",
@@ -31,15 +32,18 @@ __all__ = [
     "Quadratic",
     "SmoothFunction",
     "Zero",
-    "conjugate_gradient",
-    "conjugate_value",
     "minimize_strongly_convex",
-    "prox",
-    "prox_conjugate",
-    "support_value",
 ]
 
 Array = np.ndarray
+
+# Relative slack on a ball's radius: a radial projection onto the ball, or
+# an average of points on its boundary, can land a rounding error outside it.
+_RADIUS_SLACK = 4.0 * float(np.finfo(float).eps)
+
+
+class ConjugateUnavailable(ValueError):
+    """The function's conjugate value cannot be computed (prox oracle only)."""
 
 
 class InnerLoopError(RuntimeError):
@@ -194,8 +198,8 @@ class CustomSmooth(SmoothFunction):
     """Smooth function given by value/gradient oracles.
 
     Conjugate quantities are computed by an inner loop minimizing
-    ``f(u) - v @ u``; oracles must be side-effect free since the solver may
-    call them from parallel workers.
+    ``f(u) - v @ u``; oracles must be side-effect free, since the solver
+    calls them several times per round at different points.
     """
 
     def __init__(
@@ -238,25 +242,36 @@ class NonsmoothFunction:
 
     One object stands for the sum of a (possibly zero) nonsmooth penalty
     and the indicator of the constraint set, since the dual machinery only
-    ever uses them jointly.
+    ever uses them jointly.  Subclasses implement ``_prox`` and may replace
+    ``_conjugate_prox``; both receive a checked step and a float array.
     """
 
     def prox(self, alpha: float, v: Array) -> Array:
         """argmin_u psi(u) + ||u - v||^2 / (2 alpha)."""
-        raise NotImplementedError
-
-    def conjugate_prox(self, alpha: float, v: Array) -> Array:
-        """Prox of the Fenchel conjugate, via Moreau decomposition."""
         if alpha <= 0:
             raise ValueError(f"prox step must be positive, got {alpha}")
-        v = np.asarray(v, dtype=float)
-        return v - alpha * self.prox(1.0 / alpha, v / alpha)
+        return self._prox(alpha, np.asarray(v, dtype=float))
+
+    def conjugate_prox(self, alpha: float, v: Array) -> Array:
+        """Prox of the Fenchel conjugate."""
+        if alpha <= 0:
+            raise ValueError(f"prox step must be positive, got {alpha}")
+        return self._conjugate_prox(alpha, np.asarray(v, dtype=float))
+
+    def _prox(self, alpha: float, v: Array) -> Array:
+        raise NotImplementedError
+
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
+        # Moreau decomposition, so the conjugate is never evaluated
+        return v - alpha * self._prox(1.0 / alpha, v / alpha)
 
     def support_value(self, mu: Array) -> float:
         """Fenchel conjugate value at ``mu``; ``math.inf`` when unbounded.
 
         An infinite return marks a dual point outside the conjugate's
         domain; callers treat it as a diagnostic marker, not an error.
+        Raises :class:`ConjugateUnavailable` when the value cannot be
+        computed.
         """
         raise NotImplementedError
 
@@ -266,12 +281,14 @@ class NonsmoothFunction:
 
 
 class Zero(NonsmoothFunction):
-    """No penalty, unconstrained.  Conjugate is the indicator of {0}."""
+    """No penalty, unconstrained.  Conjugate is the indicator of {0}, so the
+    conjugate prox is the projection onto {0}."""
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        return np.asarray(v, dtype=float).copy()
+    def _prox(self, alpha: float, v: Array) -> Array:
+        return v.copy()
+
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
+        return np.zeros_like(v)
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
@@ -291,7 +308,8 @@ class L1(NonsmoothFunction):
     """Weighted l1 penalty w * ||x||_1, unconstrained.
 
     Prox is the soft-thresholding operator; the conjugate is the indicator
-    of the infinity-norm ball of radius w.
+    of the infinity-norm ball of radius w, so the conjugate prox is a clamp
+    to [-w, w].
     """
 
     def __init__(self, weight: float):
@@ -299,16 +317,17 @@ class L1(NonsmoothFunction):
             raise ValueError(f"l1 weight must be nonnegative, got {weight}")
         self.weight = float(weight)
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        v = np.asarray(v, dtype=float)
+    def _prox(self, alpha: float, v: Array) -> Array:
         t = alpha * self.weight
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
+        return np.clip(v, -self.weight, self.weight)
+
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        return 0.0 if np.max(np.abs(mu), initial=0.0) <= self.weight else math.inf
+        dual = float(np.max(np.abs(mu), initial=0.0))
+        return 0.0 if dual <= self.weight * (1.0 + _RADIUS_SLACK) else math.inf
 
     def value(self, x: Array) -> float:
         return self.weight * float(np.sum(np.abs(x)))
@@ -337,10 +356,8 @@ class Box(NonsmoothFunction):
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+    def _prox(self, alpha: float, v: Array) -> Array:
+        return np.clip(v, self.lo, self.hi)
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
@@ -379,10 +396,7 @@ class NormPenalty(NonsmoothFunction):
             raise ValueError(f"supported norm orders are 1 and 2, got {e}")
         self.e = int(e)
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        v = np.asarray(v, dtype=float)
+    def _prox(self, alpha: float, v: Array) -> Array:
         if self.e == 1:
             return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
         norm = float(np.linalg.norm(v))
@@ -390,11 +404,8 @@ class NormPenalty(NonsmoothFunction):
             return np.zeros_like(v)
         return (1.0 - alpha / norm) * v
 
-    def conjugate_prox(self, alpha: float, v: Array) -> Array:
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
         # projection onto the dual-norm unit ball; step size is irrelevant
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        v = np.asarray(v, dtype=float)
         if self.e == 1:
             return np.clip(v, -1.0, 1.0)
         norm = float(np.linalg.norm(v))
@@ -407,7 +418,7 @@ class NormPenalty(NonsmoothFunction):
             if self.e == 1
             else float(np.linalg.norm(mu))
         )
-        return 0.0 if dual <= 1.0 else math.inf
+        return 0.0 if dual <= 1.0 + _RADIUS_SLACK else math.inf
 
     def value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
@@ -432,16 +443,14 @@ class CustomProx(NonsmoothFunction):
         prox_fn: Callable[[float, Array], Array],
         value_fn: Callable[[Array], float] | None = None,
     ):
-        self._prox = prox_fn
+        self._prox_fn = prox_fn
         self._value = value_fn
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        return np.asarray(self._prox(alpha, np.asarray(v, dtype=float)), dtype=float)
+    def _prox(self, alpha: float, v: Array) -> Array:
+        return np.asarray(self._prox_fn(alpha, v), dtype=float)
 
     def support_value(self, mu: Array) -> float:
-        raise ValueError(
+        raise ConjugateUnavailable(
             "conjugate value is not available for a prox-oracle function; "
             "supply a strongly convex value/gradient form instead"
         )
@@ -476,10 +485,7 @@ class CustomStronglyConvex(NonsmoothFunction):
         self.inner_tol = inner_tol
         self.inner_max_iter = inner_max_iter
 
-    def prox(self, alpha: float, v: Array) -> Array:
-        if alpha <= 0:
-            raise ValueError(f"prox step must be positive, got {alpha}")
-        v = np.asarray(v, dtype=float)
+    def _prox(self, alpha: float, v: Array) -> Array:
         inv = 1.0 / alpha
         return minimize_strongly_convex(
             lambda u: self.value(u) + 0.5 * inv * float((u - v) @ (u - v)),
@@ -506,27 +512,3 @@ class CustomStronglyConvex(NonsmoothFunction):
     def value(self, x: Array) -> float:
         return float(self._value(np.asarray(x, dtype=float)))
 
-
-def conjugate_gradient(f: SmoothFunction, v: Array) -> Array:
-    """Maximizer of ``v @ u - f(u)`` (gradient of the conjugate of f)."""
-    return f.conjugate_gradient(v)
-
-
-def conjugate_value(f: SmoothFunction, v: Array) -> float:
-    """Fenchel conjugate of a smooth strongly convex function at ``v``."""
-    return f.conjugate_value(v)
-
-
-def prox(psi: NonsmoothFunction, alpha: float, v: Array) -> Array:
-    """Proximal map of ``psi`` with step ``alpha`` at ``v``."""
-    return psi.prox(alpha, v)
-
-
-def prox_conjugate(psi: NonsmoothFunction, alpha: float, v: Array) -> Array:
-    """Proximal map of the conjugate of ``psi`` with step ``alpha``."""
-    return psi.conjugate_prox(alpha, v)
-
-
-def support_value(psi: NonsmoothFunction, mu: Array) -> float:
-    """Conjugate value of a regularizer-plus-indicator at ``mu``."""
-    return psi.support_value(mu)

@@ -8,12 +8,11 @@ coupling estimate to the owners of its incident edges, and owners update
 the edge multipliers.  Nodes hold no reference to any global state, so an
 update can only use the node's own data and what arrived in its mailbox.
 The in-memory transport is lossless and delivers everything before any
-recipient computes; the engine is deterministic for any worker count.
+recipient computes, so the engine is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -252,7 +251,6 @@ class Engine:
         self,
         instance: ProblemInstance,
         steps: StepSizes,
-        n_workers: int = 1,
         log_events: bool = False,
         transport: InMemoryTransport | None = None,
     ):
@@ -270,27 +268,12 @@ class Engine:
             for i in ids
         }
         self.t = 0
-        self._executor = (
-            ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-        )
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
-
-    def _compute(self, fn, items) -> None:
-        if self._executor is None:
-            for item in items:
-                fn(item)
-        else:
-            list(self._executor.map(fn, items))
+        return None
 
     def run_round(self) -> None:
         """One synchronous round: send/compute duals, send/compute multipliers."""
@@ -299,22 +282,16 @@ class Engine:
         for i in ids:
             for recipient, msg in self.nodes[i].phase_a_messages(t):
                 self.transport.send(recipient, msg)
-
-        def do_a(i: int) -> None:
+        for i in ids:
             inbox = self.transport.collect(i, t, Phase.LAMBDA_EXCHANGE)
             self.nodes[i].apply_phase_a(inbox, t)
-
-        self._compute(do_a, ids)
 
         for i in ids:
             for recipient, msg in self.nodes[i].phase_b_messages(t):
                 self.transport.send(recipient, msg)
-
-        def do_b(i: int) -> None:
+        for i in ids:
             inbox = self.transport.collect(i, t, Phase.LAMBDA_PLUS_EXCHANGE)
             self.nodes[i].apply_phase_b(inbox, t)
-
-        self._compute(do_b, ids)
         self.t += 1
 
     def run(self, rounds: int) -> None:

@@ -8,19 +8,19 @@ One round is a two-phase barrier computation: every agent takes a
 prox-gradient step on its dual pair from time-t data, then every edge
 owner integrates the new theta difference into xi.  All updates read only
 time-t data within a phase, so results are independent of agent processing
-order and worker count.
+order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .functions import ConjugateUnavailable
 from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
@@ -30,6 +30,7 @@ __all__ = [
     "Residuals",
     "edge_multipliers",
     "RunningAverage",
+    "SetupError",
     "SolveResult",
     "SolverConfig",
     "SolverState",
@@ -82,8 +83,12 @@ class EdgeMultiplier:
             )
 
 
-class StepSizeError(ValueError):
-    """Step sizes violate the convergence condition."""
+class SetupError(ValueError):
+    """:func:`solve` rejected its instance or configuration before round 0."""
+
+
+class StepSizeError(SetupError):
+    """Step sizes are not positive or violate the convergence condition."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
     if h <= 0:
         raise ValueError(f"h must be positive (sigma finite implies h > 0), got {h}")
     if tau_bar < 0 or c <= 0 or gamma <= 0:
-        raise ValueError(
+        raise StepSizeError(
             f"step-size inputs must be positive (tau_bar may be zero for an "
             f"edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
         )
@@ -141,7 +146,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
 def suggest_step_sizes(h: float, tau_bar: float, gamma: float = 1.0) -> StepSizes:
     """Step sizes exactly at the acceptance boundary: c = 1/(h + gamma*tau)."""
     if h <= 0 or tau_bar < 0 or gamma <= 0:
-        raise ValueError(
+        raise StepSizeError(
             f"step-size inputs must be positive (tau_bar may be zero for an "
             f"edgeless network), got h={h}, tau_bar={tau_bar}, gamma={gamma}"
         )
@@ -174,14 +179,20 @@ def grad_p(agent: AgentProblem, b, theta, mu) -> Array:
     return np.concatenate([gt, gm])
 
 
+def _smooth_dual_parts(
+    agent: AgentProblem, b: Array, theta: Array, mu: Array
+) -> tuple[Array, float]:
+    """Primal maximizer and smooth dual value, from one conjugate-gradient call."""
+    v = _h_apply(agent, theta, mu)
+    x_hat = agent.f.conjugate_gradient(v)
+    value = float(v @ x_hat) - agent.f.value(x_hat) + agent.kappa * float(b @ theta)
+    return x_hat, value
+
+
 def smooth_dual_value(agent: AgentProblem, b, theta, mu) -> float:
     """Value of the agent's smooth dual term at (theta, mu)."""
-    theta = np.asarray(theta, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    v = _h_apply(agent, theta, np.asarray(mu, dtype=float))
-    return agent.f.conjugate_value(v) + agent.kappa * float(
-        np.asarray(b, dtype=float) @ theta
-    )
+    b, theta, mu = (np.asarray(a, dtype=float) for a in (b, theta, mu))
+    return _smooth_dual_parts(agent, b, theta, mu)[1]
 
 
 def lambda_update(
@@ -299,7 +310,6 @@ def iterate(
     instance: ProblemInstance,
     state: SolverState,
     steps: StepSizes,
-    executor: ThreadPoolExecutor | None = None,
     agent_order: Sequence[int] | None = None,
 ) -> SolverState:
     """One synchronous round: all dual pairs, then all edge multipliers.
@@ -307,8 +317,7 @@ def iterate(
     Every agent update reads only time-t data; every edge update reads the
     freshly computed coupling estimates.  ``agent_order`` permutes the
     processing order without changing the result (useful for testing the
-    order-independence property); ``executor`` runs the per-agent and
-    per-edge work on a thread pool, again without changing the result.
+    order-independence property).
     """
     n, m, b_dim = instance.dims
     graph = instance.graph
@@ -318,10 +327,9 @@ def iterate(
 
     theta_new = np.empty_like(state.theta)
     mu_new = np.empty_like(state.mu)
-
-    def work(i: int):
+    for i in order:
         neighbor_thetas, owned, incoming = _agent_inputs(instance, state, i)
-        return i, lambda_update(
+        theta_new[i - 1], mu_new[i - 1], _ = lambda_update(
             instance.agents[i - 1],
             instance.b,
             state.theta[i - 1],
@@ -333,27 +341,9 @@ def iterate(
             steps.gamma,
         )
 
-    if executor is None:
-        results = map(work, order)
-    else:
-        results = executor.map(work, order)
-    for i, (th, muv, _) in results:
-        theta_new[i - 1] = th
-        mu_new[i - 1] = muv
-
     xi_new = np.empty_like(state.xi)
-
-    def edge_work(k: int):
-        i, j = graph.edges[k]
-        return k, xi_update(state.xi[k], theta_new[i - 1], theta_new[j - 1], steps.gamma)
-
-    edge_results = (
-        map(edge_work, range(graph.n_edges))
-        if executor is None
-        else executor.map(edge_work, range(graph.n_edges))
-    )
-    for k, xi in edge_results:
-        xi_new[k] = xi
+    for k, (i, j) in enumerate(graph.edges):
+        xi_new[k] = xi_update(state.xi[k], theta_new[i - 1], theta_new[j - 1], steps.gamma)
 
     return SolverState(theta_new, mu_new, xi_new, state.t + 1)
 
@@ -368,20 +358,30 @@ def primal_recovery(agent: AgentProblem, theta, mu) -> Array:
     )
 
 
-def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> float:
-    """Dual objective at stacked duals; ``math.inf`` marks an infeasible point.
+def _dual_sweep(instance: ProblemInstance, theta: Array, mu: Array) -> tuple[float, Array]:
+    """Dual objective and the coupling term ``sum_i A_i x_hat_i`` at stacked duals.
 
-    Sums each agent's smooth dual term and the conjugate of its nonsmooth
-    part at mu.  An infinite conjugate value (the dual point left the
-    conjugate's domain) propagates as the infeasibility marker.
+    The objective sums each agent's smooth dual term and the conjugate of
+    its nonsmooth part at mu: ``math.inf`` marks a dual point outside the
+    conjugate's domain, NaN a part that has no conjugate value.
     """
-    total = 0.0
+    ax = np.zeros(instance.b_dim)
+    phi = 0.0
     for idx, agent in enumerate(instance.agents):
-        sup = agent.g.support_value(mu[idx])
-        if math.isinf(sup):
-            return math.inf
-        total += smooth_dual_value(agent, instance.b, theta[idx], mu[idx]) + sup
-    return total
+        x_hat, smooth = _smooth_dual_parts(agent, instance.b, theta[idx], mu[idx])
+        ax += agent.a_block @ x_hat
+        try:
+            sup = agent.g.support_value(mu[idx])
+        except ConjugateUnavailable:
+            sup = math.nan
+        phi += smooth + sup
+    return phi, ax
+
+
+def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> float:
+    """Dual objective at stacked duals; ``math.inf`` marks an infeasible point
+    and NaN a part without a conjugate value."""
+    return _dual_sweep(instance, theta, mu)[0]
 
 
 @dataclass(frozen=True)
@@ -403,25 +403,9 @@ def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residu
     """
     inc = inc or instance.graph.incidence(instance.b_dim)
     consensus = float(np.linalg.norm(inc.apply_m(state.theta)))
-    ax = np.zeros(instance.b_dim)
-    phi = 0.0
-    infeasible = False
-    for idx, agent in enumerate(instance.agents):
-        v = _h_apply(agent, state.theta[idx], state.mu[idx])
-        x_hat = agent.f.conjugate_gradient(v)
-        ax += agent.a_block @ x_hat
-        if not infeasible:
-            sup = agent.g.support_value(state.mu[idx])
-            if math.isinf(sup):
-                infeasible = True
-            else:
-                phi += (
-                    float(v @ x_hat) - agent.f.value(x_hat)
-                    + agent.kappa * float(instance.b @ state.theta[idx])
-                    + sup
-                )
+    phi, ax = _dual_sweep(instance, state.theta, state.mu)
     primal = float(np.linalg.norm(ax - instance.b))
-    return Residuals(consensus, primal, math.inf if infeasible else phi)
+    return Residuals(consensus, primal, phi)
 
 
 class RunningAverage:
@@ -532,7 +516,9 @@ class SolverConfig:
 
     Leaving ``c`` unset picks the boundary step from the network constants;
     an explicit value is validated before the first round.  ``trace_state``
-    additionally snapshots theta/mu/xi into each trace row.
+    additionally snapshots theta/mu/xi into each trace row.  ``n_workers``
+    is accepted for compatibility and has no effect: rounds run on one
+    thread, because the per-agent work holds the interpreter lock.
     """
 
     c: float | None = None
@@ -635,6 +621,8 @@ class SolveResult:
     ergodic_theta: Array
     ergodic_mu: Array
     steps: StepSizes
+    h: float
+    tau: float
 
     def agent_report(self) -> list[dict]:
         out = []
@@ -657,23 +645,27 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     residual at the current duals below their tolerances, and the last
     dual step norm below ``tol_step``.  Exhausting ``max_iter`` returns a
     non-converged result with the full trace rather than raising.
+
+    Set-up validates the instance, computes ``h`` and ``tau`` and picks the
+    steps; a rejection raises :class:`SetupError` before round 0.
     """
     config = config or SolverConfig()
     report = validate(instance)
     if not report.ok:
-        raise ValueError(f"instance failed validation:\n{report}")
+        raise SetupError(f"instance failed validation:\n{report}")
+    if config.trace_every < 1:
+        raise SetupError(f"trace_every must be at least 1, got {config.trace_every}")
 
     h = max_lipschitz(instance)
     tau = laplacian_spectral_radius(instance.graph, seed=config.seed).value
-    if config.c is None:
-        steps = suggest_step_sizes(h, tau, config.gamma)
-    else:
-        steps = StepSizes(config.c, config.gamma)
-    validate_step_sizes(h, tau, steps.c, steps.gamma)
+    c = suggest_step_sizes(h, tau, config.gamma).c if config.c is None else config.c
+    validate_step_sizes(h, tau, c, config.gamma)
+    steps = StepSizes(c, config.gamma)
 
     state = init_state(instance)
     trace = Trace(with_state=config.trace_state)
-    avg = RunningAverage(*_nmb(instance))
+    n, m, b_dim = instance.dims
+    avg = RunningAverage(n, b_dim, m)
     inc = instance.graph.incidence(instance.b_dim)
     t0 = time.perf_counter()
 
@@ -681,38 +673,29 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
 
-    executor = (
-        ThreadPoolExecutor(max_workers=config.n_workers)
-        if config.n_workers > 1
-        else None
-    )
     converged = False
     reason = "max_iter exhausted"
-    try:
-        while state.t < config.max_iter:
-            new_state = iterate(instance, state, steps, executor=executor)
-            step_norm = math.sqrt(
-                float(np.sum((new_state.theta - state.theta) ** 2))
-                + float(np.sum((new_state.mu - state.mu) ** 2))
-            )
-            state = new_state
-            avg.update(state.theta, state.mu)
-            res = residuals(instance, state, inc)
-            done = (
-                res.consensus <= config.tol_consensus
-                and res.primal <= config.tol_primal
-                and step_norm <= config.tol_step
-            )
-            if done or state.t % config.trace_every == 0 or state.t == config.max_iter:
-                trace.record(state.t, res.dual_value, res.consensus, res.primal,
-                             step_norm, time.perf_counter() - t0, state)
-            if done:
-                converged = True
-                reason = "residual tolerances met"
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    while state.t < config.max_iter:
+        new_state = iterate(instance, state, steps)
+        step_norm = math.sqrt(
+            float(np.sum((new_state.theta - state.theta) ** 2))
+            + float(np.sum((new_state.mu - state.mu) ** 2))
+        )
+        state = new_state
+        avg.update(state.theta, state.mu)
+        res = residuals(instance, state, inc)
+        done = (
+            res.consensus <= config.tol_consensus
+            and res.primal <= config.tol_primal
+            and step_norm <= config.tol_step
+        )
+        if done or state.t % config.trace_every == 0 or state.t == config.max_iter:
+            trace.record(state.t, res.dual_value, res.consensus, res.primal,
+                         step_norm, time.perf_counter() - t0, state)
+        if done:
+            converged = True
+            reason = "residual tolerances met"
+            break
 
     x = np.vstack(
         [
@@ -732,9 +715,6 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         ergodic_theta=avg.theta,
         ergodic_mu=avg.mu,
         steps=steps,
+        h=h,
+        tau=tau,
     )
-
-
-def _nmb(instance: ProblemInstance) -> tuple[int, int, int]:
-    n, m, b_dim = instance.dims
-    return n, b_dim, m

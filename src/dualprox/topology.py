@@ -91,8 +91,8 @@ class Graph:
     """Undirected, connected-checkable agent network.
 
     Vertices are 1-indexed.  The edge list is canonicalized at
-    construction; instances are immutable afterwards and safe to share
-    across worker threads.
+    construction; a graph is immutable afterwards, so problem instances
+    and engines can share one.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):

@@ -123,3 +123,32 @@ class TestMarketDemoCommand:
             ["market-demo", "--max-iter", "3", "--trace-out", str(tmp_path / "t.csv")]
         )
         assert code == 1
+
+
+class TestBadSolverOptions:
+    @pytest.mark.parametrize("command", ["solve", "market-demo"])
+    @pytest.mark.parametrize(
+        "option", [["--gamma", "0"], ["--trace-every", "0"]], ids=["gamma", "trace-every"]
+    )
+    def test_rejected_with_one_line_before_running(
+        self, command, option, market_file, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.csv"
+        argv = [command, *option, "--trace-out", str(trace)]
+        if command == "solve":
+            argv += ["--instance", str(market_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not trace.exists()
+
+    def test_error_during_rounds_is_not_a_rejection(self, monkeypatch, tmp_path):
+        import dualprox.solver
+
+        def broken_round(*args, **kwargs):
+            raise ValueError("raised inside a round")
+
+        monkeypatch.setattr(dualprox.solver, "iterate", broken_round)
+        with pytest.raises(ValueError, match="inside a round"):
+            main(["market-demo", "--trace-out", str(tmp_path / "t.csv")])

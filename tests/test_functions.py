@@ -13,11 +13,6 @@ from dualprox.functions import (
     NormPenalty,
     Quadratic,
     Zero,
-    conjugate_gradient,
-    conjugate_value,
-    prox,
-    prox_conjugate,
-    support_value,
 )
 
 from oracles import golden_max, golden_min, grid_max_value
@@ -41,11 +36,11 @@ def catalog():
 class TestConjugateGradient:
     def test_scalar_quadratic(self):
         f = Quadratic(1.0)  # x^2
-        assert conjugate_gradient(f, np.array([4.0])) == pytest.approx(2.0)
+        assert f.conjugate_gradient(np.array([4.0])) == pytest.approx(2.0)
 
     def test_market_company1_zero_output(self):
         f = Quadratic(0.0031, 8.71)
-        assert conjugate_gradient(f, np.array([8.71]))[0] == pytest.approx(0.0, abs=1e-14)
+        assert f.conjugate_gradient(np.array([8.71]))[0] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_matches_inner_loop(self, seed):
@@ -88,18 +83,18 @@ class TestConjugateGradient:
 
 class TestConjugateValue:
     def test_zero_slope(self):
-        assert conjugate_value(Quadratic(1.0), np.array([0.0])) == pytest.approx(0.0)
+        assert Quadratic(1.0).conjugate_value(np.array([0.0])) == pytest.approx(0.0)
 
     def test_unit_slope(self):
-        assert conjugate_value(Quadratic(1.0), np.array([2.0])) == pytest.approx(1.0)
+        assert Quadratic(1.0).conjugate_value(np.array([2.0])) == pytest.approx(1.0)
 
     def test_market_user1(self):
         # frozen from a golden-section maximization of -8.1*u - f(u)
         f = Quadratic(0.0935, -17.17)
         expected = 9.07**2 / (4 * 0.0935)
-        assert conjugate_value(f, np.array([-8.1])) == pytest.approx(expected, rel=1e-12)
+        assert f.conjugate_value(np.array([-8.1])) == pytest.approx(expected, rel=1e-12)
         oracle = golden_max(lambda x: -8.1 * x - (0.0935 * x * x - 17.17 * x), -1e3, 1e3)
-        assert conjugate_value(f, np.array([-8.1])) == pytest.approx(
+        assert f.conjugate_value(np.array([-8.1])) == pytest.approx(
             -8.1 * oracle - (0.0935 * oracle**2 - 17.17 * oracle), rel=1e-9
         )
 
@@ -118,23 +113,23 @@ class TestConjugateValue:
 class TestProx:
     def test_soft_threshold_frozen_from_scalar_oracle(self):
         # golden-section of |u| + (u - v)^2 / 2 gives [2, 0] for v = [3, -0.5]
-        got = prox(L1(1.0), 1.0, np.array([3.0, -0.5]))
+        got = L1(1.0).prox(1.0, np.array([3.0, -0.5]))
         assert np.allclose(got, [2.0, 0.0], atol=1e-12)
         for v, g in zip([3.0, -0.5], got):
             oracle = golden_min(lambda u: abs(u) + (u - v) ** 2 / 2.0, -10, 10)
             assert g == pytest.approx(oracle, abs=1e-6)
 
     def test_box_clamp(self):
-        assert prox(Box(0.0, 150.0), 2.0, np.array([200.0])) == pytest.approx(150.0)
+        assert Box(0.0, 150.0).prox(2.0, np.array([200.0])) == pytest.approx(150.0)
 
     def test_zero_identity(self):
         v = np.array([1.0, -2.0, 3.5])
         for alpha in (0.1, 1.0, 10.0):
-            assert np.array_equal(prox(Zero(), alpha, v), v)
+            assert np.array_equal(Zero().prox(alpha, v), v)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            prox(L1(1.0), 0.0, np.array([1.0]))
+            L1(1.0).prox(0.0, np.array([1.0]))
 
     @pytest.mark.parametrize("psi", catalog(), ids=lambda p: repr(p))
     def test_firmly_nonexpansive(self, psi):
@@ -148,15 +143,15 @@ class TestProx:
 class TestProxConjugate:
     def test_halfline_indicator(self):
         psi = Box(0.0, math.inf)  # conjugate: indicator of the nonpositive axis
-        assert prox_conjugate(psi, 1.0, np.array([1.0])) == pytest.approx(0.0)
-        assert prox_conjugate(psi, 1.0, np.array([-2.5])) == pytest.approx(-2.5)
+        assert psi.conjugate_prox(1.0, np.array([1.0])) == pytest.approx(0.0)
+        assert psi.conjugate_prox(1.0, np.array([-2.5])) == pytest.approx(-2.5)
 
     def test_zero_function(self):
         psi = Zero()  # conjugate: indicator of the origin
         rng = np.random.default_rng(1)
         for alpha in (0.1, 1.0, 10.0):
             v = rng.normal(size=4)
-            assert np.allclose(prox_conjugate(psi, alpha, v), 0.0, atol=1e-15)
+            assert np.allclose(psi.conjugate_prox(alpha, v), 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
     def test_l1_conjugate_is_box_projection(self, w):
@@ -166,15 +161,15 @@ class TestProxConjugate:
         for alpha in (0.1, 1.0, 10.0):
             v = rng.normal(size=5) * 3
             assert np.allclose(
-                prox_conjugate(psi, alpha, v), np.clip(v, -w, w), atol=1e-12
+                psi.conjugate_prox(alpha, v), np.clip(v, -w, w), atol=1e-12
             )
 
     def test_norm2_ball_projection(self):
         psi = NormPenalty(2)
         v = np.array([3.0, 4.0])
-        assert np.allclose(prox_conjugate(psi, 7.3, v), v / 5.0)
+        assert np.allclose(psi.conjugate_prox(7.3, v), v / 5.0)
         inside = np.array([0.1, -0.2])
-        assert np.allclose(prox_conjugate(psi, 0.2, inside), inside)
+        assert np.allclose(psi.conjugate_prox(0.2, inside), inside)
 
     def test_box_conjugate_prox_matches_scalar_oracle(self):
         # prox of the box support function, checked against golden search
@@ -187,7 +182,7 @@ class TestProxConjugate:
                 oracle = golden_min(
                     lambda z: support(z) + (z - v) ** 2 / (2 * alpha), -20, 20
                 )
-                got = prox_conjugate(psi, alpha, np.array([v]))[0]
+                got = psi.conjugate_prox(alpha, np.array([v]))[0]
                 assert got == pytest.approx(oracle, abs=1e-6)
 
 
@@ -207,24 +202,39 @@ class TestMoreauIdentity:
 class TestSupportValue:
     def test_box_positive_multiplier(self):
         # frozen from grid maximization of 2.34 * x over [0, 150]
-        assert support_value(Box(0.0, 150.0), np.array([2.34])) == pytest.approx(351.0)
+        assert Box(0.0, 150.0).support_value(np.array([2.34])) == pytest.approx(351.0)
         assert grid_max_value(lambda x: 2.34 * x, 0.0, 150.0) == pytest.approx(351.0)
 
     def test_box_negative_multiplier(self):
-        assert support_value(Box(0.0, 150.0), np.array([-0.61])) == pytest.approx(0.0)
+        assert Box(0.0, 150.0).support_value(np.array([-0.61])) == pytest.approx(0.0)
         assert grid_max_value(lambda x: -0.61 * x, 0.0, 150.0) == pytest.approx(0.0)
 
     def test_zero_multiplier_any_box(self):
-        assert support_value(Box(-7.0, 3.0), np.array([0.0])) == 0.0
-        assert support_value(Box(0.0, math.inf), np.array([0.0])) == 0.0
+        assert Box(-7.0, 3.0).support_value(np.array([0.0])) == 0.0
+        assert Box(0.0, math.inf).support_value(np.array([0.0])) == 0.0
 
     def test_infeasible_marker_is_inf(self):
-        assert support_value(Zero(), np.array([0.1])) == math.inf
-        assert support_value(L1(1.0), np.array([1.5])) == math.inf
-        assert support_value(NormPenalty(2), np.array([1.0, 1.0])) == math.inf
+        assert Zero().support_value(np.array([0.1])) == math.inf
+        assert Zero().support_value(np.array([0.5])) == math.inf
+        assert L1(1.0).support_value(np.array([1.5])) == math.inf
+        assert L1(0.3).support_value(np.array([0.3 + 1e-12])) == math.inf
+        assert NormPenalty(1).support_value(np.array([0.0, -1.0 - 1e-12])) == math.inf
+        assert NormPenalty(2).support_value(np.array([1.0, 1.0])) == math.inf
+
+    @pytest.mark.parametrize(
+        "psi", [Zero(), L1(0.3), L1(2.0), NormPenalty(1), NormPenalty(2)], ids=repr
+    )
+    def test_finite_after_conjugate_prox(self, psi):
+        # the conjugate prox lands in the conjugate's domain, whatever the
+        # rounding of the step
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            c = 10.0 ** rng.uniform(-3.0, 2.0)
+            w = rng.normal(size=int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-2.0, 3.0)
+            assert psi.support_value(psi.conjugate_prox(c, w)) == 0.0
 
     def test_l1_inside_ball(self):
-        assert support_value(L1(1.0), np.array([0.9, -1.0])) == 0.0
+        assert L1(1.0).support_value(np.array([0.9, -1.0])) == 0.0
 
     def test_custom_strongly_convex(self):
         quad = Quadratic(np.eye(2) * 0.8, np.array([0.1, 0.1]))
@@ -310,5 +320,5 @@ class TestBoxValidation:
 
     def test_infinite_bounds_support(self):
         psi = Box(0.0, math.inf)
-        assert support_value(psi, np.array([-1.0])) == 0.0
-        assert support_value(psi, np.array([1.0])) == math.inf
+        assert psi.support_value(np.array([-1.0])) == 0.0
+        assert psi.support_value(np.array([1.0])) == math.inf

@@ -76,20 +76,6 @@ class TestEngineEquivalence:
         assert np.array_equal(state.mu, netstate.mu)
         assert np.array_equal(state.xi, netstate.xi)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_does_not_change_results(self, workers):
-        instance = build_market()
-        steps = steps_for(instance)
-        with Engine(instance, steps) as serial, Engine(
-            instance, steps, n_workers=workers
-        ) as parallel:
-            serial.run(50)
-            parallel.run(50)
-            a, b = serial.state(), parallel.state()
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.xi, b.xi)
-
 
 class TestMessageAccounting:
     def test_market_counts(self):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dualprox.functions import Box, Quadratic, Zero
+from dualprox.functions import Box, CustomProx, L1, Quadratic, Zero
 from dualprox.oracle import centralized_oracle, primal_objective, saddle_point
 from dualprox.problems import AgentProblem, ProblemInstance, build_market
 from dualprox.solver import (
     RunningAverage,
+    SetupError,
     SolverConfig,
     SolverState,
     StepSizeError,
@@ -499,6 +500,50 @@ class TestSolve:
         result = solve(instance, SolverConfig())
         assert result.converged
         assert result.x[0, 0] == pytest.approx(1.5, abs=1e-6)
+
+    def test_result_carries_network_constants(self):
+        instance = build_market()
+        result = solve(instance, SolverConfig(max_iter=1, seed=3))
+        assert result.h == max_lipschitz(instance)
+        assert result.tau == laplacian_spectral_radius(instance.graph, seed=3).value
+        assert result.steps.c == 1.0 / (result.h + result.tau)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SolverConfig(gamma=0.0), SolverConfig(c=0.0), SolverConfig(trace_every=0)],
+        ids=["gamma", "c", "trace_every"],
+    )
+    def test_bad_options_rejected_before_round_0(self, config):
+        with pytest.raises(SetupError):
+            solve(build_market(), config)
+
+
+def scalar_path(g, q=(-1.0, 0.5, 2.0, -0.3, 0.8, -1.2), b=0.5) -> ProblemInstance:
+    """Six quadratic agents ``u^2 + q_i u`` on a path, all with nonsmooth part g."""
+    n = len(q)
+    agents = [AgentProblem(Quadratic(1.0, qi), g, [[1.0]], 1.0 / n) for qi in q]
+    return ProblemInstance(agents, [b], Graph(n, [(i, i + 1) for i in range(1, n)]))
+
+
+class TestDualValueAlongTheRun:
+    def test_custom_prox_runs_with_phi_unavailable(self):
+        clip = CustomProx(lambda alpha, v: np.clip(v, -1.0, 1.0))
+        custom = solve(scalar_path(clip), SolverConfig(trace_every=1))
+        box = solve(scalar_path(Box(-1.0, 1.0)), SolverConfig(trace_every=1))
+        assert custom.converged
+        # both parts reach mu through the same Moreau step
+        assert np.array_equal(custom.theta, box.theta)
+        assert np.array_equal(custom.mu, box.mu)
+        assert np.array_equal(custom.x, box.x)
+        assert np.all(np.isnan(custom.trace.column("phi")))
+
+    def test_l1_phi_finite_and_matches_primal(self):
+        instance = scalar_path(L1(0.3))
+        result = solve(instance, SolverConfig(trace_every=1))
+        phi = result.trace.column("phi")
+        assert result.converged
+        assert np.all(np.isfinite(phi))
+        assert abs(phi[-1] + primal_objective(instance, result.x)) <= 1e-6
 
 
 class TestEdgeMultipliers:
