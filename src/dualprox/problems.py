@@ -100,7 +100,13 @@ class AgentProblem:
 
 
 class ProblemInstance:
-    """N coupled agents, the constraint offset b, and the network graph."""
+    """N coupled agents, the constraint offset b, and the network graph.
+
+    An instance, with its agents, their functions and its graph, is treated
+    as immutable once constructed: the solver compiles it into stacked
+    arrays on first use and keeps them on the instance.  No code or test
+    mutates one; build a new instance instead.
+    """
 
     def __init__(self, agents: Sequence[AgentProblem], b, graph: Graph):
         self.agents = list(agents)

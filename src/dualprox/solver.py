@@ -9,6 +9,17 @@ prox-gradient step on its dual pair from time-t data, then every edge
 owner integrates the new theta difference into xi.  All updates read only
 time-t data within a phase, so results are independent of agent processing
 order.
+
+:func:`lambda_update` and :func:`xi_update` are the per-agent and per-edge
+updates, which the message-passing engine runs node by node.  The solver
+runs a round, and the dual sweep behind :func:`residuals` and
+:func:`eval_dual_objective`, as one batched kernel instead: each instance
+is compiled once, on first use, into a plan of padded neighbour tables and
+stacked coefficients.  Quadratic smooth parts and Box nonsmooth parts are
+evaluated for all agents at once; any other kind is called on its agent's
+row.  The kernel is bit-identical to the per-agent updates: it adds the
+neighbour terms one slot at a time in their order and sums over agents
+in agent order.  A batched round has no processing order.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .functions import ConjugateUnavailable
+from .functions import Box, ConjugateUnavailable, Quadratic
 from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
@@ -258,6 +269,156 @@ def xi_update(xi: Array, theta_owner: Array, theta_peer: Array, gamma: float) ->
     return xi + gamma * (theta_owner - theta_peer)
 
 
+# --- the compiled round plan -------------------------------------------------
+
+
+def _stacked_matvec(mats: Array, vecs: Array) -> Array:
+    """Row i is ``mats[i] @ vecs[i]``, bit-identical to that product.
+
+    Stacked ``np.matmul`` makes the same BLAS call per row as a single
+    matrix-vector ``@``; ``np.einsum`` and explicit sums round differently.
+    """
+    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+
+
+def _rowdot(a: Array, b: Array) -> Array:
+    """Entry i is ``a[i] @ b[i]``, bit-identical to that dot product."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _padded(rows: Array, values: Array, n: int) -> tuple[Array, Array]:
+    """``values`` grouped by the sorted ``rows`` into an (n, width) table
+    padded with index 0, and the mask of its real entries."""
+    counts = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    table = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
+    mask = np.zeros(table.shape, dtype=bool)
+    table[rows, slots] = values
+    mask[rows, slots] = True
+    return table, mask
+
+
+def _stack(rows: list, shape: tuple[int, ...]) -> Array:
+    """``rows`` stacked into a (len(rows), *shape) array; a row may
+    broadcast, as a Box's one-element bounds do over M components."""
+    out = np.empty((len(rows), *shape))
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
+
+
+class _RoundPlan:
+    """An instance compiled into stacked arrays for the batched round kernel.
+
+    The neighbour tables are 0-based (table, mask) pairs: ``owned`` holds
+    the edges an agent owns and ``incoming`` those its smaller neighbours
+    own, each in ascending peer order, and ``nbrs`` all neighbours in
+    ascending order.  Quadratic smooth parts and Box nonsmooth parts are
+    stacked; an agent with any other kind keeps its function object, which
+    is called on the agent's row.
+    """
+
+    def __init__(self, instance: ProblemInstance):
+        n, self.m, _ = instance.dims
+        agents = instance.agents
+        edges = np.asarray(instance.graph.edges, dtype=np.intp).reshape(-1, 2) - 1
+        self.edge_owner, self.edge_peer = edges[:, 0], edges[:, 1]
+        self.owned = _padded(self.edge_owner, np.arange(len(edges)), n)
+        by_peer = np.argsort(self.edge_peer, kind="stable")
+        self.incoming = _padded(self.edge_peer[by_peer], by_peer, n)
+        ends = np.concatenate([self.edge_owner, self.edge_peer])
+        others = np.concatenate([self.edge_peer, self.edge_owner])
+        by_end = np.lexsort((others, ends))
+        self.nbrs = _padded(ends[by_end], others[by_end], n)
+
+        self.a = np.array([agent.a_block for agent in agents])
+        self.a_t = self.a.transpose(0, 2, 1)
+        self.kappa = instance.kappa_vector()
+        self.kappa_b = self.kappa[:, None] * instance.b
+
+        m = self.m
+        is_quad = [type(agent.f) is Quadratic for agent in agents]
+        quad = [agent.f for agent, stacked in zip(agents, is_quad) if stacked]
+        self.quad = np.flatnonzero(is_quad)
+        self.quad_p = np.array([f.p for f in quad]).reshape(-1, m, m)
+        self.quad_two_p = 2.0 * self.quad_p
+        self.quad_q = np.array([f.q for f in quad]).reshape(-1, m)
+        self.quad_r = np.array([f.r for f in quad])
+        self.f_rows = [(i, a.f) for i, a in enumerate(agents) if not is_quad[i]]
+
+        is_box = [type(agent.g) is Box for agent in agents]
+        box = [agent.g for agent, stacked in zip(agents, is_box) if stacked]
+        self.box_rows = np.flatnonzero(is_box)
+        self.box = Box(_stack([g.lo for g in box], (m,)), _stack([g.hi for g in box], (m,)))
+        self.g_rows = [(i, a.g) for i, a in enumerate(agents) if not is_box[i]]
+
+    def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
+        """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
+        ``x_hat_i``, the gradient of the conjugate of ``f_i`` at ``v_i``."""
+        v = -_stacked_matvec(self.a_t, theta) - mu
+        x_hat = np.empty_like(v)
+        if self.quad.size:
+            shifted = v[self.quad] - self.quad_q
+            if self.m == 1:  # Quadratic's scalar branch
+                x_hat[self.quad] = shifted / self.quad_two_p[:, 0]
+            else:
+                solved = np.linalg.solve(self.quad_two_p, shifted[:, :, None])
+                x_hat[self.quad] = solved[:, :, 0]
+        for i, f in self.f_rows:
+            x_hat[i] = f.conjugate_gradient(v[i])
+        return v, x_hat
+
+    def coupling_terms(self, x: Array) -> Array:
+        """Row i is ``A_i @ x_i``."""
+        return _stacked_matvec(self.a, x)
+
+    def conjugate_prox(self, c: float, w: Array) -> Array:
+        """Every agent's prox step on the conjugate of its nonsmooth part;
+        the Box agents take one stacked step."""
+        out = np.empty_like(w)
+        if self.box_rows.size:
+            out[self.box_rows] = self.box.conjugate_prox(c, w[self.box_rows])
+        for i, g in self.g_rows:
+            out[i] = g.conjugate_prox(c, w[i])
+        return out
+
+    def f_values(self, x: Array) -> Array:
+        """Entry i is ``f_i(x_i)``; Quadratic's ``x @ P @ x + q @ x + r``."""
+        out = np.empty(len(x))
+        if self.quad.size:
+            xq = x[self.quad]
+            xpx = np.matmul(np.matmul(xq[:, None, :], self.quad_p), xq[:, :, None])[:, 0, 0]
+            out[self.quad] = xpx + _rowdot(self.quad_q, xq) + self.quad_r
+        for i, f in self.f_rows:
+            out[i] = f.value(x[i])
+        return out
+
+    def support_values(self, mu: Array) -> Array:
+        """Entry i is the conjugate of ``g_i`` at ``mu_i``, NaN where it is
+        unavailable; Box's piecewise sum, row by row."""
+        out = np.empty(len(mu))
+        if self.box_rows.size:
+            mb, lo, hi = mu[self.box_rows], self.box.lo, self.box.hi
+            with np.errstate(invalid="ignore"):
+                terms = np.where(mb > 0, mb * hi, np.where(mb < 0, mb * lo, 0.0))
+            out[self.box_rows] = np.sum(terms, axis=1)
+        for i, g in self.g_rows:
+            try:
+                out[i] = g.support_value(mu[i])
+            except ConjugateUnavailable:
+                out[i] = math.nan
+        return out
+
+
+def _round_plan(instance: ProblemInstance) -> _RoundPlan:
+    """The instance's plan, compiled on first use and kept on the instance,
+    which is immutable once built."""
+    plan = getattr(instance, "_round_plan", None)
+    if plan is None:
+        plan = instance._round_plan = _RoundPlan(instance)
+    return plan
+
+
 # --- network state and rounds ----------------------------------------------
 
 
@@ -297,15 +458,6 @@ def edge_multipliers(graph: Graph, xi: Array) -> list[EdgeMultiplier]:
     ]
 
 
-def _agent_inputs(instance: ProblemInstance, state: SolverState, i: int):
-    graph = instance.graph
-    nbrs = graph.neighbors(i)
-    neighbor_thetas = {j: state.theta[j - 1] for j in nbrs.all}
-    owned = {j: state.xi[graph.edge_index[(i, j)]] for j in nbrs.owned}
-    incoming = {j: state.xi[graph.edge_index[(j, i)]] for j in nbrs.incoming}
-    return neighbor_thetas, owned, incoming
-
-
 def iterate(
     instance: ProblemInstance,
     state: SolverState,
@@ -315,36 +467,43 @@ def iterate(
     """One synchronous round: all dual pairs, then all edge multipliers.
 
     Every agent update reads only time-t data; every edge update reads the
-    freshly computed coupling estimates.  ``agent_order`` permutes the
-    processing order without changing the result (useful for testing the
-    order-independence property).
+    freshly computed coupling estimates.  The round runs as one batched
+    kernel over the instance's compiled plan, bit-identical to calling
+    :func:`lambda_update` per agent and :func:`xi_update` per edge.  A
+    batched round has no processing order, so ``agent_order`` is only
+    validated as a permutation of 1..N and cannot change the result.
     """
-    n, m, b_dim = instance.dims
-    graph = instance.graph
-    order = list(agent_order) if agent_order is not None else list(range(1, n + 1))
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"agent order must be a permutation of 1..{n}, got {order}")
-
-    theta_new = np.empty_like(state.theta)
-    mu_new = np.empty_like(state.mu)
-    for i in order:
-        neighbor_thetas, owned, incoming = _agent_inputs(instance, state, i)
-        theta_new[i - 1], mu_new[i - 1], _ = lambda_update(
-            instance.agents[i - 1],
-            instance.b,
-            state.theta[i - 1],
-            state.mu[i - 1],
-            neighbor_thetas,
-            owned,
-            incoming,
-            steps.c,
-            steps.gamma,
+    n = instance.n_agents
+    if agent_order is not None and sorted(agent_order) != list(range(1, n + 1)):
+        raise ValueError(
+            f"agent order must be a permutation of 1..{n}, got {list(agent_order)}"
         )
+    plan = _round_plan(instance)
+    c, gamma = steps.c, steps.gamma
+    theta, mu, xi = state.theta, state.mu, state.xi
 
-    xi_new = np.empty_like(state.xi)
-    for k, (i, j) in enumerate(graph.edges):
-        xi_new[k] = xi_update(state.xi[k], theta_new[i - 1], theta_new[j - 1], steps.gamma)
-
+    _, x_hat = plan.maximizers(theta, mu)
+    # lambda_update's pressure, one neighbour slot at a time in its order;
+    # padded slots keep the running value untouched (adding 0.0 would turn
+    # a -0.0 into +0.0)
+    pressure = -plan.coupling_terms(x_hat) + plan.kappa_b
+    owned, owned_mask = plan.owned
+    for k in range(owned.shape[1]):
+        pressure = np.where(owned_mask[:, k, None], pressure + xi[owned[:, k]], pressure)
+    incoming, incoming_mask = plan.incoming
+    for k in range(incoming.shape[1]):
+        pressure = np.where(
+            incoming_mask[:, k, None], pressure - xi[incoming[:, k]], pressure
+        )
+    nbrs, nbrs_mask = plan.nbrs
+    for k in range(nbrs.shape[1]):
+        pressure = np.where(
+            nbrs_mask[:, k, None], pressure + gamma * (theta - theta[nbrs[:, k]]), pressure
+        )
+    theta_new = theta - c * pressure
+    grad_mu = -x_hat
+    mu_new = plan.conjugate_prox(c, mu - c * grad_mu)
+    xi_new = xi + gamma * (theta_new[plan.edge_owner] - theta_new[plan.edge_peer])
     return SolverState(theta_new, mu_new, xi_new, state.t + 1)
 
 
@@ -363,19 +522,19 @@ def _dual_sweep(instance: ProblemInstance, theta: Array, mu: Array) -> tuple[flo
 
     The objective sums each agent's smooth dual term and the conjugate of
     its nonsmooth part at mu: ``math.inf`` marks a dual point outside the
-    conjugate's domain, NaN a part that has no conjugate value.
+    conjugate's domain, NaN a part that has no conjugate value.  Both sums
+    run in agent order, so they round as an agent-by-agent loop would.
     """
-    ax = np.zeros(instance.b_dim)
-    phi = 0.0
-    for idx, agent in enumerate(instance.agents):
-        x_hat, smooth = _smooth_dual_parts(agent, instance.b, theta[idx], mu[idx])
-        ax += agent.a_block @ x_hat
-        try:
-            sup = agent.g.support_value(mu[idx])
-        except ConjugateUnavailable:
-            sup = math.nan
-        phi += smooth + sup
-    return phi, ax
+    plan = _round_plan(instance)
+    theta = np.asarray(theta, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    v, x_hat = plan.maximizers(theta, mu)
+    b_theta = _rowdot(np.broadcast_to(instance.b, theta.shape), theta)
+    smooth = _rowdot(v, x_hat) - plan.f_values(x_hat) + plan.kappa * b_theta
+    terms = smooth + plan.support_values(mu)
+    phi = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
+    ax_terms = np.vstack([np.zeros(instance.b_dim), plan.coupling_terms(x_hat)])
+    return float(phi), np.add.accumulate(ax_terms)[-1]
 
 
 def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> float:
@@ -517,8 +676,8 @@ class SolverConfig:
     Leaving ``c`` unset picks the boundary step from the network constants;
     an explicit value is validated before the first round.  ``trace_state``
     additionally snapshots theta/mu/xi into each trace row.  ``n_workers``
-    is accepted for compatibility and has no effect: rounds run on one
-    thread, because the per-agent work holds the interpreter lock.
+    is accepted for compatibility and has no effect: a round runs on one
+    thread, as one batched kernel over all agents.
     """
 
     c: float | None = None
@@ -683,13 +842,18 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         )
         state = new_state
         avg.update(state.theta, state.mu)
+        due = state.t % config.trace_every == 0 or state.t == config.max_iter
+        # the stop rule needs all three tolerances, so the residuals matter
+        # only when a trace row is due or the step is already small enough
+        if not (due or step_norm <= config.tol_step):
+            continue
         res = residuals(instance, state, inc)
         done = (
             res.consensus <= config.tol_consensus
             and res.primal <= config.tol_primal
             and step_norm <= config.tol_step
         )
-        if done or state.t % config.trace_every == 0 or state.t == config.max_iter:
+        if done or due:
             trace.record(state.t, res.dual_value, res.consensus, res.primal,
                          step_norm, time.perf_counter() - t0, state)
         if done:

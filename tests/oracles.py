@@ -3,15 +3,28 @@
 Everything here is deliberately decoupled from the library's code paths:
 dense matrices instead of matrix-free operators, golden-section search
 instead of closed-form prox maps, finite differences instead of analytic
-gradients, and a hand-derived closed form for the market optimum.
+gradients, and a hand-derived closed form for the market optimum.  The
+exception is the per-agent round and dual sweep at the end, which loop
+over agents with the library's per-node update so that the batched kernel
+can be checked against them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
-from dualprox.functions import Box, Quadratic
+from dualprox.functions import Box, ConjugateUnavailable, Quadratic
 from dualprox.problems import AgentProblem, ProblemInstance
+from dualprox.solver import (
+    SolverState,
+    StepSizes,
+    _smooth_dual_parts,
+    lambda_update,
+    xi_update,
+)
 from dualprox.topology import Graph
 
 
@@ -175,3 +188,69 @@ def random_instance(
             AgentProblem(Quadratic(p, q), Box(lo, hi), a_block, 1.0 / n)
         )
     return ProblemInstance(agents, b, graph)
+
+
+# --- per-agent round and dual sweep -------------------------------------------
+
+
+def _agent_inputs(instance: ProblemInstance, state: SolverState, i: int):
+    graph = instance.graph
+    nbrs = graph.neighbors(i)
+    neighbor_thetas = {j: state.theta[j - 1] for j in nbrs.all}
+    owned = {j: state.xi[graph.edge_index[(i, j)]] for j in nbrs.owned}
+    incoming = {j: state.xi[graph.edge_index[(j, i)]] for j in nbrs.incoming}
+    return neighbor_thetas, owned, incoming
+
+
+def reference_iterate(
+    instance: ProblemInstance,
+    state: SolverState,
+    steps: StepSizes,
+    agent_order: Sequence[int] | None = None,
+) -> SolverState:
+    """One round as a loop of per-agent ``lambda_update`` calls, then a loop
+    of per-edge ``xi_update`` calls."""
+    n, m, b_dim = instance.dims
+    graph = instance.graph
+    order = list(agent_order) if agent_order is not None else list(range(1, n + 1))
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"agent order must be a permutation of 1..{n}, got {order}")
+
+    theta_new = np.empty_like(state.theta)
+    mu_new = np.empty_like(state.mu)
+    for i in order:
+        neighbor_thetas, owned, incoming = _agent_inputs(instance, state, i)
+        theta_new[i - 1], mu_new[i - 1], _ = lambda_update(
+            instance.agents[i - 1],
+            instance.b,
+            state.theta[i - 1],
+            state.mu[i - 1],
+            neighbor_thetas,
+            owned,
+            incoming,
+            steps.c,
+            steps.gamma,
+        )
+
+    xi_new = np.empty_like(state.xi)
+    for k, (i, j) in enumerate(graph.edges):
+        xi_new[k] = xi_update(state.xi[k], theta_new[i - 1], theta_new[j - 1], steps.gamma)
+
+    return SolverState(theta_new, mu_new, xi_new, state.t + 1)
+
+
+def reference_dual_sweep(
+    instance: ProblemInstance, theta: np.ndarray, mu: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Dual objective and ``sum_i A_i x_hat_i``, one agent at a time."""
+    ax = np.zeros(instance.b_dim)
+    phi = 0.0
+    for idx, agent in enumerate(instance.agents):
+        x_hat, smooth = _smooth_dual_parts(agent, instance.b, theta[idx], mu[idx])
+        ax += agent.a_block @ x_hat
+        try:
+            sup = agent.g.support_value(mu[idx])
+        except ConjugateUnavailable:
+            sup = math.nan
+        phi += smooth + sup
+    return phi, ax

@@ -1,20 +1,48 @@
-"""Property tests for the single round path and the single dual-objective path.
+"""Property tests for the batched round kernel and the batched dual sweep.
 
 Random connected graphs (a random tree plus extra edges) with N in 2..12,
-M = B in {1, 2}, quadratic smooth parts and nonsmooth parts drawn from the
-catalog.  The message-passing engine must reproduce ``iterate`` bit for
-bit, and ``residuals`` must report the same finite dual value as
-``eval_dual_objective``, bit for bit, on every round.
+M and B drawn apart from {1, 2, 3} so that coupling blocks are not square,
+smooth parts that are quadratic or an oracle-backed ``CustomSmooth``
+quadratic, and nonsmooth parts drawn from the catalog plus a
+``CustomProx`` clip: stacked Quadratic and Box agents sit next to agents
+evaluated one row at a time.  Over 20 rounds the message-passing engine
+must reproduce ``iterate`` bit for bit, and ``residuals`` and
+``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
+bit.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+the kernel against the per-agent round at scale.
 """
 
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualprox.functions import L1, Box, NormPenalty, Quadratic, Zero
+from dualprox.functions import (
+    L1,
+    Box,
+    CustomProx,
+    CustomSmooth,
+    NormPenalty,
+    Quadratic,
+    Zero,
+)
 from dualprox.netsim import Engine
-from dualprox.problems import AgentProblem, ProblemInstance
+from dualprox.problems import (
+    AgentProblem,
+    MarketParams,
+    ProblemInstance,
+    UCParams,
+    UserParams,
+    build_market,
+)
 from dualprox.solver import (
+    SolverState,
+    _round_plan,
     eval_dual_objective,
     init_state,
     iterate,
@@ -24,8 +52,15 @@ from dualprox.solver import (
 )
 from dualprox.topology import Graph, laplacian_spectral_radius
 
+from oracles import reference_dual_sweep, reference_iterate
+
 ROUNDS = 20
-KINDS = ("box", "l1", "zero", "norm1", "norm2")
+KINDS = ("box", "l1", "zero", "norm1", "norm2", "custom_prox")
+
+
+def bits(a) -> bytes:
+    """The exact bytes of a float array or scalar: tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def nonsmooth(kind: str, rng: np.random.Generator, dim: int):
@@ -36,55 +71,191 @@ def nonsmooth(kind: str, rng: np.random.Generator, dim: int):
         return L1(float(rng.uniform(0.0, 2.0)))
     if kind == "zero":
         return Zero()
+    if kind == "custom_prox":
+        return CustomProx(lambda alpha, v: np.clip(v, -1.0, 1.0))
     return NormPenalty(1 if kind == "norm1" else 2)
+
+
+def smooth(custom: bool, rng: np.random.Generator, dim: int):
+    q = rng.normal(size=dim)
+    if not custom:
+        base = rng.normal(size=(dim, dim))
+        return Quadratic(base @ base.T + 0.5 * np.eye(dim), q)
+    # well conditioned, so that the inner gradient loop stays short
+    p = np.diag(rng.uniform(0.5, 1.5, size=dim))
+    return CustomSmooth(
+        lambda x: float(x @ p @ x + q @ x),
+        lambda x: 2.0 * p @ x + q,
+        sigma=2.0 * float(np.linalg.eigvalsh(p)[0]),
+        dim=dim,
+    )
 
 
 @st.composite
 def instances(draw):
     n = draw(st.integers(2, 12))
-    dim = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 3]))
+    b_dim = draw(st.sampled_from([1, 2, 3]))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n)):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n))
+    # about one agent in four gets the slower, oracle-backed smooth part
+    custom = draw(st.lists(st.sampled_from([False] * 3 + [True]), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    agents = []
-    for kind in kinds:
-        base = rng.normal(size=(dim, dim))
-        f = Quadratic(base @ base.T + 0.5 * np.eye(dim), rng.normal(size=dim))
-        agents.append(
-            AgentProblem(f, nonsmooth(kind, rng, dim), rng.normal(size=(dim, dim)), 1.0 / n)
+    agents = [
+        AgentProblem(
+            smooth(is_custom, rng, m),
+            nonsmooth(kind, rng, m),
+            rng.normal(size=(b_dim, m)),
+            1.0 / n,
         )
-    return ProblemInstance(agents, rng.normal(size=dim), Graph(n, sorted(edges)))
+        for kind, is_custom in zip(kinds, custom)
+    ]
+    return ProblemInstance(agents, rng.normal(size=b_dim), Graph(n, sorted(edges)))
+
+
+def steps_for(instance, gamma=1.0):
+    return suggest_step_sizes(
+        max_lipschitz(instance), laplacian_spectral_radius(instance.graph).value, gamma
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances(), st.floats(0.25, 4.0))
 def test_engine_and_iterate_agree_bitwise(instance, gamma):
-    steps = suggest_step_sizes(
-        max_lipschitz(instance), laplacian_spectral_radius(instance.graph).value, gamma
-    )
+    steps = steps_for(instance, gamma)
     state = init_state(instance)
     with Engine(instance, steps) as engine:
         for _ in range(ROUNDS):
             state = iterate(instance, state, steps)
             engine.run_round()
             net = engine.state()
-            assert np.array_equal(state.theta, net.theta)
-            assert np.array_equal(state.mu, net.mu)
-            assert np.array_equal(state.xi, net.xi)
+            assert bits(state.theta) == bits(net.theta)
+            assert bits(state.mu) == bits(net.mu)
+            assert bits(state.xi) == bits(net.xi)
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_residuals_and_dual_objective_agree_bitwise(instance):
-    steps = suggest_step_sizes(
-        max_lipschitz(instance), laplacian_spectral_radius(instance.graph).value
-    )
+    steps = steps_for(instance)
+    without_conjugate = any(isinstance(a.g, CustomProx) for a in instance.agents)
     state = init_state(instance)
     for _ in range(ROUNDS):
         state = iterate(instance, state, steps)
-        phi = eval_dual_objective(instance, state.theta, state.mu)
-        assert np.isfinite(phi)
-        assert residuals(instance, state).dual_value == phi
+        phi, ax = reference_dual_sweep(instance, state.theta, state.mu)
+        assert math.isnan(phi) if without_conjugate else math.isfinite(phi)
+        assert bits(eval_dual_objective(instance, state.theta, state.mu)) == bits(phi)
+        res = residuals(instance, state)
+        assert bits(res.dual_value) == bits(phi)
+        assert bits(res.primal) == bits(float(np.linalg.norm(ax - instance.b)))
+
+
+def load_bench_inputs():
+    """The benchmark's seeded inputs module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_matches_per_agent_round_on_a_1000_agent_market():
+    inputs = load_bench_inputs()
+    market = inputs.scaled_market(1, n=1000)
+    assert market.edges == tuple(inputs.ring_plus_chords(1000))
+    instance = build_market(
+        MarketParams(
+            uc=tuple(UCParams(d, s, 0.0, x) for d, s, x in market.companies),
+            users=tuple(UserParams(chi, pi, x) for chi, pi, x in market.users),
+        ),
+        Graph(market.n_agents, market.edges),
+    )
+    assert instance.graph.max_degree() == 8
+    steps = steps_for(instance)
+    state = want = init_state(instance)
+    for _ in range(5):
+        state = iterate(instance, state, steps)
+        want = reference_iterate(instance, want, steps)
+        assert bits(state.theta) == bits(want.theta)
+        assert bits(state.mu) == bits(want.mu)
+        assert bits(state.xi) == bits(want.xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_the_per_agent_path_at_arbitrary_duals(instance, seed):
+    """Duals drawn at random, so every Box component is active and the
+    sums over components and agents all round; a third of them are zeros
+    of either sign."""
+    rng = np.random.default_rng(seed)
+    n, m, b_dim = instance.dims
+
+    def draw(*shape):
+        values = rng.normal(size=shape) * rng.choice([0.1, 1.0, 10.0], size=shape)
+        zeros = rng.choice([-0.0, 0.0], size=shape)
+        return np.where(rng.uniform(size=shape) < 1 / 3, zeros, values)
+
+    state = SolverState(draw(n, b_dim), draw(n, m), draw(instance.graph.n_edges, b_dim))
+    phi, ax = reference_dual_sweep(instance, state.theta, state.mu)
+    res = residuals(instance, state)
+    assert bits(res.dual_value) == bits(phi)
+    assert bits(res.primal) == bits(float(np.linalg.norm(ax - instance.b)))
+    steps = steps_for(instance)
+    got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    assert bits(got.theta) == bits(want.theta)
+    assert bits(got.mu) == bits(want.mu)
+    assert bits(got.xi) == bits(want.xi)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_signed_zeros_match_the_per_agent_round(seed):
+    """Zero data and zero duals of random sign on a star with a tail, so
+    agents of every degree have padded neighbour slots: a padded slot must
+    leave a -0.0 pressure as it is."""
+    rng = np.random.default_rng(seed)
+    edges = [(1, j) for j in range(2, 6)] + [(5, 6), (6, 7), (3, 8)]
+    n = 8
+    agents = [
+        AgentProblem(
+            Quadratic(1.0),
+            Zero() if i % 2 else Box(-1.0, 1.0),
+            [[rng.choice([-1.0, 1.0])]],
+            1.0 / n,
+        )
+        for i in range(n)
+    ]
+    instance = ProblemInstance(agents, [-0.0], Graph(n, edges))
+    signed_zeros = [-0.0, 0.0]
+    state = SolverState(
+        rng.choice(signed_zeros, size=(n, 1)),
+        rng.choice(signed_zeros, size=(n, 1)),
+        rng.choice(signed_zeros, size=(len(edges), 1)),
+    )
+    steps = steps_for(instance)
+    got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    assert bits(got.theta) == bits(want.theta)
+    assert bits(got.mu) == bits(want.mu)
+    assert bits(got.xi) == bits(want.xi)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_stacked_box_support_matches_each_box(m):
+    """The batched sweep's Box conjugate values, row by row, against each
+    agent's own ``support_value``, with infinite bounds and signed zeros."""
+    rng = np.random.default_rng(m)
+    n = 300
+    lo = rng.choice([-np.inf, -2.5, -0.0, 0.0, 0.7], size=(n, m))
+    hi = np.maximum(lo, 0.0) + rng.choice([0.0, 1.3, np.inf], size=(n, m))
+    agents = [
+        AgentProblem(Quadratic(np.eye(m)), Box(lo[i], hi[i]), np.ones((1, m)), 1.0 / n)
+        for i in range(n)
+    ]
+    instance = ProblemInstance(agents, [0.0], Graph(n, [(i, i + 1) for i in range(1, n)]))
+    mu = rng.choice([-0.0, 0.0, 1e-300, -3.7, 2.9, 0.1], size=(n, m))
+    mu *= rng.uniform(0.5, 1.5, size=(n, m))
+    with np.errstate(invalid="ignore"):  # +inf and -inf terms add up to NaN
+        want = [a.g.support_value(mu[i]) for i, a in enumerate(agents)]
+        assert bits(_round_plan(instance).support_values(mu)) == bits(want)

@@ -518,6 +518,39 @@ class TestSolve:
             solve(build_market(), config)
 
 
+class TestLazyResiduals:
+    """``solve`` evaluates the residuals only for a due trace row or a small
+    step, which must leave its stop decision and its trace rows unchanged."""
+
+    def test_sparse_trace_rows_equal_the_dense_trace(self):
+        instance = build_market()
+        dense = solve(instance, SolverConfig(trace_every=1))
+        sparse = solve(instance, SolverConfig(trace_every=100))
+        assert (sparse.iterations, sparse.converged) == (dense.iterations, dense.converged)
+        assert sparse.converged
+        by_iter = {row[0]: row for row in dense.trace.rows}
+        assert len(sparse.trace) == 2 + dense.iterations // 100
+        for row in sparse.trace.rows:
+            want = by_iter[row[0]]
+            # every column but wall_time, compared as exact bits
+            assert np.array(row[:5]).tobytes() == np.array(want[:5]).tobytes()
+
+    def test_market_evaluates_residuals_in_few_rounds(self, monkeypatch):
+        import dualprox.solver as solver_module
+
+        calls = []
+        original = solver_module.residuals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "residuals", counted)
+        result = solve(build_market(), SolverConfig())
+        assert result.converged
+        assert 1 <= len(calls) < 0.05 * result.iterations
+
+
 def scalar_path(g, q=(-1.0, 0.5, 2.0, -0.3, 0.8, -1.2), b=0.5) -> ProblemInstance:
     """Six quadratic agents ``u^2 + q_i u`` on a path, all with nonsmooth part g."""
     n = len(q)
