@@ -28,8 +28,8 @@ h = dp.max_lipschitz(instance)
 spectral = dp.laplacian_spectral_radius(instance.graph)
 steps = dp.suggest_step_sizes(h, spectral.value, gamma=1.0)
 print(f"h = {h:.4f} (stiffest agent: company 1, sigma = 0.0062)")
-print(f"spectral radius of the consensus Gram matrix = {spectral.value:.6f} "
-      f"(upper bound {spectral.upper_bound})")
+print(f"tau = {spectral.value} (certified upper bound on the largest "
+      f"Laplacian eigenvalue: max over edges of d_i + d_j)")
 print(f"suggested steps: c = {steps.c:.6f}, gamma = {steps.gamma}")
 print()
 

@@ -3,8 +3,8 @@
 Edges get a canonical index (sorted by smaller endpoint, then larger) and
 each edge is owned by its smaller endpoint; that convention decides which
 agent stores and updates the edge multiplier.  The consensus operator maps
-stacked duals to per-edge differences of the coupling estimates, and its
-largest Gram eigenvalue enters the step-size rule.
+stacked duals to per-edge differences of the coupling estimates, and an
+upper bound on its largest Gram eigenvalue enters the step-size rule.
 
 Run from the repository root:  python demos/topology_tour.py
 """
@@ -43,9 +43,15 @@ print()
 
 # --- spectral radius and the step rule -------------------------------------------
 
+# the step rule needs tau >= the largest Laplacian eigenvalue; the
+# Anderson-Morley bound max over edges (i, j) of d_i + d_j is one by
+# construction, with no iteration and no random start
 est = laplacian_spectral_radius(graph)
-print(f"largest Laplacian eigenvalue: {est.value:.6f} "
-      f"(power iteration, {est.iterations} iterations; bound {est.upper_bound})")
+q = np.zeros((graph.n_vertices, graph.n_edges))
+for k, (i, j) in enumerate(graph.edges):
+    q[i - 1, k], q[j - 1, k] = 1.0, -1.0
+print(f"tau = {est.value} (max d_i + d_j over edges); "
+      f"exact largest eigenvalue {np.linalg.eigvalsh(q @ q.T)[-1]:.6f}")
 
 instance = build_market()
 h = max_lipschitz(instance)
@@ -58,5 +64,5 @@ print()
 
 ring = Graph(12, [(i, i + 1) for i in range(1, 12)] + [(1, 12)])
 ring_est = laplacian_spectral_radius(ring)
-print(f"12-ring spectral radius: {ring_est.value:.6f} (an even ring hits the "
-      f"value 4 exactly)")
+print(f"12-ring tau: {ring_est.value} (exact: an even ring's largest "
+      f"eigenvalue is 4)")

@@ -48,7 +48,6 @@ from .problems import (
     validate,
 )
 from .solver import (
-    AgentDual,
     EdgeMultiplier,
     Residuals,
     RunningAverage,
@@ -80,7 +79,6 @@ from .solver import (
 from .topology import (
     Graph,
     IncidenceOperator,
-    PowerIterationError,
     canonical_edge_order,
     check_connected,
     laplacian_spectral_radius,

@@ -49,7 +49,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-out", type=str, default=None,
                    help=f"trace file path (default: ${TRACE_DIR_ENV} or cwd)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the spectral-radius start vector")
+                   help="accepted for compatibility; has no effect (tau is "
+                   "a closed-form bound)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect (rounds "
                    "run on one thread)")

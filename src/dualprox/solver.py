@@ -14,8 +14,8 @@ order.
 updates, which the message-passing engine runs node by node.  The solver
 runs a round, and the dual sweep behind :func:`residuals` and
 :func:`eval_dual_objective`, as one batched kernel instead: each instance
-is compiled once, on first use, into a plan of padded neighbour tables and
-stacked coefficients.  Quadratic smooth parts and Box nonsmooth parts are
+is compiled once, in :func:`solve`'s set-up or on first use, into a plan
+of padded neighbour tables and stacked coefficients.  Quadratic smooth parts and Box nonsmooth parts are
 evaluated for all agents at once; any other kind is called on its agent's
 row.  The kernel is bit-identical to the per-agent updates: it adds the
 neighbour terms one slot at a time in their order and sums over agents
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
 __all__ = [
-    "AgentDual",
     "EdgeMultiplier",
     "Residuals",
     "edge_multipliers",
@@ -68,14 +67,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class AgentDual:
-    """One agent's dual pair: coupling estimate and slack multiplier."""
-
-    theta: Array
-    mu: Array
 
 
 @dataclass(frozen=True)
@@ -431,10 +422,6 @@ class SolverState:
     xi: Array  # (|E|, B)
     t: int = 0
 
-    def agent_dual(self, i: int) -> AgentDual:
-        """Dual pair of agent ``i`` (1-indexed), as copies."""
-        return AgentDual(self.theta[i - 1].copy(), self.mu[i - 1].copy())
-
     def copy(self) -> "SolverState":
         return SolverState(self.theta.copy(), self.mu.copy(), self.xi.copy(), self.t)
 
@@ -462,22 +449,14 @@ def iterate(
     instance: ProblemInstance,
     state: SolverState,
     steps: StepSizes,
-    agent_order: Sequence[int] | None = None,
 ) -> SolverState:
     """One synchronous round: all dual pairs, then all edge multipliers.
 
     Every agent update reads only time-t data; every edge update reads the
     freshly computed coupling estimates.  The round runs as one batched
     kernel over the instance's compiled plan, bit-identical to calling
-    :func:`lambda_update` per agent and :func:`xi_update` per edge.  A
-    batched round has no processing order, so ``agent_order`` is only
-    validated as a permutation of 1..N and cannot change the result.
+    :func:`lambda_update` per agent and :func:`xi_update` per edge.
     """
-    n = instance.n_agents
-    if agent_order is not None and sorted(agent_order) != list(range(1, n + 1)):
-        raise ValueError(
-            f"agent order must be a permutation of 1..{n}, got {list(agent_order)}"
-        )
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
     theta, mu, xi = state.theta, state.mu, state.xi
@@ -676,8 +655,9 @@ class SolverConfig:
     Leaving ``c`` unset picks the boundary step from the network constants;
     an explicit value is validated before the first round.  ``trace_state``
     additionally snapshots theta/mu/xi into each trace row.  ``n_workers``
-    is accepted for compatibility and has no effect: a round runs on one
-    thread, as one batched kernel over all agents.
+    and ``seed`` are accepted for compatibility and have no effect: a round
+    runs on one thread, as one batched kernel over all agents, and ``tau``
+    is a closed-form bound that needs no random start.
     """
 
     c: float | None = None
@@ -805,8 +785,9 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     dual step norm below ``tol_step``.  Exhausting ``max_iter`` returns a
     non-converged result with the full trace rather than raising.
 
-    Set-up validates the instance, computes ``h`` and ``tau`` and picks the
-    steps; a rejection raises :class:`SetupError` before round 0.
+    Set-up validates the instance, computes ``h`` and ``tau``, picks the
+    steps and compiles the round plan; a rejection raises
+    :class:`SetupError` before round 0.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -816,7 +797,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         raise SetupError(f"trace_every must be at least 1, got {config.trace_every}")
 
     h = max_lipschitz(instance)
-    tau = laplacian_spectral_radius(instance.graph, seed=config.seed).value
+    tau = laplacian_spectral_radius(instance.graph).value
     c = suggest_step_sizes(h, tau, config.gamma).c if config.c is None else config.c
     validate_step_sizes(h, tau, c, config.gamma)
     steps = StepSizes(c, config.gamma)
@@ -826,6 +807,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     n, m, b_dim = instance.dims
     avg = RunningAverage(n, b_dim, m)
     inc = instance.graph.incidence(instance.b_dim)
+    _round_plan(instance)
     t0 = time.perf_counter()
 
     res = residuals(instance, state, inc)

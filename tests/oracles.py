@@ -40,6 +40,12 @@ def dense_q(graph: Graph) -> np.ndarray:
     return q
 
 
+def dense_lambda_max(graph: Graph) -> float:
+    """Largest eigenvalue of the graph Laplacian ``Q Q^T``, by a dense solver."""
+    q = dense_q(graph)
+    return float(np.linalg.eigvalsh(q @ q.T)[-1])
+
+
 def dense_k(b_dim: int, m: int) -> np.ndarray:
     """Coupling-block selector [I_B, 0_{B x M}]."""
     return np.hstack([np.eye(b_dim), np.zeros((b_dim, m))])

@@ -1,0 +1,36 @@
+"""Smoke test of the benchmark harness against the current program.
+
+``bench/run.py`` wraps the program's public functions and divides by their
+call counts, so a change to the program can break it without any test
+under ``bench/`` failing.  This runs the ``market`` workload for about a
+second, untraced and traced, on a copy of the checkout (the harness writes
+its output next to ``bench/``), and checks the JSON line it ends with.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_market_workload_runs_correct_with_no_failures(tmp_path, trace):
+    skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for part in ("bench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "market", "--seed", "1",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] >= 1

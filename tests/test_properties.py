@@ -9,7 +9,9 @@ evaluated one row at a time.  Over 20 rounds the message-passing engine
 must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
 bit.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
-the kernel against the per-agent round at scale.
+the kernel against the per-agent round at scale.  The step that ``solve``
+picks must pass the paper's step rule against the exact largest Laplacian
+eigenvalue, on the same random graphs and on three fixed ones.
 """
 
 import importlib.util
@@ -49,10 +51,11 @@ from dualprox.solver import (
     max_lipschitz,
     residuals,
     suggest_step_sizes,
+    validate_step_sizes,
 )
 from dualprox.topology import Graph, laplacian_spectral_radius
 
-from oracles import reference_dual_sweep, reference_iterate
+from oracles import dense_lambda_max, reference_dual_sweep, reference_iterate
 
 ROUNDS = 20
 KINDS = ("box", "l1", "zero", "norm1", "norm2", "custom_prox")
@@ -162,17 +165,22 @@ def load_bench_inputs():
     return module
 
 
-def test_kernel_matches_per_agent_round_on_a_1000_agent_market():
-    inputs = load_bench_inputs()
-    market = inputs.scaled_market(1, n=1000)
-    assert market.edges == tuple(inputs.ring_plus_chords(1000))
-    instance = build_market(
+def scaled_market(edges=None):
+    """The benchmark's seed-1 1000-agent market, on its own ring-plus-chord
+    graph or on ``edges``."""
+    market = load_bench_inputs().scaled_market(1, n=1000)
+    return build_market(
         MarketParams(
             uc=tuple(UCParams(d, s, 0.0, x) for d, s, x in market.companies),
             users=tuple(UserParams(chi, pi, x) for chi, pi, x in market.users),
         ),
-        Graph(market.n_agents, market.edges),
+        Graph(market.n_agents, market.edges if edges is None else edges),
     )
+
+
+def test_kernel_matches_per_agent_round_on_a_1000_agent_market():
+    instance = scaled_market()
+    assert instance.graph == Graph(1000, load_bench_inputs().ring_plus_chords(1000))
     assert instance.graph.max_degree() == 8
     steps = steps_for(instance)
     state = want = init_state(instance)
@@ -259,3 +267,35 @@ def test_stacked_box_support_matches_each_box(m):
     with np.errstate(invalid="ignore"):  # +inf and -inf terms add up to NaN
         want = [a.g.support_value(mu[i]) for i, a in enumerate(agents)]
         assert bits(_round_plan(instance).support_values(mu)) == bits(want)
+
+
+def assert_step_rule_holds(instance, gamma=1.0):
+    """The step ``solve`` picks passes the rule against the exact eigenvalue."""
+    lam = dense_lambda_max(instance.graph)
+    assert laplacian_spectral_radius(instance.graph).value >= lam
+    validate_step_sizes(max_lipschitz(instance), lam, steps_for(instance, gamma).c, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.floats(0.25, 4.0))
+def test_suggested_step_passes_the_rule_on_random_graphs(instance, gamma):
+    assert_step_rule_holds(instance, gamma)
+
+
+def ring_with_random_chords(n=1000, chords=100, seed=0):
+    """A ring 1..n plus ``chords`` chords drawn uniformly at random."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    while len(edges) < n + chords:
+        i, j = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        edges.add((i, j))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_market, scaled_market, lambda: scaled_market(ring_with_random_chords())],
+    ids=["market", "ring_plus_chords_1000", "ring_1000_random_chords"],
+)
+def test_suggested_step_passes_the_rule_on_fixed_graphs(build):
+    assert_step_rule_holds(build())
