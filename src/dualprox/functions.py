@@ -104,12 +104,13 @@ def minimize_strongly_convex(
     raise InnerLoopError(float(np.linalg.norm(g)), max_iter)
 
 
-def _as_vector(v, dim: int | None = None) -> Array:
+def _as_vector(v, dim: int | None = None, rows: tuple = ()) -> Array:
+    """``v`` as a float vector, or as one vector per row of shape ``rows``."""
     out = np.atleast_1d(np.asarray(v, dtype=float))
-    if out.ndim != 1:
+    if out.shape[:-1] != rows:
         raise ValueError(f"expected a vector, got shape {out.shape}")
-    if dim is not None and out.shape[0] != dim:
-        raise ValueError(f"expected a vector of size {dim}, got {out.shape[0]}")
+    if dim is not None and out.shape[-1] != dim:
+        raise ValueError(f"expected a vector of size {dim}, got {out.shape[-1]}")
     return out
 
 
@@ -144,50 +145,72 @@ class Quadratic(SmoothFunction):
 
     The convention carries the quadratic coefficient directly (no 1/2
     factor), so a scalar cost ``a x^2 + b x + c`` is ``Quadratic(a, b, c)``.
-    Strong convexity modulus is twice the smallest eigenvalue of P.
+    Strong convexity modulus is twice the smallest eigenvalue of P.  A P
+    symmetric only up to roundoff is stored as its symmetric part.
+
+    Coefficients may carry a leading axis of G rows, P (G, M, M), q (G, M)
+    and r (G,): the function then stands for G quadratics, ``sigma`` has one
+    entry per row, and the methods act row by row on (G, M) points,
+    bit-identical to each row's own quadratic.
     """
 
-    def __init__(self, p, q=None, r: float = 0.0):
+    def __init__(self, p, q=None, r=0.0):
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        if p.shape[0] != p.shape[1]:
+        if p.ndim > 3 or p.shape[-1] != p.shape[-2]:
             raise ValueError(f"P must be square, got shape {p.shape}")
-        if not np.allclose(p, p.T, atol=1e-12):
-            raise ValueError("P must be symmetric")
-        self.p = p
-        self.dim = p.shape[0]
-        self.q = (
-            np.zeros(self.dim) if q is None else _as_vector(q, self.dim)
-        )
-        self.r = float(r)
-        eigs = np.linalg.eigvalsh(p)
-        if eigs[0] <= 0:
+        p_t = p.swapaxes(-1, -2)
+        if not (p == p_t).all():  # an exactly symmetric P skips the costlier check
+            if not np.allclose(p, p_t, atol=1e-12):
+                raise ValueError("P must be symmetric")
+            p = 0.5 * (p + p_t)
+        rows = p.shape[:-2]
+        q = np.zeros(p.shape[:-1]) if q is None else _as_vector(q, p.shape[-1], rows)
+        smallest = np.linalg.eigvalsh(p)[..., 0]
+        if (smallest <= 0).any():
             raise ValueError(
-                f"P must be positive definite; smallest eigenvalue {eigs[0]:.3e}"
+                f"P must be positive definite; smallest eigenvalue {np.min(smallest):.3e}"
             )
-        self.sigma = 2.0 * float(eigs[0])
+        if rows:
+            self._set(p, q, np.broadcast_to(r, rows).astype(float), 2.0 * smallest)
+        else:
+            self._set(p, q, float(r), 2.0 * float(smallest))
+
+    def _set(self, p: Array, q: Array, r, sigma) -> None:
+        self.p, self.q, self.r, self.sigma = p, q, r, sigma
+        self.dim = p.shape[-1]
         self._two_p = 2.0 * p
-        self._scalar = self.dim == 1
+
+    @classmethod
+    def stack(cls, members: list["Quadratic"]) -> "Quadratic":
+        """One stacked quadratic over ``members``, from their checked coefficients."""
+        f = cls.__new__(cls)
+        f._set(*(np.array([getattr(g, k) for g in members]) for k in ("p", "q", "r", "sigma")))
+        return f
+
+    def _points(self, x) -> Array:
+        return _as_vector(x, self.dim, self.p.shape[:-2])
 
     def value(self, x: Array) -> float:
-        x = _as_vector(x, self.dim)
-        return float(x @ self.p @ x + self.q @ x + self.r)
+        x = self._points(x)
+        xpx = (x[..., None, :] @ self.p @ x[..., :, None])[..., 0, 0]
+        out = xpx + (self.q[..., None, :] @ x[..., :, None])[..., 0, 0] + self.r
+        return out if self.p.ndim == 3 else float(out)
 
     def gradient(self, x: Array) -> Array:
-        x = _as_vector(x, self.dim)
-        return self._two_p @ x + self.q
+        return (self._two_p @ self._points(x)[..., None])[..., 0] + self.q
 
     def conjugate_gradient(self, v: Array) -> Array:
-        v = _as_vector(v, self.dim)
-        if self._scalar:
-            return (v - self.q) / self._two_p[0]
-        return np.linalg.solve(self._two_p, v - self.q)
+        shifted = self._points(v) - self.q
+        if self.dim == 1:
+            return shifted / self._two_p[..., 0]
+        return np.linalg.solve(self._two_p, shifted[..., None])[..., 0]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Quadratic)
             and np.array_equal(self.p, other.p)
             and np.array_equal(self.q, other.q)
-            and self.r == other.r
+            and np.array_equal(self.r, other.r)
         )
 
     def __repr__(self) -> str:
@@ -343,7 +366,10 @@ class Box(NonsmoothFunction):
     """Indicator of the box [lo, hi] (componentwise).
 
     Prox is the Euclidean projection (clamp); the conjugate is the box's
-    support function, finite everywhere when the box is bounded.
+    support function, finite everywhere when the box is bounded.  Bounds
+    of shape (G, M) stack G boxes: the methods then take (G, M) points and
+    act row by row, and ``value`` and ``support_value`` return one entry
+    per row.
     """
 
     def __init__(self, lo, hi):
@@ -356,6 +382,17 @@ class Box(NonsmoothFunction):
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
 
+    @classmethod
+    def stack(cls, members: list["Box"]) -> "Box":
+        """One stacked box over ``members``' already checked bounds; a
+        one-element bound is repeated to the longest member's length."""
+        box = cls.__new__(cls)
+        box.lo = np.empty((len(members), max(g.lo.size for g in members)))
+        box.hi = np.empty_like(box.lo)
+        for k, g in enumerate(members):
+            box.lo[k], box.hi[k] = g.lo, g.hi
+        return box
+
     def _prox(self, alpha: float, v: Array) -> Array:
         return np.clip(v, self.lo, self.hi)
 
@@ -366,11 +403,14 @@ class Box(NonsmoothFunction):
             terms = np.where(
                 mu > 0, mu * self.hi, np.where(mu < 0, mu * self.lo, 0.0)
             )
-        return float(np.sum(terms))
+        total = np.sum(terms, axis=-1)
+        return total if self.lo.ndim == 2 else float(total)
 
     def value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        return 0.0 if np.all(x >= self.lo) and np.all(x <= self.hi) else math.inf
+        inside = np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        out = np.where(inside, 0.0, math.inf)
+        return out if self.lo.ndim == 2 else float(out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -71,6 +71,10 @@ class AgentProblem:
                 f"coupling block has {a.shape[1]} columns but f lives on R^{f.dim}"
             )
         self.a_block = a
+        if isinstance(g, Box) and (g.lo.ndim != 1 or g.lo.size not in (1, f.dim)):
+            raise ValueError(
+                f"box bounds have shape {g.lo.shape}, expected 1 or {f.dim} entries"
+            )
         if kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {kappa}")
         self.kappa = float(kappa)

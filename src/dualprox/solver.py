@@ -12,14 +12,16 @@ order.
 
 :func:`lambda_update` and :func:`xi_update` are the per-agent and per-edge
 updates, which the message-passing engine runs node by node.  The solver
-runs a round, and the dual sweep behind :func:`residuals` and
-:func:`eval_dual_objective`, as one batched kernel instead: each instance
-is compiled once, in :func:`solve`'s set-up or on first use, into a plan
-of padded neighbour tables and stacked coefficients.  Quadratic smooth parts and Box nonsmooth parts are
-evaluated for all agents at once; any other kind is called on its agent's
-row.  The kernel is bit-identical to the per-agent updates: it adds the
-neighbour terms one slot at a time in their order and sums over agents
-in agent order.  A batched round has no processing order.
+runs a round, the dual sweep behind :func:`residuals` and
+:func:`eval_dual_objective`, and the primal recovery at the end of
+:func:`solve` as one batched kernel instead.  Each instance is compiled
+once, in :func:`solve`'s set-up or on first use, into a plan of padded
+neighbour tables, stacked coupling blocks and groups of catalog functions:
+all Quadratic smooth parts form one stacked ``Quadratic`` and all Box parts
+one stacked ``Box``, and any other kind is called on its agent's row.  The
+kernel is bit-identical to the per-agent updates: it adds the neighbour
+terms one slot at a time in their order and sums over agents in agent
+order.  A batched round has no processing order.
 """
 
 from __future__ import annotations
@@ -175,9 +177,8 @@ def _grad_p_parts(
 
 def grad_p(agent: AgentProblem, b, theta, mu) -> Array:
     """Gradient of the agent's smooth dual term, stacked (theta then mu)."""
-    theta = np.asarray(theta, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    gt, gm, _ = _grad_p_parts(agent, np.asarray(b, dtype=float), theta, mu)
+    b, theta, mu = (np.asarray(a, dtype=float) for a in (b, theta, mu))
+    gt, gm, _ = _grad_p_parts(agent, b, theta, mu)
     return np.concatenate([gt, gm])
 
 
@@ -289,13 +290,14 @@ def _padded(rows: Array, values: Array, n: int) -> tuple[Array, Array]:
     return table, mask
 
 
-def _stack(rows: list, shape: tuple[int, ...]) -> Array:
-    """``rows`` stacked into a (len(rows), *shape) array; a row may
-    broadcast, as a Box's one-element bounds do over M components."""
-    out = np.empty((len(rows), *shape))
-    for k, row in enumerate(rows):
-        out[k] = row
-    return out
+def _groups(parts: list, kind: type) -> list[tuple]:
+    """``(rows, function)`` pairs covering ``parts``: every part that is
+    exactly ``kind`` in one stacked function over an index array, and any
+    other part on its own row."""
+    exact = [type(part) is kind for part in parts]
+    rows = np.flatnonzero(exact)
+    stacked = [(rows, kind.stack([parts[i] for i in rows]))] if rows.size else []
+    return stacked + [(i, part) for i, part in enumerate(parts) if not exact[i]]
 
 
 class _RoundPlan:
@@ -304,13 +306,12 @@ class _RoundPlan:
     The neighbour tables are 0-based (table, mask) pairs: ``owned`` holds
     the edges an agent owns and ``incoming`` those its smaller neighbours
     own, each in ascending peer order, and ``nbrs`` all neighbours in
-    ascending order.  Quadratic smooth parts and Box nonsmooth parts are
-    stacked; an agent with any other kind keeps its function object, which
-    is called on the agent's row.
+    ascending order.  ``f_groups`` and ``g_groups`` hold the agents' smooth
+    and nonsmooth parts as the ``(rows, function)`` pairs of :func:`_groups`.
     """
 
     def __init__(self, instance: ProblemInstance):
-        n, self.m, _ = instance.dims
+        n = instance.n_agents
         agents = instance.agents
         edges = np.asarray(instance.graph.edges, dtype=np.intp).reshape(-1, 2) - 1
         self.edge_owner, self.edge_peer = edges[:, 0], edges[:, 1]
@@ -326,37 +327,16 @@ class _RoundPlan:
         self.a_t = self.a.transpose(0, 2, 1)
         self.kappa = instance.kappa_vector()
         self.kappa_b = self.kappa[:, None] * instance.b
-
-        m = self.m
-        is_quad = [type(agent.f) is Quadratic for agent in agents]
-        quad = [agent.f for agent, stacked in zip(agents, is_quad) if stacked]
-        self.quad = np.flatnonzero(is_quad)
-        self.quad_p = np.array([f.p for f in quad]).reshape(-1, m, m)
-        self.quad_two_p = 2.0 * self.quad_p
-        self.quad_q = np.array([f.q for f in quad]).reshape(-1, m)
-        self.quad_r = np.array([f.r for f in quad])
-        self.f_rows = [(i, a.f) for i, a in enumerate(agents) if not is_quad[i]]
-
-        is_box = [type(agent.g) is Box for agent in agents]
-        box = [agent.g for agent, stacked in zip(agents, is_box) if stacked]
-        self.box_rows = np.flatnonzero(is_box)
-        self.box = Box(_stack([g.lo for g in box], (m,)), _stack([g.hi for g in box], (m,)))
-        self.g_rows = [(i, a.g) for i, a in enumerate(agents) if not is_box[i]]
+        self.f_groups = _groups([agent.f for agent in agents], Quadratic)
+        self.g_groups = _groups([agent.g for agent in agents], Box)
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
         ``x_hat_i``, the gradient of the conjugate of ``f_i`` at ``v_i``."""
         v = -_stacked_matvec(self.a_t, theta) - mu
         x_hat = np.empty_like(v)
-        if self.quad.size:
-            shifted = v[self.quad] - self.quad_q
-            if self.m == 1:  # Quadratic's scalar branch
-                x_hat[self.quad] = shifted / self.quad_two_p[:, 0]
-            else:
-                solved = np.linalg.solve(self.quad_two_p, shifted[:, :, None])
-                x_hat[self.quad] = solved[:, :, 0]
-        for i, f in self.f_rows:
-            x_hat[i] = f.conjugate_gradient(v[i])
+        for rows, f in self.f_groups:
+            x_hat[rows] = f.conjugate_gradient(v[rows])
         return v, x_hat
 
     def coupling_terms(self, x: Array) -> Array:
@@ -364,40 +344,28 @@ class _RoundPlan:
         return _stacked_matvec(self.a, x)
 
     def conjugate_prox(self, c: float, w: Array) -> Array:
-        """Every agent's prox step on the conjugate of its nonsmooth part;
-        the Box agents take one stacked step."""
+        """Every agent's prox step on the conjugate of its nonsmooth part."""
         out = np.empty_like(w)
-        if self.box_rows.size:
-            out[self.box_rows] = self.box.conjugate_prox(c, w[self.box_rows])
-        for i, g in self.g_rows:
-            out[i] = g.conjugate_prox(c, w[i])
+        for rows, g in self.g_groups:
+            out[rows] = g.conjugate_prox(c, w[rows])
         return out
 
     def f_values(self, x: Array) -> Array:
-        """Entry i is ``f_i(x_i)``; Quadratic's ``x @ P @ x + q @ x + r``."""
+        """Entry i is ``f_i(x_i)``."""
         out = np.empty(len(x))
-        if self.quad.size:
-            xq = x[self.quad]
-            xpx = np.matmul(np.matmul(xq[:, None, :], self.quad_p), xq[:, :, None])[:, 0, 0]
-            out[self.quad] = xpx + _rowdot(self.quad_q, xq) + self.quad_r
-        for i, f in self.f_rows:
-            out[i] = f.value(x[i])
+        for rows, f in self.f_groups:
+            out[rows] = f.value(x[rows])
         return out
 
     def support_values(self, mu: Array) -> Array:
         """Entry i is the conjugate of ``g_i`` at ``mu_i``, NaN where it is
-        unavailable; Box's piecewise sum, row by row."""
+        unavailable."""
         out = np.empty(len(mu))
-        if self.box_rows.size:
-            mb, lo, hi = mu[self.box_rows], self.box.lo, self.box.hi
-            with np.errstate(invalid="ignore"):
-                terms = np.where(mb > 0, mb * hi, np.where(mb < 0, mb * lo, 0.0))
-            out[self.box_rows] = np.sum(terms, axis=1)
-        for i, g in self.g_rows:
+        for rows, g in self.g_groups:
             try:
-                out[i] = g.support_value(mu[i])
+                out[rows] = g.support_value(mu[rows])
             except ConjugateUnavailable:
-                out[i] = math.nan
+                out[rows] = math.nan
         return out
 
 
@@ -764,17 +732,10 @@ class SolveResult:
     tau: float
 
     def agent_report(self) -> list[dict]:
-        out = []
-        for i in range(self.theta.shape[0]):
-            out.append(
-                {
-                    "agent": i + 1,
-                    "theta": self.theta[i].tolist(),
-                    "mu": self.mu[i].tolist(),
-                    "x": self.x[i].tolist(),
-                }
-            )
-        return out
+        return [
+            {"agent": i + 1, "theta": theta.tolist(), "mu": mu.tolist(), "x": x.tolist()}
+            for i, (theta, mu, x) in enumerate(zip(self.theta, self.mu, self.x))
+        ]
 
 
 def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
@@ -807,7 +768,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     n, m, b_dim = instance.dims
     avg = RunningAverage(n, b_dim, m)
     inc = instance.graph.incidence(instance.b_dim)
-    _round_plan(instance)
+    plan = _round_plan(instance)
     t0 = time.perf_counter()
 
     res = residuals(instance, state, inc)
@@ -843,17 +804,11 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
             reason = "residual tolerances met"
             break
 
-    x = np.vstack(
-        [
-            primal_recovery(agent, state.theta[idx], state.mu[idx])
-            for idx, agent in enumerate(instance.agents)
-        ]
-    )
     return SolveResult(
         theta=state.theta,
         mu=state.mu,
         xi=state.xi,
-        x=x,
+        x=plan.maximizers(state.theta, state.mu)[1],
         trace=trace,
         converged=converged,
         reason=reason,

@@ -3,8 +3,9 @@
 ``bench/run.py`` wraps the program's public functions and divides by their
 call counts, so a change to the program can break it without any test
 under ``bench/`` failing.  This runs the ``market`` workload for about a
-second, untraced and traced, on a copy of the checkout (the harness writes
-its output next to ``bench/``), and checks the JSON line it ends with.
+second, untraced and traced, and the other workloads traced, each on a
+copy of the checkout (the harness writes its output next to ``bench/``),
+and checks the JSON line it ends with.
 """
 
 import json
@@ -18,14 +19,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_market_workload_runs_correct_with_no_failures(tmp_path, trace):
+def run_workload(tmp_path, workload: str, trace: int) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".bench_out")
     for part in ("bench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "market", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
@@ -34,3 +34,13 @@ def test_market_workload_runs_correct_with_no_failures(tmp_path, trace):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_market_workload_runs_correct_with_no_failures(tmp_path, trace):
+    run_workload(tmp_path, "market", trace)
+
+
+@pytest.mark.parametrize("workload", ["market-scaled", "cli"])
+def test_traced_workload_runs_correct_with_no_failures(tmp_path, workload):
+    run_workload(tmp_path, workload, trace=1)

@@ -5,6 +5,8 @@ from dualprox.cli import main
 from dualprox.problems import ProblemInstance, build_market, save_instance
 from dualprox.topology import Graph
 
+from test_problems import box_bounds_of_the_wrong_length
+
 
 @pytest.fixture
 def market_file(tmp_path):
@@ -43,6 +45,17 @@ class TestValidateCommand:
         path = tmp_path / "bad.txt"
         path.write_text("this is not an instance\n")
         assert main(["validate", "--instance", str(path)]) == 3
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_box_bounds_of_the_wrong_length_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad_box.txt"
+        path.write_text(box_bounds_of_the_wrong_length())
+        args = [command, "--instance", str(path)]
+        if command == "solve":
+            args += ["--trace-out", str(tmp_path / "t.csv")]
+        assert main(args) == 3
+        assert "box bounds" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSolveCommand:

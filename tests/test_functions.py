@@ -313,6 +313,93 @@ class TestQuadraticValidation:
         assert np.allclose(f.gradient(x), fd, atol=1e-5)
 
 
+    def test_nearly_symmetric_p_is_stored_as_its_symmetric_part(self):
+        p = np.array([[2.0, 1.0 + 1e-5], [1.0, 2.0]])
+        f = Quadratic(p, [0.3, -1.2], 0.5)
+        sym = 0.5 * (p + p.T)
+        assert np.array_equal(f.p, sym)
+        assert f.sigma <= 2.0 * np.linalg.eigvalsh(sym)[0]
+        x = np.array([0.7, -1.9])
+        eps = 1e-3
+        fd = np.array(
+            [(f.value(x + eps * e) - f.value(x - eps * e)) / (2 * eps) for e in np.eye(2)]
+        )
+        assert np.allclose(f.gradient(x), fd, rtol=0.0, atol=1e-9)
+        v = np.array([1.5, 2.5])
+        assert np.allclose(f.gradient(f.conjugate_gradient(v)), v, rtol=0.0, atol=1e-12)
+
+    def test_symmetric_p_is_stored_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(3, 3))
+        p = base @ base.T + np.eye(3)
+        assert Quadratic(p).p.tobytes() == p.tobytes()
+
+
+class TestStacked:
+    """A function with a leading row axis against each row's own function."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_quadratic_rows_match_each_quadratic(self, m):
+        rng = np.random.default_rng(m)
+        rows = []
+        for _ in range(7):
+            base = rng.normal(size=(m, m))
+            rows.append(Quadratic(base @ base.T + 0.5 * np.eye(m), rng.normal(size=m), rng.normal()))
+        stacked = Quadratic.stack(rows)
+        built = Quadratic(
+            np.array([f.p for f in rows]), np.array([f.q for f in rows]), [f.r for f in rows]
+        )
+        assert stacked == built
+        assert stacked.sigma.tobytes() == built.sigma.tobytes()
+        assert stacked.sigma.tolist() == [f.sigma for f in rows]
+        x = rng.normal(size=(7, m)) * 10.0
+        for method in ("value", "gradient", "conjugate_gradient"):
+            got = getattr(stacked, method)(x)
+            want = [getattr(f, method)(x[k]) for k, f in enumerate(rows)]
+            assert got.tobytes() == np.array(want).tobytes(), method
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_one_quadratic_keeps_the_plain_formulas_bit_for_bit(self, m):
+        """The shared row-by-row code, on one quadratic, rounds as the plain
+        one-point products and solve do."""
+        rng = np.random.default_rng(10 + m)
+        base = rng.normal(size=(m, m))
+        p, q, r = base @ base.T + 0.5 * np.eye(m), rng.normal(size=m), float(rng.normal())
+        f = Quadratic(p, q, r)
+        for x in rng.normal(size=(20, m)) * 10.0:
+            assert f.value(x) == float(x @ p @ x + q @ x + r)
+            assert f.gradient(x).tobytes() == (2.0 * p @ x + q).tobytes()
+            want = (x - q) / (2.0 * p[0]) if m == 1 else np.linalg.solve(2.0 * p, x - q)
+            assert f.conjugate_gradient(x).tobytes() == want.tobytes()
+
+    def test_quadratic_rejects_a_bad_row(self):
+        p = np.array([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="positive definite"):
+            Quadratic(p)
+        with pytest.raises(ValueError, match="expected a vector"):
+            Quadratic(p[:1], np.zeros((2, 2)))
+
+    def test_box_rows_match_each_box(self):
+        rng = np.random.default_rng(5)
+        boxes = [Box(-1.0, 2.0), Box([-np.inf, 0.0, -3.0], [0.5, np.inf, -1.0]), Box(0.0, 0.0)]
+        stacked = Box.stack(boxes)
+        assert stacked.lo.shape == (3, 3)
+        mu = rng.choice([-0.0, 0.0, -2.5, 1.5, 4.0], size=(3, 3))
+        x = rng.choice([-2.0, 0.0, 0.7], size=(3, 3))
+        for k, box in enumerate(boxes):
+            assert stacked.support_value(mu)[k] == box.support_value(mu[k])
+            assert stacked.value(x)[k] == box.value(x[k])
+            assert stacked.conjugate_prox(0.3, mu)[k].tobytes() == (
+                box.conjugate_prox(0.3, mu[k]).tobytes()
+            )
+
+    def test_unstacked_returns_stay_floats(self):
+        assert type(Quadratic(2.0, 1.0).value(np.array([1.0]))) is float
+        assert type(Quadratic(2.0, 1.0).sigma) is float
+        assert type(Box(0.0, 1.0).support_value(np.array([2.0, -1.0]))) is float
+        assert type(Box(0.0, 1.0).value(np.array([0.5]))) is float
+
+
 class TestBoxValidation:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):

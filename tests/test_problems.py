@@ -21,6 +21,18 @@ from dualprox.topology import Graph
 from oracles import dense_q, market_closed_form, random_instance
 
 
+def box_bounds_of_the_wrong_length() -> str:
+    """A two-agent M = 2 instance file whose second box has three bounds."""
+    return (
+        "[dims]\nm = 2\nb_dim = 1\n[graph]\nn_vertices = 2\nedge = 1 2\n"
+        "[b]\nvalues = 0.0\n"
+        "[agent 1]\na_block = 1.0 1.0\nf = quadratic\nf.p = 1.0 0.0; 0.0 1.0\n"
+        "f.q = 0.0 0.0\ng = box\ng.lo = -1.0\ng.hi = 1.0\n"
+        "[agent 2]\na_block = 1.0 -1.0\nf = quadratic\nf.p = 1.0 0.0; 0.0 1.0\n"
+        "f.q = 0.0 0.0\ng = box\ng.lo = -1.0 -1.0 -1.0\ng.hi = 1.0 1.0 1.0\n"
+    )
+
+
 class TestValidate:
     def test_market_passes_everything(self):
         report = validate(build_market())
@@ -95,6 +107,17 @@ class TestInstanceConstruction:
                 [0.0],
                 Graph(2, [(1, 2)]),
             )
+
+    @pytest.mark.parametrize("entries", [2, 4])
+    def test_rejects_box_bounds_of_the_wrong_length(self, entries):
+        with pytest.raises(ValueError, match="box bounds"):
+            AgentProblem(Quadratic(np.eye(3)), Box(np.zeros(entries), np.ones(entries)),
+                         np.ones((1, 3)), 1.0)
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_accepts_box_bounds_of_one_or_m_entries(self, entries):
+        AgentProblem(Quadratic(np.eye(3)), Box(np.zeros(entries), np.ones(entries)),
+                     np.ones((1, 3)), 1.0)
 
     def test_rejects_vertex_count_mismatch(self):
         with pytest.raises(ValueError, match="vertices"):
@@ -231,6 +254,12 @@ class TestInstanceFiles:
         path.write_text(stripped)
         instance = load_instance(path)
         assert np.allclose(instance.kappa_vector(), 0.2)
+
+    def test_box_bounds_of_the_wrong_length_is_parse_error(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text(box_bounds_of_the_wrong_length())
+        with pytest.raises(ParseError, match=r"\[agent 2\]: box bounds"):
+            load_instance(path)
 
     def test_custom_function_not_serializable(self, tmp_path):
         from dualprox.functions import CustomProx

@@ -8,7 +8,8 @@ quadratic, and nonsmooth parts drawn from the catalog plus a
 evaluated one row at a time.  Over 20 rounds the message-passing engine
 must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
-bit.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+bit, and ``solve`` must recover the same x as the per-agent
+``primal_recovery``.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale.  The step that ``solve``
 picks must pass the paper's step rule against the exact largest Laplacian
 eigenvalue, on the same random graphs and on three fixed ones.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualprox.functions import (
@@ -41,15 +42,19 @@ from dualprox.problems import (
     UCParams,
     UserParams,
     build_market,
+    validate,
 )
 from dualprox.solver import (
+    SolverConfig,
     SolverState,
     _round_plan,
     eval_dual_objective,
     init_state,
     iterate,
     max_lipschitz,
+    primal_recovery,
     residuals,
+    solve,
     suggest_step_sizes,
     validate_step_sizes,
 )
@@ -154,6 +159,23 @@ def test_residuals_and_dual_objective_agree_bitwise(instance):
         res = residuals(instance, state)
         assert bits(res.dual_value) == bits(phi)
         assert bits(res.primal) == bits(float(np.linalg.norm(ax - instance.b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 30))
+def test_solve_recovers_x_bitwise_as_primal_recovery_does(instance, rounds):
+    """``solve`` recovers x through the round plan; each row must equal the
+    per-agent ``primal_recovery`` at the final duals.  A scalar all-box
+    draw may fail the interior-feasibility check that ``solve`` runs."""
+    assume(validate(instance).ok)
+    result = solve(instance, SolverConfig(max_iter=rounds))
+    assert result.iterations == rounds
+    want = [
+        primal_recovery(agent, result.theta[i], result.mu[i])
+        for i, agent in enumerate(instance.agents)
+    ]
+    assert result.x.shape == (instance.n_agents, instance.m)
+    assert bits(result.x) == bits(np.vstack(want))
 
 
 def load_bench_inputs():
