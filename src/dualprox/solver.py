@@ -15,13 +15,16 @@ updates, which the message-passing engine runs node by node.  The solver
 runs a round, the dual sweep behind :func:`residuals` and
 :func:`eval_dual_objective`, and the primal recovery at the end of
 :func:`solve` as one batched kernel instead.  Each instance is compiled
-once, in :func:`solve`'s set-up or on first use, into a plan of padded
+once, in :func:`solve`'s set-up or on first use, into a plan of slot-major
 neighbour tables, stacked coupling blocks and groups of catalog functions:
 all Quadratic smooth parts form one stacked ``Quadratic`` and all Box parts
-one stacked ``Box``, and any other kind is called on its agent's row.  The
-kernel is bit-identical to the per-agent updates: it adds the neighbour
-terms one slot at a time in their order and sums over agents in agent
-order.  A batched round has no processing order.
+one stacked ``Box``, and any other kind is called on its agent's row.  A
+round gathers every agent's neighbour terms in one call per kind (edge
+multipliers, neighbour estimates) and adds them one slot at a time, in
+:func:`lambda_update`'s order; a padded slot holds ``-0.0``, which leaves
+every sum as it is.  So the kernel is bit-identical to the per-agent
+updates, and it sums over agents in agent order.  A batched round has no
+processing order.
 """
 
 from __future__ import annotations
@@ -122,8 +125,19 @@ def lipschitz_h(a_block, sigma: float) -> float:
 
 
 def max_lipschitz(instance: ProblemInstance) -> float:
-    """Network-wide constant h = max over agents."""
-    return max(lipschitz_h(a.a_block, a.f.sigma) for a in instance.agents)
+    """Network-wide constant h, the max over agents of :func:`lipschitz_h`.
+
+    One batched spectral norm of the stacked coupling blocks makes the same
+    LAPACK call per block as :func:`lipschitz_h`, so ``h`` is bit-identical
+    to the per-agent maximum.
+    """
+    sigma = np.array([agent.f.sigma for agent in instance.agents], dtype=float)
+    if np.any(sigma <= 0):
+        raise ValueError(f"strong convexity modulus must be positive, got {sigma.min()}")
+    spec = np.linalg.norm(
+        np.array([agent.a_block for agent in instance.agents]), 2, axis=(1, 2)
+    )
+    return float(np.max((spec * spec + 1.0) / sigma))
 
 
 def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> None:
@@ -278,50 +292,61 @@ def _rowdot(a: Array, b: Array) -> Array:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _padded(rows: Array, values: Array, n: int) -> tuple[Array, Array]:
-    """``values`` grouped by the sorted ``rows`` into an (n, width) table
-    padded with index 0, and the mask of its real entries."""
+def _slot_table(rows: Array, values: Array, n: int, pad: int) -> Array:
+    """``values`` grouped by the sorted ``rows`` into a slot-major
+    (width, n) table: entry (k, i) is row i's k-th value, or ``pad`` past
+    its last."""
     counts = np.bincount(rows, minlength=n)
     slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    table = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
-    mask = np.zeros(table.shape, dtype=bool)
-    table[rows, slots] = values
-    mask[rows, slots] = True
-    return table, mask
+    table = np.full((int(counts.max(initial=0)), n), pad, dtype=np.intp)
+    table[slots, rows] = values
+    return table
 
 
 def _groups(parts: list, kind: type) -> list[tuple]:
     """``(rows, function)`` pairs covering ``parts``: every part that is
-    exactly ``kind`` in one stacked function over an index array, and any
-    other part on its own row."""
+    exactly ``kind`` in one stacked function, and any other part on its own
+    row.  The stacked group's rows are an index array, or ``slice(None)``
+    when it covers every part, so that indexing by them copies nothing."""
     exact = [type(part) is kind for part in parts]
-    rows = np.flatnonzero(exact)
-    stacked = [(rows, kind.stack([parts[i] for i in rows]))] if rows.size else []
+    members = [part for part, is_kind in zip(parts, exact) if is_kind]
+    rows = slice(None) if all(exact) else np.flatnonzero(exact)
+    stacked = [(rows, kind.stack(members))] if members else []
     return stacked + [(i, part) for i, part in enumerate(parts) if not exact[i]]
 
 
 class _RoundPlan:
     """An instance compiled into stacked arrays for the batched round kernel.
 
-    The neighbour tables are 0-based (table, mask) pairs: ``owned`` holds
-    the edges an agent owns and ``incoming`` those its smaller neighbours
-    own, each in ascending peer order, and ``nbrs`` all neighbours in
-    ascending order.  ``f_groups`` and ``g_groups`` hold the agents' smooth
-    and nonsmooth parts as the ``(rows, function)`` pairs of :func:`_groups`.
+    The neighbour tables are slot-major: column i lists agent i's terms of
+    :func:`lambda_update`'s pressure sum in its order, one row per slot.
+    ``xi_slots`` indexes ``[xi; -xi; -0.0]``: first the edges agent i owns
+    (``xi``, by ascending peer), then those its smaller neighbours own
+    (``-xi``, by ascending owner), padded with the ``-0.0`` row.
+    ``nbr_slots`` holds agent i's neighbours in ascending order, padded with
+    row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
+    entries.  ``f_groups`` and ``g_groups`` hold the agents' smooth and
+    nonsmooth parts as the ``(rows, function)`` pairs of :func:`_groups`.
     """
 
     def __init__(self, instance: ProblemInstance):
         n = instance.n_agents
         agents = instance.agents
         edges = np.asarray(instance.graph.edges, dtype=np.intp).reshape(-1, 2) - 1
+        n_edges = len(edges)
         self.edge_owner, self.edge_peer = edges[:, 0], edges[:, 1]
-        self.owned = _padded(self.edge_owner, np.arange(len(edges)), n)
         by_peer = np.argsort(self.edge_peer, kind="stable")
-        self.incoming = _padded(self.edge_peer[by_peer], by_peer, n)
+        self.xi_slots = np.vstack([
+            _slot_table(self.edge_owner, np.arange(n_edges), n, 2 * n_edges),
+            _slot_table(self.edge_peer[by_peer], n_edges + by_peer, n, 2 * n_edges),
+        ])
         ends = np.concatenate([self.edge_owner, self.edge_peer])
         others = np.concatenate([self.edge_peer, self.edge_owner])
         by_end = np.lexsort((others, ends))
-        self.nbrs = _padded(ends[by_end], others[by_end], n)
+        self.nbr_slots = _slot_table(ends[by_end], others[by_end], n, 0)
+        degree = np.bincount(ends, minlength=n)
+        pad = np.arange(len(self.nbr_slots))[:, None] >= degree
+        self.nbr_pad = np.repeat(pad[:, :, None], instance.b_dim, axis=2)
 
         self.a = np.array([agent.a_block for agent in agents])
         self.a_t = self.a.transpose(0, 2, 1)
@@ -430,27 +455,26 @@ def iterate(
     theta, mu, xi = state.theta, state.mu, state.xi
 
     _, x_hat = plan.maximizers(theta, mu)
-    # lambda_update's pressure, one neighbour slot at a time in its order;
-    # padded slots keep the running value untouched (adding 0.0 would turn
-    # a -0.0 into +0.0)
+    # lambda_update's pressure, one neighbour slot at a time in its order.
+    # A padded slot adds -0.0, which leaves every double as it is (adding
+    # +0.0 would turn a -0.0 into +0.0), and subtracting xi is adding -xi
+    # by the definition of IEEE subtraction.
     pressure = -plan.coupling_terms(x_hat) + plan.kappa_b
-    owned, owned_mask = plan.owned
-    for k in range(owned.shape[1]):
-        pressure = np.where(owned_mask[:, k, None], pressure + xi[owned[:, k]], pressure)
-    incoming, incoming_mask = plan.incoming
-    for k in range(incoming.shape[1]):
-        pressure = np.where(
-            incoming_mask[:, k, None], pressure - xi[incoming[:, k]], pressure
-        )
-    nbrs, nbrs_mask = plan.nbrs
-    for k in range(nbrs.shape[1]):
-        pressure = np.where(
-            nbrs_mask[:, k, None], pressure + gamma * (theta - theta[nbrs[:, k]]), pressure
-        )
+    signed_xi = np.concatenate([xi, -xi, np.full((1, xi.shape[1]), -0.0)])
+    for term in signed_xi.take(plan.xi_slots, axis=0):
+        pressure += term
+    nbr_terms = theta.take(plan.nbr_slots, axis=0)
+    np.subtract(theta, nbr_terms, out=nbr_terms)
+    nbr_terms *= gamma
+    np.copyto(nbr_terms, -0.0, where=plan.nbr_pad)
+    for term in nbr_terms:
+        pressure += term
     theta_new = theta - c * pressure
     grad_mu = -x_hat
     mu_new = plan.conjugate_prox(c, mu - c * grad_mu)
-    xi_new = xi + gamma * (theta_new[plan.edge_owner] - theta_new[plan.edge_peer])
+    xi_new = xi + gamma * (
+        theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
+    )
     return SolverState(theta_new, mu_new, xi_new, state.t + 1)
 
 

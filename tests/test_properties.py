@@ -10,9 +10,12 @@ must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
 bit, and ``solve`` must recover the same x as the per-agent
 ``primal_recovery``.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
-the kernel against the per-agent round at scale.  The step that ``solve``
-picks must pass the paper's step rule against the exact largest Laplacian
-eigenvalue, on the same random graphs and on three fixed ones.
+the kernel against the per-agent round at scale, and a star and that
+graph, where most neighbour slots are padding, check it at random signed
+duals.  ``iterate`` must leave its state and the plan's tables as they
+were, and ``h`` must be the per-agent maximum bit for bit.  The step that
+``solve`` picks must pass the paper's step rule against the exact largest
+Laplacian eigenvalue, on the same random graphs and on three fixed ones.
 """
 
 import importlib.util
@@ -51,6 +54,7 @@ from dualprox.solver import (
     eval_dual_objective,
     init_state,
     iterate,
+    lipschitz_h,
     max_lipschitz,
     primal_recovery,
     residuals,
@@ -60,7 +64,12 @@ from dualprox.solver import (
 )
 from dualprox.topology import Graph, laplacian_spectral_radius
 
-from oracles import dense_lambda_max, reference_dual_sweep, reference_iterate
+from oracles import (
+    dense_lambda_max,
+    random_instance,
+    reference_dual_sweep,
+    reference_iterate,
+)
 
 ROUNDS = 20
 KINDS = ("box", "l1", "zero", "norm1", "norm2", "custom_prox")
@@ -214,21 +223,28 @@ def test_kernel_matches_per_agent_round_on_a_1000_agent_market():
         assert bits(state.xi) == bits(want.xi)
 
 
+def signed_duals(
+    rng: np.random.Generator, instance, zero_share: float = 1 / 3
+) -> SolverState:
+    """Random duals at three scales, ``zero_share`` of them zeros of either
+    sign."""
+    n, m, b_dim = instance.dims
+
+    def draw(*shape):
+        values = rng.normal(size=shape) * rng.choice([0.1, 1.0, 10.0], size=shape)
+        zeros = rng.choice([-0.0, 0.0], size=shape)
+        return np.where(rng.uniform(size=shape) < zero_share, zeros, values)
+
+    return SolverState(draw(n, b_dim), draw(n, m), draw(instance.graph.n_edges, b_dim))
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_kernel_matches_the_per_agent_path_at_arbitrary_duals(instance, seed):
     """Duals drawn at random, so every Box component is active and the
     sums over components and agents all round; a third of them are zeros
     of either sign."""
-    rng = np.random.default_rng(seed)
-    n, m, b_dim = instance.dims
-
-    def draw(*shape):
-        values = rng.normal(size=shape) * rng.choice([0.1, 1.0, 10.0], size=shape)
-        zeros = rng.choice([-0.0, 0.0], size=shape)
-        return np.where(rng.uniform(size=shape) < 1 / 3, zeros, values)
-
-    state = SolverState(draw(n, b_dim), draw(n, m), draw(instance.graph.n_edges, b_dim))
+    state = signed_duals(np.random.default_rng(seed), instance)
     phi, ax = reference_dual_sweep(instance, state.theta, state.mu)
     res = residuals(instance, state)
     assert bits(res.dual_value) == bits(phi)
@@ -269,6 +285,95 @@ def test_signed_zeros_match_the_per_agent_round(seed):
     assert bits(got.theta) == bits(want.theta)
     assert bits(got.mu) == bits(want.mu)
     assert bits(got.xi) == bits(want.xi)
+
+
+def zero_data(graph: Graph, b_dim: int) -> ProblemInstance:
+    """Agents with ``Quadratic(1.0)``, Box and Zero parts in turn, coupling
+    blocks of +-1 and ``b = -0.0``: wherever an agent's duals are zero, its
+    pressure sum starts from a zero of either sign."""
+    rng = np.random.default_rng(graph.n_vertices)
+    agents = [
+        AgentProblem(
+            Quadratic(1.0),
+            Zero() if i % 2 else Box(-1.0, 1.0),
+            rng.choice([-1.0, 1.0], size=(b_dim, 1)),
+            1.0 / graph.n_vertices,
+        )
+        for i in range(graph.n_vertices)
+    ]
+    return ProblemInstance(agents, np.full(b_dim, -0.0), graph)
+
+
+@pytest.mark.parametrize(
+    "graph, b_dim",
+    [
+        (Graph(200, [(1, j) for j in range(2, 201)]), 2),
+        (Graph(1000, load_bench_inputs().ring_plus_chords(1000)), 1),
+    ],
+    ids=["star", "ring_plus_chords"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_heavily_padded_graphs_match_the_per_agent_round(graph, b_dim, seed):
+    """Most neighbour slots are padding: a star's leaf has one neighbour
+    next to the hub's 199, and on the ring with chords most agents have 2 or
+    3 neighbours next to the hub's 8.  Nine duals in ten are zeros, so that
+    many agents' pressure sums are zeros of either sign, and a padded slot
+    must leave a -0.0 as it is."""
+    instance = zero_data(graph, b_dim)
+    state = signed_duals(np.random.default_rng(seed), instance, zero_share=0.9)
+    steps = steps_for(instance)
+    got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    assert bits(got.theta) == bits(want.theta)
+    assert bits(got.mu) == bits(want.mu)
+    assert bits(got.xi) == bits(want.xi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_iterate_leaves_its_inputs_and_the_plan_alone(instance, seed):
+    """The kernel sums in place into arrays of its own: the state, the plan's
+    tables and a second call from the same state must be untouched by it."""
+    state = signed_duals(np.random.default_rng(seed), instance)
+    steps = steps_for(instance)
+    plan = _round_plan(instance)
+    before = [bits(a) for a in (state.theta, state.mu, state.xi)]
+    tables = {k: v.copy() for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    assert "kappa_b" in tables and "nbr_pad" in tables
+    first = iterate(instance, state, steps)
+    second = iterate(instance, state, steps)
+    assert [bits(a) for a in (state.theta, state.mu, state.xi)] == before
+    for name, table in tables.items():
+        got = getattr(plan, name)
+        assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), name
+    for name in ("theta", "mu", "xi"):
+        assert bits(getattr(first, name)) == bits(getattr(second, name)), name
+
+
+@st.composite
+def oracle_instances(draw):
+    """``oracles.random_instance`` draws with non-square coupling blocks, and
+    some agents' smooth parts swapped for an oracle-backed ``CustomSmooth``."""
+    n = draw(st.integers(2, 8))
+    m, b_dim = draw(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instance = random_instance(rng, n, m, b_dim)
+    custom = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    agents = [
+        AgentProblem(smooth(True, rng, m), agent.g, agent.a_block, agent.kappa)
+        if is_custom else agent
+        for agent, is_custom in zip(instance.agents, custom)
+    ]
+    return ProblemInstance(agents, instance.b, instance.graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_instances())
+def test_h_is_the_max_of_the_per_agent_constants(instance):
+    """``h`` comes from one batched spectral norm; it must equal the largest
+    per-agent ``lipschitz_h`` bit for bit."""
+    want = max(lipschitz_h(agent.a_block, agent.f.sigma) for agent in instance.agents)
+    assert bits(max_lipschitz(instance)) == bits(want)
+    assert bits(solve(instance, SolverConfig(max_iter=0)).h) == bits(want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
