@@ -151,7 +151,9 @@ class Quadratic(SmoothFunction):
     Coefficients may carry a leading axis of G rows, P (G, M, M), q (G, M)
     and r (G,): the function then stands for G quadratics, ``sigma`` has one
     entry per row, and the methods act row by row on (G, M) points,
-    bit-identical to each row's own quadratic.
+    bit-identical to each row's own quadratic.  Its checks run once over
+    all rows; :meth:`rows` splits it into the G quadratics and
+    :meth:`stack` joins checked ones back.
     """
 
     def __init__(self, p, q=None, r=0.0):
@@ -175,10 +177,10 @@ class Quadratic(SmoothFunction):
         else:
             self._set(p, q, float(r), 2.0 * float(smallest))
 
-    def _set(self, p: Array, q: Array, r, sigma) -> None:
+    def _set(self, p: Array, q: Array, r, sigma, two_p: Array | None = None) -> None:
         self.p, self.q, self.r, self.sigma = p, q, r, sigma
         self.dim = p.shape[-1]
-        self._two_p = 2.0 * p
+        self._two_p = 2.0 * p if two_p is None else two_p
 
     @classmethod
     def stack(cls, members: list["Quadratic"]) -> "Quadratic":
@@ -186,6 +188,23 @@ class Quadratic(SmoothFunction):
         f = cls.__new__(cls)
         f._set(*(np.array([getattr(g, k) for g in members]) for k in ("p", "q", "r", "sigma")))
         return f
+
+    def rows(self) -> list["Quadratic"]:
+        """The G quadratics of a stacked one, without re-running its checks:
+        the inverse of :meth:`stack`.
+
+        Row k equals ``Quadratic(p[k], q[k], r[k])`` bit for bit, with ``r``
+        and ``sigma`` Python floats; its arrays are views into this one's.
+        """
+        if self.p.ndim != 3:
+            raise ValueError(f"rows need stacked coefficients, got P of shape {self.p.shape}")
+        out = []
+        columns = (self.p, self.q, self.r.tolist(), self.sigma.tolist(), self._two_p)
+        for p, q, r, sigma, two_p in zip(*columns):
+            f = type(self).__new__(type(self))
+            f._set(p, q, r, sigma, two_p)
+            out.append(f)
+        return out
 
     def _points(self, x) -> Array:
         return _as_vector(x, self.dim, self.p.shape[:-2])
@@ -369,7 +388,8 @@ class Box(NonsmoothFunction):
     support function, finite everywhere when the box is bounded.  Bounds
     of shape (G, M) stack G boxes: the methods then take (G, M) points and
     act row by row, and ``value`` and ``support_value`` return one entry
-    per row.
+    per row.  :meth:`rows` splits a stacked box into its G boxes and
+    :meth:`stack` joins checked ones back.
     """
 
     def __init__(self, lo, hi):
@@ -392,6 +412,18 @@ class Box(NonsmoothFunction):
         for k, g in enumerate(members):
             box.lo[k], box.hi[k] = g.lo, g.hi
         return box
+
+    def rows(self) -> list["Box"]:
+        """The G boxes of a stacked one, without re-running its checks: the
+        inverse of :meth:`stack`.  Row k's bounds are views of shape (M,)."""
+        if self.lo.ndim != 2:
+            raise ValueError(f"rows need stacked bounds, got shape {self.lo.shape}")
+        out = []
+        for lo, hi in zip(self.lo, self.hi):
+            box = type(self).__new__(type(self))
+            box.lo, box.hi = lo, hi
+            out.append(box)
+        return out
 
     def _prox(self, alpha: float, v: Array) -> Array:
         return np.clip(v, self.lo, self.hi)

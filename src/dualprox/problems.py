@@ -351,6 +351,12 @@ def build_market(
     negated quadratic branch of its utility, which keeps every smooth part
     strongly convex because the demand caps sit at the utility's kink.
     Kappa shares are uniform.
+
+    The costs are checked as one stacked :class:`Quadratic` and the caps as
+    one stacked :class:`Box`, with the same checks and errors as one agent
+    at a time; agent i's ``f`` and ``g`` are their rows, equal bit for bit
+    to ``Quadratic(delta, varsigma, beta)`` (or ``Quadratic(pi, -chi, 0.0)``)
+    and ``Box(0.0, x_max)``.
     """
     params = params or MarketParams.default()
     n = len(params.uc) + len(params.users)
@@ -361,25 +367,15 @@ def build_market(
             )
         topology = market_graph()
     kappa = 1.0 / n
-    agents = []
-    for row in params.uc:
-        agents.append(
-            AgentProblem(
-                f=Quadratic(row.delta, row.varsigma, row.beta),
-                g=Box(0.0, row.x_max),
-                a_block=[[1.0]],
-                kappa=kappa,
-            )
-        )
-    for row in params.users:
-        agents.append(
-            AgentProblem(
-                f=Quadratic(row.pi, -row.chi, 0.0),
-                g=Box(0.0, row.x_max),
-                a_block=[[-1.0]],
-                kappa=kappa,
-            )
-        )
+    rows = [(row.delta, row.varsigma, row.beta, row.x_max, 1.0) for row in params.uc]
+    rows += [(row.pi, -row.chi, 0.0, row.x_max, -1.0) for row in params.users]
+    p, q, r, x_max, a = np.array(rows, dtype=float).T
+    costs = Quadratic(p.reshape(n, 1, 1), q.reshape(n, 1), r).rows()
+    caps = Box(np.zeros((n, 1)), x_max.reshape(n, 1)).rows()
+    agents = [
+        AgentProblem(f=f, g=g, a_block=a_block, kappa=kappa)
+        for f, g, a_block in zip(costs, caps, a.reshape(n, 1, 1))
+    ]
     return ProblemInstance(agents, [0.0], topology)
 
 

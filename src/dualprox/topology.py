@@ -10,7 +10,9 @@ coupling blocks.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,43 +34,58 @@ def canonical_edge_order(n_vertices: int, edges: Sequence[Edge]) -> list[Edge]:
     """Normalize and sort an edge list into its canonical order.
 
     Each pair is stored as (smaller, larger) and the list is sorted by the
-    smaller endpoint, ties broken by the larger endpoint.
+    smaller endpoint, ties broken by the larger endpoint.  The checks and
+    the sort run on arrays; the first offending pair in input order is
+    reported.
 
     Parameters
     ----------
     n_vertices : int
         Number of vertices; endpoints must lie in 1..n_vertices.
     edges : sequence of (int, int)
-        Unordered vertex pairs, in any order and orientation.
+        Unordered vertex pairs of Python or NumPy integers, in any order
+        and orientation.
 
     Returns
     -------
     list of (int, int)
-        Canonically ordered edges with i < j in every pair.
+        Canonically ordered edges of Python ints with i < j in every pair.
 
     Raises
     ------
     ValueError
-        On a self-loop, an out-of-range endpoint, or a duplicate edge
-        (in either orientation); the offending pair is named.
+        On endpoints that are not integer pairs, and on a self-loop, an
+        out-of-range endpoint, or a duplicate edge (in either orientation);
+        the offending pair is named.
     """
     if n_vertices < 1:
         raise ValueError(f"need at least one vertex, got {n_vertices}")
-    normalized = []
-    seen = set()
-    for i, j in edges:
-        if i == j:
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        return []
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biu":
+        raise ValueError(
+            f"edges must be pairs of integers, got an array of shape {pairs.shape} "
+            f"and dtype {pairs.dtype}"
+        )
+    pairs = pairs.astype(np.int64, copy=False)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    self_loop = lo == hi
+    outside = (lo < 1) | (hi > n_vertices)
+    order = np.lexsort((hi, lo))  # stable: repeats follow their first occurrence
+    lo, hi = lo[order], hi[order]
+    repeat = np.zeros(len(pairs), dtype=bool)
+    repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    bad = self_loop | outside | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = edges[k]
+        if self_loop[k]:
             raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-        if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
-            raise ValueError(
-                f"edge ({i}, {j}) has endpoints outside 1..{n_vertices}"
-            )
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add(pair)
-        normalized.append(pair)
-    return sorted(normalized)
+        if outside[k]:
+            raise ValueError(f"edge ({i}, {j}) has endpoints outside 1..{n_vertices}")
+        raise ValueError(f"duplicate edge ({i}, {j})")
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,11 @@ class Graph:
 
     Vertices are 1-indexed.  The edge list is canonicalized at
     construction; a graph is immutable afterwards, so problem instances
-    and engines can share one.
+    and engines can share one.  Construction only checks and sorts the
+    edges: the edge index and the adjacency lists are built on first use,
+    and a vertex's :class:`NeighborSets` on each call of :meth:`neighbors`,
+    so the batched solver, which reads only ``edges``, pays for none of
+    them.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
@@ -99,40 +120,54 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(
             canonical_edge_order(self.n_vertices, edges)
         )
-        self.edge_index: dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
-        nbrs: dict[int, set[int]] = {i: set() for i in range(1, self.n_vertices + 1)}
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        self._neighbor_sets = {
-            i: NeighborSets(
-                all=tuple(sorted(s)),
-                owned=tuple(sorted(j for j in s if j > i)),
-                incoming=tuple(sorted(j for j in s if j < i)),
-            )
-            for i, s in nbrs.items()
-        }
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Canonical index of each edge (i, j), i < j."""
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def _adjacency(self) -> tuple[list[int], list[int]]:
+        """Flat adjacency lists ``(start, flat)``: vertex i's neighbors, in
+        ascending order, are ``flat[start[i - 1]:start[i]]``."""
+        pairs = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        ends = pairs.T.ravel()
+        others = pairs[:, ::-1].T.ravel()
+        order = np.lexsort((others, ends))
+        start = np.searchsorted(ends[order], np.arange(1, self.n_vertices + 2))
+        return start.tolist(), others[order].tolist()
+
+    def _neighbor_list(self, i: int) -> list[int]:
+        if not 1 <= i <= self.n_vertices:
+            raise KeyError(i)
+        start, flat = self._adjacency
+        return flat[start[i - 1]:start[i]]
+
     def neighbors(self, i: int) -> NeighborSets:
         """Neighbor sets of agent ``i``."""
-        return self._neighbor_sets[i]
+        nbrs = self._neighbor_list(i)
+        split = bisect.bisect(nbrs, i)
+        return NeighborSets(
+            all=tuple(nbrs), owned=tuple(nbrs[split:]), incoming=tuple(nbrs[:split])
+        )
 
     def degree(self, i: int) -> int:
-        return len(self._neighbor_sets[i].all)
+        return len(self._neighbor_list(i))
 
     def max_degree(self) -> int:
-        return max(self.degree(i) for i in range(1, self.n_vertices + 1))
+        start = self._adjacency[0]
+        return max(b - a for a, b in zip(start, start[1:]))
 
     def owned_edges(self, i: int) -> list[tuple[int, int]]:
         """Edge indices and peers for edges owned by agent ``i``.
 
         Returns a list of (edge_index, peer) pairs, peers sorted ascending.
         """
-        return [(self.edge_index[(i, j)], j) for j in self._neighbor_sets[i].owned]
+        return [(self.edge_index[(i, j)], j) for j in self.neighbors(i).owned]
 
     def incidence(self, b_dim: int) -> "IncidenceOperator":
         return IncidenceOperator(self, b_dim)
@@ -149,18 +184,25 @@ class Graph:
 
 
 def check_connected(graph: Graph) -> bool:
-    """True iff the graph has a single connected component."""
+    """True iff the graph has a single connected component.
+
+    A depth-first walk over the graph's flat adjacency lists.
+    """
     if graph.n_vertices == 0:
         return False
-    seen = {1}
+    start, flat = graph._adjacency
+    seen = [False] * (graph.n_vertices + 1)
+    seen[1] = True
+    reached = 1
     stack = [1]
     while stack:
         i = stack.pop()
-        for j in graph.neighbors(i).all:
-            if j not in seen:
-                seen.add(j)
+        for j in flat[start[i - 1]:start[i]]:
+            if not seen[j]:
+                seen[j] = True
+                reached += 1
                 stack.append(j)
-    return len(seen) == graph.n_vertices
+    return reached == graph.n_vertices
 
 
 class IncidenceOperator:

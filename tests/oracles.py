@@ -4,9 +4,11 @@ Everything here is deliberately decoupled from the library's code paths:
 dense matrices instead of matrix-free operators, golden-section search
 instead of closed-form prox maps, finite differences instead of analytic
 gradients, and a hand-derived closed form for the market optimum.  The
-exception is the per-agent round and dual sweep at the end, which loop
-over agents with the library's per-node update so that the batched kernel
-can be checked against them bit for bit.
+exceptions are the one-at-a-time set-up references (edge order, graph
+structures and the market's agents), which the library now builds from
+arrays, and the per-agent round and dual sweep at the end, which loop over
+agents with the library's per-node update; the batched code is checked
+against all of them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from dualprox.functions import Box, ConjugateUnavailable, Quadratic
-from dualprox.problems import AgentProblem, ProblemInstance
+from dualprox.problems import AgentProblem, MarketParams, ProblemInstance
 from dualprox.solver import (
     SolverState,
     StepSizes,
@@ -25,7 +27,7 @@ from dualprox.solver import (
     lambda_update,
     xi_update,
 )
-from dualprox.topology import Graph
+from dualprox.topology import Graph, NeighborSets
 
 
 # --- dense linear-algebra oracles ------------------------------------------
@@ -194,6 +196,91 @@ def random_instance(
             AgentProblem(Quadratic(p, q), Box(lo, hi), a_block, 1.0 / n)
         )
     return ProblemInstance(agents, b, graph)
+
+
+# --- one-at-a-time set-up ---------------------------------------------------
+
+
+def reference_edge_order(n_vertices: int, edges) -> list[tuple[int, int]]:
+    """Canonical edge order, checked and normalized one pair at a time."""
+    if n_vertices < 1:
+        raise ValueError(f"need at least one vertex, got {n_vertices}")
+    normalized = []
+    seen = set()
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) is not allowed")
+        if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
+            raise ValueError(
+                f"edge ({i}, {j}) has endpoints outside 1..{n_vertices}"
+            )
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add(pair)
+        normalized.append(pair)
+    return sorted(normalized)
+
+
+def eager_graph_structures(n_vertices: int, edges) -> dict:
+    """Neighbor sets, edge index, owned edges, degrees and connectivity of a
+    graph, built eagerly from its canonical edge list with sets and a
+    breadth-first search."""
+    edges = reference_edge_order(n_vertices, edges)
+    edge_index = {e: k for k, e in enumerate(edges)}
+    nbrs = {i: set() for i in range(1, n_vertices + 1)}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    neighbors = {
+        i: NeighborSets(
+            all=tuple(sorted(s)),
+            owned=tuple(sorted(j for j in s if j > i)),
+            incoming=tuple(sorted(j for j in s if j < i)),
+        )
+        for i, s in nbrs.items()
+    }
+    reached, frontier = {1}, [1]
+    while frontier:
+        frontier = [j for i in frontier for j in sorted(nbrs[i]) if j not in reached]
+        reached.update(frontier)
+    return {
+        "neighbors": neighbors,
+        "edge_index": edge_index,
+        "owned_edges": {
+            i: [(edge_index[(i, j)], j) for j in neighbors[i].owned] for i in nbrs
+        },
+        "degree": {i: len(s) for i, s in nbrs.items()},
+        "max_degree": max(len(s) for s in nbrs.values()),
+        "connected": len(reached) == n_vertices,
+    }
+
+
+def per_agent_market(params: MarketParams, topology: Graph) -> ProblemInstance:
+    """The market instance with every agent's cost and cap constructed, and
+    checked, on its own."""
+    n = len(params.uc) + len(params.users)
+    kappa = 1.0 / n
+    agents = []
+    for row in params.uc:
+        agents.append(
+            AgentProblem(
+                f=Quadratic(row.delta, row.varsigma, row.beta),
+                g=Box(0.0, row.x_max),
+                a_block=[[1.0]],
+                kappa=kappa,
+            )
+        )
+    for row in params.users:
+        agents.append(
+            AgentProblem(
+                f=Quadratic(row.pi, -row.chi, 0.0),
+                g=Box(0.0, row.x_max),
+                a_block=[[-1.0]],
+                kappa=kappa,
+            )
+        )
+    return ProblemInstance(agents, [0.0], topology)
 
 
 # --- per-agent round and dual sweep -------------------------------------------

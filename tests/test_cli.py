@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import dualprox.cli as cli
 from dualprox.cli import main
-from dualprox.problems import ProblemInstance, build_market, save_instance
+from dualprox.problems import MarketParams, ProblemInstance, build_market, market_graph, save_instance
 from dualprox.topology import Graph
 
+from oracles import per_agent_market
 from test_problems import box_bounds_of_the_wrong_length
 
 
@@ -136,6 +138,25 @@ class TestMarketDemoCommand:
             ["market-demo", "--max-iter", "3", "--trace-out", str(tmp_path / "t.csv")]
         )
         assert code == 1
+
+    def test_same_bytes_as_a_market_built_one_agent_at_a_time(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The stacked, once-checked market gives the trace CSV and stdout of
+        the market whose agents are each constructed and checked alone."""
+        runs = []
+        for name in ("stacked", "per-agent"):
+            if name == "per-agent":
+                monkeypatch.setattr(
+                    cli, "build_market",
+                    lambda: per_agent_market(MarketParams.default(), market_graph()),
+                )
+            trace = tmp_path / f"{name}.csv"
+            code = main(["market-demo", "--trace-every", "1", "--trace-out", str(trace)])
+            out = capsys.readouterr().out.replace(str(trace), "TRACE")
+            runs.append((code, out, trace.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
 
 class TestBadSolverOptions:

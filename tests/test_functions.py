@@ -393,6 +393,45 @@ class TestStacked:
                 box.conjugate_prox(0.3, mu[k]).tobytes()
             )
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_quadratic_rows_are_each_quadratic_bit_for_bit(self, m):
+        """Rows of a checked stack, or of ``stack``, are the per-row
+        quadratics: same coefficients, shapes, float types and results."""
+        rng = np.random.default_rng(20 + m)
+        rows = []
+        for _ in range(6):
+            base = rng.normal(size=(m, m))
+            rows.append(Quadratic(base @ base.T + 0.5 * np.eye(m), rng.normal(size=m), rng.normal()))
+        built = Quadratic(
+            np.array([f.p for f in rows]), np.array([f.q for f in rows]), [f.r for f in rows]
+        )
+        x = rng.normal(size=(m,)) * 10.0
+        for back in (built.rows(), Quadratic.stack(rows).rows()):
+            assert len(back) == len(rows)
+            for f, g in zip(rows, back):
+                assert type(g) is Quadratic and g == f
+                assert (g.p.shape, g.q.shape, g.dim) == (f.p.shape, f.q.shape, f.dim)
+                assert type(g.r) is float and type(g.sigma) is float
+                assert g.sigma.hex() == f.sigma.hex()
+                assert g.value(x) == f.value(x)
+                for method in ("gradient", "conjugate_gradient"):
+                    assert getattr(g, method)(x).tobytes() == getattr(f, method)(x).tobytes()
+
+    def test_box_rows_are_each_box(self):
+        boxes = [Box([-1.0, 0.0], [2.0, 0.0]), Box([-np.inf, -3.0], [0.5, np.inf])]
+        for back in (Box(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])).rows(),
+                     Box.stack(boxes).rows()):
+            for box, row in zip(boxes, back, strict=True):
+                assert type(row) is Box and row == box
+                assert (row.lo.shape, row.hi.shape) == (box.lo.shape, box.hi.shape)
+                assert row.value(np.array([0.1, 0.0])) == box.value(np.array([0.1, 0.0]))
+
+    def test_rows_need_a_stack(self):
+        with pytest.raises(ValueError, match="stacked"):
+            Quadratic(2.0, 1.0).rows()
+        with pytest.raises(ValueError, match="stacked"):
+            Box(0.0, 1.0).rows()
+
     def test_unstacked_returns_stay_floats(self):
         assert type(Quadratic(2.0, 1.0).value(np.array([1.0]))) is float
         assert type(Quadratic(2.0, 1.0).sigma) is float

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dualprox.topology as topology
 from dualprox.functions import Box, Quadratic, Zero
 from dualprox.oracle import OracleError, centralized_oracle, primal_objective, saddle_point
 from dualprox.problems import (
@@ -16,9 +19,28 @@ from dualprox.problems import (
     save_instance,
     validate,
 )
+from dualprox.solver import SolverConfig, solve
 from dualprox.topology import Graph
 
-from oracles import dense_q, market_closed_form, random_instance
+from oracles import dense_q, market_closed_form, per_agent_market, random_instance
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# below 1e300, so that 2 * delta (the Hessian) does not overflow
+positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@st.composite
+def market_params(draw):
+    """Market rows for 1 to 50 agents, with any finite coefficients that
+    ``MarketParams`` accepts."""
+    uc = draw(st.lists(st.builds(UCParams, positive, finite, finite, positive), max_size=25))
+    users = draw(st.lists(st.builds(UserParams, finite, positive, positive),
+                          min_size=0 if uc else 1, max_size=25))
+    return MarketParams(uc=tuple(uc), users=tuple(users))
+
+
+def path(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def box_bounds_of_the_wrong_length() -> str:
@@ -169,6 +191,49 @@ class TestBuildMarket:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             MarketParams(uc=(UCParams(0.0, 1.0, 0.0, 10.0),), users=())
+
+    @settings(max_examples=80, deadline=None)
+    @given(market_params())
+    def test_agents_equal_their_per_agent_construction(self, params):
+        n = len(params.uc) + len(params.users)
+        graph = path(n)
+        got, want = build_market(params, graph), per_agent_market(params, graph)
+        assert got == want
+        for a, b in zip(got.agents, want.agents, strict=True):
+            assert (a.f.p.shape, a.f.q.shape, a.g.lo.shape, a.g.hi.shape) == (
+                b.f.p.shape, b.f.q.shape, b.g.lo.shape, b.g.hi.shape
+            )
+            assert type(a.f.r) is float and type(a.f.sigma) is float
+            assert a.f.sigma.hex() == b.f.sigma.hex()
+            assert a.f._two_p.tobytes() == b.f._two_p.tobytes()
+            assert a.a_block.tobytes() == b.a_block.tobytes() and a.a_block.shape == (1, 1)
+            assert a.kappa.hex() == b.kappa.hex()
+
+    def test_set_up_checks_the_market_once(self, monkeypatch):
+        """Counts, not times: building and setting up a 2000-agent market
+        takes one eigenvalue call for all its costs and no neighbor sets."""
+        n_uc, n_users = 800, 1200
+        params = MarketParams(
+            uc=tuple(UCParams(0.0031 * (1 + k / n_uc), 8.71, 0.0, 150.0) for k in range(n_uc)),
+            users=tuple(UserParams(17.17, 0.0935 * (1 + k / n_users), 91.79)
+                        for k in range(n_users)),
+        )
+        calls = {"eigvalsh": 0, "NeighborSets": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            topology, "NeighborSets", counted("NeighborSets", topology.NeighborSets)
+        )
+        result = solve(build_market(params, path(n_uc + n_users)), SolverConfig(max_iter=0))
+        assert result.iterations == 0
+        assert calls["eigvalsh"] <= 1
+        assert calls["NeighborSets"] == 0
 
     def test_stationarity_at_reported_point(self):
         # reported optimum: multiplier -8.1, caps active for both companies

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualprox.topology import (
     Graph,
@@ -9,7 +11,44 @@ from dualprox.topology import (
 )
 from dualprox.problems import market_graph
 
-from oracles import dense_lambda_max, dense_m, dense_q, random_connected_graph
+from oracles import (
+    dense_lambda_max,
+    dense_m,
+    dense_q,
+    eager_graph_structures,
+    random_connected_graph,
+    reference_edge_order,
+)
+
+INTEGER_KINDS = (int, np.int64, np.int32, np.intp, np.int16)
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and edge list with self-loops, out-of-range endpoints
+    and duplicates in either orientation, in Python or NumPy integers."""
+    n = draw(st.integers(0, 7))
+    endpoint = st.integers(-1, n + 2)
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))
+    for k in draw(st.lists(st.integers(0, 11), max_size=2)):
+        if k < len(pairs):
+            pairs.append(pairs[k][::-1])  # the same edge, reversed
+    kinds = draw(st.lists(st.sampled_from(INTEGER_KINDS), min_size=1, max_size=3))
+    return n, [
+        (kinds[k % len(kinds)](i), kinds[(k + 1) % len(kinds)](j))
+        for k, (i, j) in enumerate(pairs)
+    ]
+
+
+@st.composite
+def graphs(draw):
+    """A vertex count and a random subset of its pairs: connected or not."""
+    n = draw(st.integers(1, 9))
+    all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if not all_pairs:
+        return n, []
+    chosen = draw(st.lists(st.sampled_from(all_pairs), unique=True))
+    return n, [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
 
 
 class TestCanonicalEdgeOrder:
@@ -49,6 +88,32 @@ class TestCanonicalEdgeOrder:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             canonical_edge_order(3, [(1, 4)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_matches_the_pair_by_pair_reference(self, case):
+        """The same edges as Python ints, or the same error naming the same
+        first offending pair."""
+        n, edges = case
+        try:
+            want = reference_edge_order(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                canonical_edge_order(n, edges)
+            assert str(got.value) == str(exc)
+            return
+        got = canonical_edge_order(n, edges)
+        assert got == want
+        assert all(type(v) is int for pair in got for v in pair)
+
+    def test_empty_list(self):
+        assert canonical_edge_order(1, []) == []
+        assert Graph(3, np.empty((0, 2), dtype=int)).edges == ()
+
+    @pytest.mark.parametrize("edges", [[(1.0, 2.0)], [(1, 2, 3)], [1, 2]])
+    def test_non_integer_pairs_rejected(self, edges):
+        with pytest.raises(ValueError, match="pairs of integers"):
+            canonical_edge_order(3, edges)
 
 
 class TestIncidence:
@@ -153,6 +218,36 @@ class TestNeighborSets:
         graph = market_graph()
         owned = [(i, j) for i in range(1, 6) for j in graph.neighbors(i).owned]
         assert sorted(owned) == sorted(graph.edges)
+
+
+class TestLazyStructures:
+    """The structures a graph builds on first use against an eager build."""
+
+    PROBES = {
+        "neighbors": lambda g: {i: g.neighbors(i) for i in range(1, g.n_vertices + 1)},
+        "edge_index": lambda g: g.edge_index,
+        "owned_edges": lambda g: {i: g.owned_edges(i) for i in range(1, g.n_vertices + 1)},
+        "degree": lambda g: {i: g.degree(i) for i in range(1, g.n_vertices + 1)},
+        "max_degree": lambda g: g.max_degree(),
+        "connected": check_connected,
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_match_an_eager_build(self, case):
+        n, edges = case
+        want = eager_graph_structures(n, edges)
+        warm = Graph(n, edges)
+        for name, probe in self.PROBES.items():
+            assert probe(Graph(n, edges)) == want[name], f"{name} on a fresh graph"
+            assert probe(warm) == want[name], f"{name} after the other probes"
+
+    @pytest.mark.parametrize("vertex", [0, 6, -1])
+    def test_unknown_vertex_is_a_key_error(self, vertex):
+        graph = market_graph()
+        for probe in (graph.neighbors, graph.degree, graph.owned_edges):
+            with pytest.raises(KeyError):
+                probe(vertex)
 
 
 class TestConnectivity:
