@@ -11,6 +11,7 @@ text file format for instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "AgentProblem",
     "MarketParams",
     "ProblemInstance",
+    "StackedAgents",
     "UCParams",
     "UserParams",
     "ValidationCheck",
@@ -103,25 +105,77 @@ class AgentProblem:
         )
 
 
+def _groups(parts: list, kind: type) -> list[tuple]:
+    """``(rows, function)`` pairs covering ``parts``: every part that is
+    exactly ``kind`` in one stacked function, and any other part on its own
+    row.  The stacked group's rows are an index array, or ``slice(None)``
+    when it covers every part, so that indexing by them copies nothing."""
+    exact = [type(part) is kind for part in parts]
+    members = [part for part, is_kind in zip(parts, exact) if is_kind]
+    rows = slice(None) if all(exact) else np.flatnonzero(exact)
+    stacked = [(rows, kind.stack(members))] if members else []
+    return stacked + [(i, part) for i, part in enumerate(parts) if not exact[i]]
+
+
+@dataclass(frozen=True, eq=False)
+class StackedAgents:
+    """An instance's agents as stacked arrays and groups of catalog functions.
+
+    ``a`` holds the (N, B, M) coupling blocks and ``kappa`` the (N,) shares.
+    ``f_groups`` and ``g_groups`` are ``(rows, function)`` pairs that cover
+    the smooth and the nonsmooth parts: the parts that are exactly
+    :class:`Quadratic` (or :class:`Box`) form one stacked function, indexed
+    by an array of agent rows or by ``slice(None)`` when it covers every
+    agent, and any other part sits on its own integer row.
+    """
+
+    a: np.ndarray
+    kappa: np.ndarray
+    f_groups: list
+    g_groups: list
+
+    def sigma(self) -> np.ndarray:
+        """Entry i is agent i's strong convexity modulus, 0.0 where its
+        smooth part has none."""
+        out = np.empty(len(self.kappa))
+        for rows, f in self.f_groups:
+            out[rows] = getattr(f, "sigma", 0.0)
+        return out
+
+
+def _offset(b) -> np.ndarray:
+    """The constraint offset as a float vector; an empty one is rejected."""
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if b.size == 0:
+        raise ValueError(
+            "coupling constraint is empty (no multiplier to agree on); "
+            "solve the agents independently instead"
+        )
+    return b
+
+
 class ProblemInstance:
     """N coupled agents, the constraint offset b, and the network graph.
 
+    Besides its agents, an instance has a stacked view of them,
+    :attr:`stacked`, which is all that :func:`validate`, the step-size
+    constants and the solver's round plan read.  An instance built from
+    agents makes that view on first use.  :func:`build_market` instead
+    builds an instance from the view, with the checks of
+    :class:`AgentProblem` and of this constructor run once on its arrays,
+    and its ``agents`` are then made on first access from the rows of the
+    stacked functions, bit for bit the agents it would otherwise take.
+
     An instance, with its agents, their functions and its graph, is treated
-    as immutable once constructed: the solver compiles it into stacked
-    arrays on first use and keeps them on the instance.  No code or test
-    mutates one; build a new instance instead.
+    as immutable once constructed: the views and the solver's plan are kept
+    on it.  No code or test mutates one; build a new instance instead.
     """
 
     def __init__(self, agents: Sequence[AgentProblem], b, graph: Graph):
         self.agents = list(agents)
         if not self.agents:
             raise ValueError("instance needs at least one agent")
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.b.size == 0:
-            raise ValueError(
-                "coupling constraint is empty (no multiplier to agree on); "
-                "solve the agents independently instead"
-            )
+        self.b = _offset(b)
         self.graph = graph
         m = self.agents[0].m
         b_dim = self.b.shape[0]
@@ -136,14 +190,58 @@ class ProblemInstance:
             raise ValueError(
                 f"graph has {graph.n_vertices} vertices for {len(self.agents)} agents"
             )
+        self.n_agents, self.m = len(self.agents), m
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.agents)
+    @classmethod
+    def _from_stacked(
+        cls, f: Quadratic, g: Box, a: np.ndarray, kappa: np.ndarray, b, graph: Graph
+    ) -> "ProblemInstance":
+        """The instance whose agent i is ``AgentProblem(f_i, g_i, a[i],
+        kappa[i])``, with ``f_i`` and ``g_i`` the rows of the stacked ``f``
+        and ``g``.  Raises the errors the per-agent constructors would."""
+        a = np.asarray(a, dtype=float)
+        kappa = np.asarray(kappa, dtype=float)
+        n, b_dim, m = a.shape
+        if m != f.dim:
+            raise ValueError(f"coupling block has {m} columns but f lives on R^{f.dim}")
+        if g.lo.shape[1] not in (1, f.dim):
+            raise ValueError(
+                f"box bounds have shape {g.lo.shape[1:]}, expected 1 or {f.dim} entries"
+            )
+        negative = kappa < 0
+        if negative.any():
+            raise ValueError(f"kappa must be nonnegative, got {kappa[np.argmax(negative)]}")
+        self = cls.__new__(cls)
+        self.b = _offset(b)
+        if b_dim != self.b.shape[0]:
+            raise ValueError(
+                f"agent 1 coupling block has {b_dim} rows, expected {self.b.shape[0]}"
+            )
+        if graph.n_vertices != n:
+            raise ValueError(f"graph has {graph.n_vertices} vertices for {n} agents")
+        self.graph = graph
+        self.n_agents, self.m = n, m
+        self.stacked = StackedAgents(a, kappa, [(slice(None), f)], [(slice(None), g)])
+        return self
 
-    @property
-    def m(self) -> int:
-        return self.agents[0].m
+    @cached_property
+    def agents(self) -> list[AgentProblem]:
+        """The agents; made on first access for an instance built from its
+        stacked view."""
+        ((_, f),), ((_, g),) = self.stacked.f_groups, self.stacked.g_groups
+        rows = zip(f.rows(), g.rows(), self.stacked.a, self.stacked.kappa.tolist())
+        return [AgentProblem(*row) for row in rows]
+
+    @cached_property
+    def stacked(self) -> StackedAgents:
+        """The agents as stacked arrays and catalog groups, made once."""
+        agents = self.agents
+        return StackedAgents(
+            a=np.array([agent.a_block for agent in agents]),
+            kappa=np.array([agent.kappa for agent in agents]),
+            f_groups=_groups([agent.f for agent in agents], Quadratic),
+            g_groups=_groups([agent.g for agent in agents], Box),
+        )
 
     @property
     def b_dim(self) -> int:
@@ -155,11 +253,11 @@ class ProblemInstance:
         return (self.n_agents, self.m, self.b_dim)
 
     def kappa_vector(self) -> np.ndarray:
-        return np.array([a.kappa for a in self.agents])
+        return self.stacked.kappa.copy()
 
     def coupling_matrix(self) -> np.ndarray:
         """Dense (B, N*M) coupling matrix; for reports and tests only."""
-        return np.hstack([a.a_block for a in self.agents])
+        return self.stacked.a.transpose(1, 0, 2).reshape(self.b_dim, -1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,6 +294,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _sum_in_order(terms: np.ndarray) -> float:
+    """``0.0 + terms[0] + terms[1] + ...``, rounded as a Python loop would."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def validate(instance: ProblemInstance) -> ValidationReport:
     """Check an instance against the solvability assumptions.
 
@@ -205,6 +308,11 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     interval contains b strictly (a computable stand-in for a strictly
     feasible interior point); otherwise that condition is reported as not
     checked.
+
+    The checks read the instance's stacked view, not its agents.  The
+    coupling interval sums Python's ``min`` and ``max`` of each agent's two
+    endpoint products in agent order, so NaN and signed zeros, and every
+    report string, come out as in an agent-by-agent loop.
     """
     checks: list[ValidationCheck] = []
 
@@ -217,11 +325,8 @@ def validate(instance: ProblemInstance) -> ValidationReport:
         )
     )
 
-    bad_sigma = [
-        idx
-        for idx, a in enumerate(instance.agents, start=1)
-        if not (getattr(a.f, "sigma", 0.0) > 0.0)
-    ]
+    stacked = instance.stacked
+    bad_sigma = (np.flatnonzero(~(stacked.sigma() > 0.0)) + 1).tolist()
     checks.append(
         ValidationCheck(
             "strong_convexity",
@@ -241,7 +346,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
         )
     )
 
-    ksum = float(np.sum(instance.kappa_vector()))
+    ksum = float(np.sum(stacked.kappa))
     checks.append(
         ValidationCheck(
             "kappa_sum",
@@ -250,15 +355,16 @@ def validate(instance: ProblemInstance) -> ValidationReport:
         )
     )
 
-    all_box = all(isinstance(a.g, Box) for a in instance.agents)
+    all_box = all(isinstance(g, Box) for _, g in stacked.g_groups)
     if all_box and m == 1 and b_dim == 1:
-        lo_sum = 0.0
-        hi_sum = 0.0
-        for a in instance.agents:
-            coeff = float(a.a_block[0, 0])
-            lo, hi = float(a.g.lo[0]), float(a.g.hi[0])
-            lo_sum += min(coeff * lo, coeff * hi)
-            hi_sum += max(coeff * lo, coeff * hi)
+        lo, hi = np.empty(n), np.empty(n)
+        for rows, g in stacked.g_groups:
+            lo[rows], hi[rows] = g.lo[..., 0], g.hi[..., 0]
+        coeff = stacked.a[:, 0, 0]
+        with np.errstate(invalid="ignore", over="ignore"):  # Python floats do not warn
+            x, y = coeff * lo, coeff * hi
+            lo_sum = _sum_in_order(np.where(y < x, y, x))  # min(x, y)
+            hi_sum = _sum_in_order(np.where(y > x, y, x))  # max(x, y)
         b0 = float(instance.b[0])
         checks.append(
             ValidationCheck(
@@ -354,9 +460,11 @@ def build_market(
 
     The costs are checked as one stacked :class:`Quadratic` and the caps as
     one stacked :class:`Box`, with the same checks and errors as one agent
-    at a time; agent i's ``f`` and ``g`` are their rows, equal bit for bit
-    to ``Quadratic(delta, varsigma, beta)`` (or ``Quadratic(pi, -chi, 0.0)``)
-    and ``Box(0.0, x_max)``.
+    at a time, and the instance is built from them, the coupling blocks and
+    the shares as its stacked view: no per-agent object is made until
+    ``agents`` is read.  Agent i's ``f`` and ``g`` are then the stacks'
+    rows, equal bit for bit to ``Quadratic(delta, varsigma, beta)`` (or
+    ``Quadratic(pi, -chi, 0.0)``) and ``Box(0.0, x_max)``.
     """
     params = params or MarketParams.default()
     n = len(params.uc) + len(params.users)
@@ -366,17 +474,13 @@ def build_market(
                 f"default topology is defined for 5 agents, got {n}; pass one explicitly"
             )
         topology = market_graph()
-    kappa = 1.0 / n
     rows = [(row.delta, row.varsigma, row.beta, row.x_max, 1.0) for row in params.uc]
     rows += [(row.pi, -row.chi, 0.0, row.x_max, -1.0) for row in params.users]
-    p, q, r, x_max, a = np.array(rows, dtype=float).T
-    costs = Quadratic(p.reshape(n, 1, 1), q.reshape(n, 1), r).rows()
-    caps = Box(np.zeros((n, 1)), x_max.reshape(n, 1)).rows()
-    agents = [
-        AgentProblem(f=f, g=g, a_block=a_block, kappa=kappa)
-        for f, g, a_block in zip(costs, caps, a.reshape(n, 1, 1))
-    ]
-    return ProblemInstance(agents, [0.0], topology)
+    p, q, r, x_max, a = np.array(rows, dtype=float).T.copy()
+    costs = Quadratic(p.reshape(n, 1, 1), q.reshape(n, 1), r)
+    caps = Box(np.zeros((n, 1)), x_max.reshape(n, 1))
+    kappa = np.full(n, 1.0 / n)
+    return ProblemInstance._from_stacked(costs, caps, a.reshape(n, 1, 1), kappa, [0.0], topology)
 
 
 # --- instance files -------------------------------------------------------

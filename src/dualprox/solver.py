@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .functions import Box, ConjugateUnavailable, Quadratic
+from .functions import ConjugateUnavailable
 from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
@@ -127,16 +127,15 @@ def lipschitz_h(a_block, sigma: float) -> float:
 def max_lipschitz(instance: ProblemInstance) -> float:
     """Network-wide constant h, the max over agents of :func:`lipschitz_h`.
 
-    One batched spectral norm of the stacked coupling blocks makes the same
-    LAPACK call per block as :func:`lipschitz_h`, so ``h`` is bit-identical
-    to the per-agent maximum.
+    It reads the instance's stacked view.  One batched spectral norm of the
+    stacked coupling blocks makes the same LAPACK call per block as
+    :func:`lipschitz_h`, so ``h`` is bit-identical to the per-agent maximum.
     """
-    sigma = np.array([agent.f.sigma for agent in instance.agents], dtype=float)
+    stacked = instance.stacked
+    sigma = stacked.sigma()
     if np.any(sigma <= 0):
         raise ValueError(f"strong convexity modulus must be positive, got {sigma.min()}")
-    spec = np.linalg.norm(
-        np.array([agent.a_block for agent in instance.agents]), 2, axis=(1, 2)
-    )
+    spec = np.linalg.norm(stacked.a, 2, axis=(1, 2))
     return float(np.max((spec * spec + 1.0) / sigma))
 
 
@@ -303,18 +302,6 @@ def _slot_table(rows: Array, values: Array, n: int, pad: int) -> Array:
     return table
 
 
-def _groups(parts: list, kind: type) -> list[tuple]:
-    """``(rows, function)`` pairs covering ``parts``: every part that is
-    exactly ``kind`` in one stacked function, and any other part on its own
-    row.  The stacked group's rows are an index array, or ``slice(None)``
-    when it covers every part, so that indexing by them copies nothing."""
-    exact = [type(part) is kind for part in parts]
-    members = [part for part, is_kind in zip(parts, exact) if is_kind]
-    rows = slice(None) if all(exact) else np.flatnonzero(exact)
-    stacked = [(rows, kind.stack(members))] if members else []
-    return stacked + [(i, part) for i, part in enumerate(parts) if not exact[i]]
-
-
 class _RoundPlan:
     """An instance compiled into stacked arrays for the batched round kernel.
 
@@ -325,14 +312,14 @@ class _RoundPlan:
     (``-xi``, by ascending owner), padded with the ``-0.0`` row.
     ``nbr_slots`` holds agent i's neighbours in ascending order, padded with
     row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
-    entries.  ``f_groups`` and ``g_groups`` hold the agents' smooth and
-    nonsmooth parts as the ``(rows, function)`` pairs of :func:`_groups`.
+    entries.  The coupling blocks ``a``, the shares ``kappa`` and the
+    ``(rows, function)`` groups ``f_groups`` and ``g_groups`` are those of
+    the instance's stacked view.
     """
 
     def __init__(self, instance: ProblemInstance):
         n = instance.n_agents
-        agents = instance.agents
-        edges = np.asarray(instance.graph.edges, dtype=np.intp).reshape(-1, 2) - 1
+        edges = instance.graph.edge_array - 1
         n_edges = len(edges)
         self.edge_owner, self.edge_peer = edges[:, 0], edges[:, 1]
         by_peer = np.argsort(self.edge_peer, kind="stable")
@@ -348,12 +335,11 @@ class _RoundPlan:
         pad = np.arange(len(self.nbr_slots))[:, None] >= degree
         self.nbr_pad = np.repeat(pad[:, :, None], instance.b_dim, axis=2)
 
-        self.a = np.array([agent.a_block for agent in agents])
+        stacked = instance.stacked
+        self.a, self.kappa = stacked.a, stacked.kappa
         self.a_t = self.a.transpose(0, 2, 1)
-        self.kappa = instance.kappa_vector()
         self.kappa_b = self.kappa[:, None] * instance.b
-        self.f_groups = _groups([agent.f for agent in agents], Quadratic)
-        self.g_groups = _groups([agent.g for agent in agents], Box)
+        self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
@@ -706,9 +692,7 @@ class Trace:
         unless explicitly requested; all other columns are deterministic
         for a given configuration.
         """
-        cols = list(self.columns)
-        if not include_wall_time:
-            cols.remove("wall_time")
+        cols = self.columns if include_wall_time else self.columns[:-1]  # wall time is last
         header = list(cols)
         if self.with_state and self.state_rows:
             theta, mu, xi = self.state_rows[0]
@@ -719,13 +703,10 @@ class Trace:
             header += [f"xi_{e}_{k}" for e in range(1, xi.shape[0] + 1) for k in range(b_dim)]
         lines = [",".join(header)]
         for ridx, row in enumerate(self.rows):
-            named = dict(zip(self.columns, row))
-            vals = [self._fmt(named[c]) for c in cols]
+            vals = [self._fmt(v) for v in row[: len(cols)]]
             if self.with_state and self.state_rows:
-                theta, mu, xi = self.state_rows[ridx]
-                vals += [repr(float(v)) for v in theta.ravel()]
-                vals += [repr(float(v)) for v in mu.ravel()]
-                vals += [repr(float(v)) for v in xi.ravel()]
+                snapshot = np.concatenate([a.ravel() for a in self.state_rows[ridx]])
+                vals += map(repr, snapshot.tolist())
             lines.append(",".join(vals))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

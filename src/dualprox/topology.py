@@ -109,10 +109,11 @@ class Graph:
     Vertices are 1-indexed.  The edge list is canonicalized at
     construction; a graph is immutable afterwards, so problem instances
     and engines can share one.  Construction only checks and sorts the
-    edges: the edge index and the adjacency lists are built on first use,
-    and a vertex's :class:`NeighborSets` on each call of :meth:`neighbors`,
-    so the batched solver, which reads only ``edges``, pays for none of
-    them.
+    edges: the edge array, the edge index and the adjacency lists are built
+    on first use, and a vertex's :class:`NeighborSets` on each call of
+    :meth:`neighbors`.  The batched solver reads only ``edge_array`` (and
+    :func:`check_connected` the adjacency lists), so it builds no edge
+    index and no neighbor sets.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
@@ -126,6 +127,13 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The canonical edges as one read-only (|E|, 2) ``intp`` array."""
+        pairs = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        pairs.setflags(write=False)
+        return pairs
+
+    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Canonical index of each edge (i, j), i < j."""
         return {e: k for k, e in enumerate(self.edges)}
@@ -134,7 +142,7 @@ class Graph:
     def _adjacency(self) -> tuple[list[int], list[int]]:
         """Flat adjacency lists ``(start, flat)``: vertex i's neighbors, in
         ascending order, are ``flat[start[i - 1]:start[i]]``."""
-        pairs = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        pairs = self.edge_array
         ends = pairs.T.ravel()
         others = pairs[:, ::-1].T.ravel()
         order = np.lexsort((others, ends))
@@ -221,7 +229,7 @@ class IncidenceOperator:
             raise ValueError(f"coupling block must have positive size, got {b_dim}")
         self.graph = graph
         self.b_dim = int(b_dim)
-        edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+        edges = graph.edge_array
         # 0-based endpoint rows per canonical edge; column k has +1 at
         # q_rows_pos[k], -1 at q_rows_neg[k]
         self.q_rows_pos = edges[:, 0] - 1
@@ -296,6 +304,6 @@ def laplacian_spectral_radius(graph: Graph) -> SpectralRadius:
     against the eigenvalue too.  It is exact on a single edge, a star and an
     even ring, and at most ``2 * max degree``.  An edgeless graph gives 0.0.
     """
-    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2) - 1
+    edges = graph.edge_array - 1
     degree = np.bincount(edges.ravel(), minlength=graph.n_vertices)
     return SpectralRadius(float(np.max(degree[edges].sum(axis=1), initial=0)), 0)

@@ -5,10 +5,11 @@ dense matrices instead of matrix-free operators, golden-section search
 instead of closed-form prox maps, finite differences instead of analytic
 gradients, and a hand-derived closed form for the market optimum.  The
 exceptions are the one-at-a-time set-up references (edge order, graph
-structures and the market's agents), which the library now builds from
-arrays, and the per-agent round and dual sweep at the end, which loop over
-agents with the library's per-node update; the batched code is checked
-against all of them bit for bit.
+structures, the market's agents and the solvability checks), which the
+library now builds from arrays, the row-by-row trace writer, and the
+per-agent round and dual sweep at the end, which loop over agents with the
+library's per-node update; the library is checked against all of them bit
+for bit (or byte for byte).
 """
 
 from __future__ import annotations
@@ -19,15 +20,22 @@ from typing import Sequence
 import numpy as np
 
 from dualprox.functions import Box, ConjugateUnavailable, Quadratic
-from dualprox.problems import AgentProblem, MarketParams, ProblemInstance
+from dualprox.problems import (
+    AgentProblem,
+    MarketParams,
+    ProblemInstance,
+    ValidationCheck,
+    ValidationReport,
+)
 from dualprox.solver import (
     SolverState,
     StepSizes,
+    Trace,
     _smooth_dual_parts,
     lambda_update,
     xi_update,
 )
-from dualprox.topology import Graph, NeighborSets
+from dualprox.topology import Graph, NeighborSets, check_connected
 
 
 # --- dense linear-algebra oracles ------------------------------------------
@@ -281,6 +289,99 @@ def per_agent_market(params: MarketParams, topology: Graph) -> ProblemInstance:
             )
         )
     return ProblemInstance(agents, [0.0], topology)
+
+
+def reference_validate(instance: ProblemInstance) -> ValidationReport:
+    """The solvability checks of ``validate``, agent by agent."""
+    checks: list[ValidationCheck] = []
+
+    connected = check_connected(instance.graph)
+    checks.append(
+        ValidationCheck(
+            "graph_connected",
+            connected,
+            f"{instance.graph.n_vertices} vertices, {instance.graph.n_edges} edges",
+        )
+    )
+
+    bad_sigma = [
+        idx
+        for idx, a in enumerate(instance.agents, start=1)
+        if not (getattr(a.f, "sigma", 0.0) > 0.0)
+    ]
+    checks.append(
+        ValidationCheck(
+            "strong_convexity",
+            not bad_sigma,
+            "all agents have sigma > 0"
+            if not bad_sigma
+            else f"agents {bad_sigma} have nonpositive modulus",
+        )
+    )
+
+    n, m, b_dim = instance.dims
+    checks.append(ValidationCheck("dimensions", True, f"N={n}, M={m}, B={b_dim}"))
+
+    ksum = float(np.sum(np.array([a.kappa for a in instance.agents])))
+    checks.append(
+        ValidationCheck("kappa_sum", abs(ksum - 1.0) <= 1e-12, f"sum of kappa = {ksum!r}")
+    )
+
+    all_box = all(isinstance(a.g, Box) for a in instance.agents)
+    if all_box and m == 1 and b_dim == 1:
+        lo_sum = 0.0
+        hi_sum = 0.0
+        for a in instance.agents:
+            coeff = float(a.a_block[0, 0])
+            lo, hi = float(a.g.lo[0]), float(a.g.hi[0])
+            lo_sum += min(coeff * lo, coeff * hi)
+            hi_sum += max(coeff * lo, coeff * hi)
+        b0 = float(instance.b[0])
+        checks.append(
+            ValidationCheck(
+                "interior_feasibility",
+                lo_sum < b0 < hi_sum,
+                f"coupling range [{lo_sum}, {hi_sum}] vs b = {b0}",
+            )
+        )
+    else:
+        checks.append(
+            ValidationCheck(
+                "interior_feasibility", None, "only checked for scalar all-box instances"
+            )
+        )
+
+    return ValidationReport(tuple(checks))
+
+
+# --- row-by-row trace writer --------------------------------------------------
+
+
+def reference_write_csv(trace: Trace, path, include_wall_time: bool = False) -> None:
+    """``Trace.write_csv``, one named column and one state entry at a time."""
+    cols = list(trace.columns)
+    if not include_wall_time:
+        cols.remove("wall_time")
+    header = list(cols)
+    if trace.with_state and trace.state_rows:
+        theta, mu, xi = trace.state_rows[0]
+        n, b_dim = theta.shape
+        m = mu.shape[1]
+        header += [f"theta_{i}_{k}" for i in range(1, n + 1) for k in range(b_dim)]
+        header += [f"mu_{i}_{k}" for i in range(1, n + 1) for k in range(m)]
+        header += [f"xi_{e}_{k}" for e in range(1, xi.shape[0] + 1) for k in range(b_dim)]
+    lines = [",".join(header)]
+    for ridx, row in enumerate(trace.rows):
+        named = dict(zip(trace.columns, row))
+        vals = [str(v) if isinstance(v, int) else repr(float(v)) for v in map(named.get, cols)]
+        if trace.with_state and trace.state_rows:
+            theta, mu, xi = trace.state_rows[ridx]
+            vals += [repr(float(v)) for v in theta.ravel()]
+            vals += [repr(float(v)) for v in mu.ravel()]
+            vals += [repr(float(v)) for v in xi.ravel()]
+        lines.append(",".join(vals))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # --- per-agent round and dual sweep -------------------------------------------

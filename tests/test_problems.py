@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualprox.topology as topology
-from dualprox.functions import Box, Quadratic, Zero
+from dualprox.functions import L1, Box, CustomSmooth, NormPenalty, Quadratic, SmoothFunction, Zero
 from dualprox.oracle import OracleError, centralized_oracle, primal_objective, saddle_point
 from dualprox.problems import (
     AgentProblem,
@@ -22,7 +22,13 @@ from dualprox.problems import (
 from dualprox.solver import SolverConfig, solve
 from dualprox.topology import Graph
 
-from oracles import dense_q, market_closed_form, per_agent_market, random_instance
+from oracles import (
+    dense_q,
+    market_closed_form,
+    per_agent_market,
+    random_instance,
+    reference_validate,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # below 1e300, so that 2 * delta (the Hessian) does not overflow
@@ -41,6 +47,64 @@ def market_params(draw):
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def any_graph(draw, n: int) -> Graph:
+    """A random subset of the pairs on n vertices: connected or not."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return Graph(n, sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]}))
+
+
+class NoModulus(SmoothFunction):
+    """A smooth part that declares no strong convexity modulus."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+
+class Interval(Box):
+    """A Box subclass, which the stacked view keeps on its own row."""
+
+
+COEFFICIENTS = (0.0, -0.0, 1.0, -1.0, 2.5, -0.3)
+BOUNDS = (-np.inf, -2.0, -0.0, 0.0, 1.5, np.inf)
+
+
+@st.composite
+def validated_instances(draw):
+    """Agent-built instances for ``validate``: any graph, M and B in 1..3
+    (both 1 in half the draws, where the coupling interval is checked),
+    smooth parts with and without a modulus, all boxes or mixed kinds, zero
+    or negative coefficients, infinite bounds and shares that need not sum
+    to one."""
+    n = draw(st.integers(1, 7))
+    scalar = draw(st.booleans())
+    m, b_dim = (1 if scalar else draw(st.integers(1, 3)) for _ in range(2))
+    kinds = ["box"] if draw(st.booleans()) else ["box", "interval", "l1", "zero", "norm"]
+    agents = []
+    for _ in range(n):
+        fkind = draw(st.sampled_from(["quadratic", "quadratic", "custom", "none"]))
+        if fkind == "quadratic":
+            f = Quadratic(np.eye(m) * draw(st.floats(0.1, 10.0)))
+        elif fkind == "custom":
+            f = CustomSmooth(lambda x: 0.0, lambda x: x, sigma=0.5, dim=m)
+        else:
+            f = NoModulus(m)
+        gkind = draw(st.sampled_from(kinds))
+        if gkind in ("box", "interval"):
+            width = draw(st.sampled_from([1, m]))
+            ends = np.array(draw(st.lists(st.sampled_from(BOUNDS), min_size=2 * width,
+                                          max_size=2 * width))).reshape(2, width)
+            g = (Box if gkind == "box" else Interval)(ends.min(axis=0), ends.max(axis=0))
+        else:
+            g = {"l1": L1(0.5), "zero": Zero(), "norm": NormPenalty(2)}[gkind]
+        coeffs = draw(st.lists(st.sampled_from(COEFFICIENTS), min_size=b_dim * m,
+                               max_size=b_dim * m))
+        kappa = draw(st.sampled_from([1.0 / n, 0.0, 0.25, 1.0 / 3.0]))
+        agents.append(AgentProblem(f, g, np.reshape(coeffs, (b_dim, m)), kappa))
+    b = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=b_dim,
+                      max_size=b_dim))
+    return ProblemInstance(agents, b, any_graph(draw, n))
 
 
 def box_bounds_of_the_wrong_length() -> str:
@@ -108,6 +172,24 @@ class TestValidate:
             Graph(2, [(1, 2)]),
         )
         assert not validate(instance).ok
+
+    @settings(max_examples=400, deadline=None)
+    @given(validated_instances())
+    def test_matches_the_agent_by_agent_checks(self, instance):
+        got, want = validate(instance), reference_validate(instance)
+        assert str(got) == str(want)
+        assert got.ok == want.ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_market_matches_the_agent_by_agent_checks(self, data):
+        """Also where caps near 1e300 make the coupling interval overflow."""
+        params = data.draw(market_params())
+        graph = any_graph(data.draw, len(params.uc) + len(params.users))
+        got = validate(build_market(params, graph))
+        want = reference_validate(per_agent_market(params, graph))
+        assert str(got) == str(want)
+        assert got.ok == want.ok
 
 
 class TestInstanceConstruction:
@@ -211,14 +293,18 @@ class TestBuildMarket:
 
     def test_set_up_checks_the_market_once(self, monkeypatch):
         """Counts, not times: building and setting up a 2000-agent market
-        takes one eigenvalue call for all its costs and no neighbor sets."""
+        takes one eigenvalue call for all its costs, no neighbor sets and no
+        per-agent objects; the agents are made when first read."""
         n_uc, n_users = 800, 1200
         params = MarketParams(
             uc=tuple(UCParams(0.0031 * (1 + k / n_uc), 8.71, 0.0, 150.0) for k in range(n_uc)),
             users=tuple(UserParams(17.17, 0.0935 * (1 + k / n_users), 91.79)
                         for k in range(n_users)),
         )
-        calls = {"eigvalsh": 0, "NeighborSets": 0}
+        graph = path(n_uc + n_users)
+        calls = dict.fromkeys(
+            ["eigvalsh", "NeighborSets", "AgentProblem", "rows", "stack"], 0
+        )
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -230,10 +316,18 @@ class TestBuildMarket:
         monkeypatch.setattr(
             topology, "NeighborSets", counted("NeighborSets", topology.NeighborSets)
         )
-        result = solve(build_market(params, path(n_uc + n_users)), SolverConfig(max_iter=0))
+        monkeypatch.setattr(
+            AgentProblem, "__init__", counted("AgentProblem", AgentProblem.__init__)
+        )
+        for cls in (Quadratic, Box):
+            monkeypatch.setattr(cls, "rows", counted("rows", cls.rows))
+            monkeypatch.setattr(cls, "stack", counted("stack", cls.stack))
+        instance = build_market(params, graph)
+        result = solve(instance, SolverConfig(max_iter=0))
         assert result.iterations == 0
-        assert calls["eigvalsh"] <= 1
-        assert calls["NeighborSets"] == 0
+        assert calls == {"eigvalsh": 1, "NeighborSets": 0, "AgentProblem": 0, "rows": 0,
+                         "stack": 0}
+        assert instance.agents == per_agent_market(params, graph).agents
 
     def test_stationarity_at_reported_point(self):
         # reported optimum: multiplier -8.1, caps active for both companies

@@ -209,6 +209,47 @@ def scaled_market(edges=None):
     )
 
 
+def plan_arrays(plan) -> dict:
+    """Every array of a round plan, its catalog groups' included, by name."""
+    out = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    for name in ("f_groups", "g_groups"):
+        for k, (rows, fn) in enumerate(getattr(plan, name)):
+            out[f"{name}[{k}].rows"] = np.arange(len(plan.a))[rows]
+            out[f"{name}[{k}].type"] = np.array(type(fn).__name__)
+            for attr, value in vars(fn).items():
+                if isinstance(value, np.ndarray):
+                    out[f"{name}[{k}].{attr}"] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "build", [build_market, scaled_market], ids=["market", "ring_plus_chords_1000"]
+)
+def test_stacked_and_agent_built_markets_give_one_plan(build, tmp_path):
+    """``build_market`` makes its instance from stacked arrays; the same
+    agents passed to ``ProblemInstance`` must compile to the same plan and
+    solve to the same bits."""
+    stacked = build()
+    agent_built = ProblemInstance(build().agents, [0.0], stacked.graph)
+    got, want = plan_arrays(_round_plan(stacked)), plan_arrays(_round_plan(agent_built))
+    assert got.keys() == want.keys()
+    for name in got:
+        assert (got[name].dtype, got[name].shape) == (want[name].dtype, want[name].shape), name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    config = SolverConfig(max_iter=30, trace_every=1, trace_state=True)
+    results = [solve(instance, config) for instance in (stacked, agent_built)]
+    for name in ("theta", "mu", "xi", "x", "ergodic_theta", "ergodic_mu", "h", "tau"):
+        assert bits(getattr(results[0], name)) == bits(getattr(results[1], name)), name
+    assert results[0].steps.c.hex() == results[1].steps.c.hex()
+    for k, result in enumerate(results):
+        result.trace.write_csv(tmp_path / f"{k}.csv")
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert stacked.dims == agent_built.dims
+    assert bits(stacked.kappa_vector()) == bits(agent_built.kappa_vector())
+    assert bits(stacked.coupling_matrix()) == bits(agent_built.coupling_matrix())
+    assert stacked == agent_built
+
+
 def test_kernel_matches_per_agent_round_on_a_1000_agent_market():
     instance = scaled_market()
     assert instance.graph == Graph(1000, load_bench_inputs().ring_plus_chords(1000))

@@ -32,7 +32,13 @@ from dualprox.solver import (
 )
 from dualprox.topology import Graph, laplacian_spectral_radius
 
-from oracles import central_diff, dense_m, random_instance, spectral_norm_svd
+from oracles import (
+    central_diff,
+    dense_m,
+    random_instance,
+    reference_write_csv,
+    spectral_norm_svd,
+)
 
 
 def zero_instance() -> ProblemInstance:
@@ -460,6 +466,18 @@ class TestSolve:
         assert rows[0] == "iter,phi,consensus_residual,primal_residual,step_norm"
         parsed = np.genfromtxt(path, delimiter=",", names=True)
         assert parsed["iter"].shape[0] == len(result.trace)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    @pytest.mark.parametrize("include_wall_time", [False, True])
+    def test_trace_csv_bytes_match_the_row_by_row_writer(
+        self, tmp_path, with_state, include_wall_time
+    ):
+        config = SolverConfig(max_iter=300, trace_every=7, trace_state=with_state)
+        trace = solve(build_market(), config).trace
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        trace.write_csv(got, include_wall_time=include_wall_time)
+        reference_write_csv(trace, want, include_wall_time=include_wall_time)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_explicit_bad_c_rejected(self):
         with pytest.raises(StepSizeError):

@@ -300,6 +300,16 @@ class TestSpectralRadius:
 
 
 class TestGraph:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs())
+    def test_edge_array_is_the_read_only_edge_list(self, case):
+        graph = Graph(*case)
+        pairs = graph.edge_array
+        assert pairs.dtype == np.intp and pairs.shape == (graph.n_edges, 2)
+        assert np.array_equal(pairs, np.asarray(graph.edges).reshape(-1, 2))
+        assert not pairs.flags.writeable
+        assert graph.edge_array is pairs
+
     def test_equality_after_canonicalization(self):
         assert Graph(3, [(3, 1), (1, 2)]) == Graph(3, [(1, 2), (1, 3)])
 
