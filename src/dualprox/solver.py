@@ -24,7 +24,9 @@ multipliers, neighbour estimates) and adds them one slot at a time, in
 :func:`lambda_update`'s order; a padded slot holds ``-0.0``, which leaves
 every sum as it is.  So the kernel is bit-identical to the per-agent
 updates, and it sums over agents in agent order.  A batched round has no
-processing order.
+processing order.  A state's primal maximizers and edge differences are
+computed once and shared by the round and the residuals that read them
+(see :class:`SolverState`).
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "max_lipschitz",
     "primal_recovery",
     "residuals",
-    "smooth_dual_value",
     "solve",
     "suggest_step_sizes",
     "validate_step_sizes",
@@ -129,14 +130,36 @@ def max_lipschitz(instance: ProblemInstance) -> float:
 
     It reads the instance's stacked view.  One batched spectral norm of the
     stacked coupling blocks makes the same LAPACK call per block as
-    :func:`lipschitz_h`, so ``h`` is bit-identical to the per-agent maximum.
+    :func:`lipschitz_h`, and most 1x1 blocks take ``|a|``, which that call
+    returns, so ``h`` is bit-identical to the per-agent maximum.
     """
     stacked = instance.stacked
     sigma = stacked.sigma()
     if np.any(sigma <= 0):
         raise ValueError(f"strong convexity modulus must be positive, got {sigma.min()}")
-    spec = np.linalg.norm(stacked.a, 2, axis=(1, 2))
+    spec = _spectral_norms(stacked.a)
     return float(np.max((spec * spec + 1.0) / sigma))
+
+
+# LAPACK's SVD rescales a matrix whose largest entry lies outside
+# [_SVD_UNSCALED, 1 / _SVD_UNSCALED] (sqrt(tiny) / eps and its inverse),
+# which can move the last bit of a singular value.
+_SVD_UNSCALED = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+
+
+def _spectral_norms(a: Array) -> Array:
+    """Entry i is ``np.linalg.norm(a[i], 2)``, bit for bit.
+
+    The SVD of an unscaled 1x1 block returns ``|a|`` exactly, so 1x1 blocks
+    take ``np.abs`` and only the rest (zero excepted) go through LAPACK.
+    """
+    if a.shape[1:] != (1, 1):
+        return np.linalg.norm(a, 2, axis=(1, 2))
+    spec = np.abs(a[:, 0, 0])
+    rescaled = ~((spec >= _SVD_UNSCALED) & (spec <= 1.0 / _SVD_UNSCALED)) & (spec != 0.0)
+    if rescaled.any():
+        spec[rescaled] = np.linalg.norm(a[rescaled], 2, axis=(1, 2))
+    return spec
 
 
 def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> None:
@@ -193,22 +216,6 @@ def grad_p(agent: AgentProblem, b, theta, mu) -> Array:
     b, theta, mu = (np.asarray(a, dtype=float) for a in (b, theta, mu))
     gt, gm, _ = _grad_p_parts(agent, b, theta, mu)
     return np.concatenate([gt, gm])
-
-
-def _smooth_dual_parts(
-    agent: AgentProblem, b: Array, theta: Array, mu: Array
-) -> tuple[Array, float]:
-    """Primal maximizer and smooth dual value, from one conjugate-gradient call."""
-    v = _h_apply(agent, theta, mu)
-    x_hat = agent.f.conjugate_gradient(v)
-    value = float(v @ x_hat) - agent.f.value(x_hat) + agent.kappa * float(b @ theta)
-    return x_hat, value
-
-
-def smooth_dual_value(agent: AgentProblem, b, theta, mu) -> float:
-    """Value of the agent's smooth dual term at (theta, mu)."""
-    b, theta, mu = (np.asarray(a, dtype=float) for a in (b, theta, mu))
-    return _smooth_dual_parts(agent, b, theta, mu)[1]
 
 
 def lambda_update(
@@ -314,7 +321,8 @@ class _RoundPlan:
     row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
     entries.  The coupling blocks ``a``, the shares ``kappa`` and the
     ``(rows, function)`` groups ``f_groups`` and ``g_groups`` are those of
-    the instance's stacked view.
+    the instance's stacked view; ``b_rows`` is ``b`` broadcast to one row
+    per agent.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -338,6 +346,7 @@ class _RoundPlan:
         stacked = instance.stacked
         self.a, self.kappa = stacked.a, stacked.kappa
         self.a_t = self.a.transpose(0, 2, 1)
+        self.b_rows = np.broadcast_to(instance.b, (n, instance.b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
         self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
 
@@ -394,15 +403,75 @@ def _round_plan(instance: ProblemInstance) -> _RoundPlan:
 
 @dataclass
 class SolverState:
-    """Stacked dual state: one row per agent, one xi row per canonical edge."""
+    """Stacked dual state: one row per agent, one xi row per canonical edge.
+
+    A state that :func:`iterate` returns has read-only ``theta`` and ``mu``,
+    and carries by-products of the sweeps over them: the edge differences
+    of the round that made it and, once :func:`residuals` has evaluated it,
+    the agents' primal maximizers, which the next round and :func:`solve`'s
+    recovery reuse.  They are not fields, so ``copy()``, ``==`` and ``repr``
+    ignore them, and they are used only while ``theta`` and ``mu`` are
+    still the read-only arrays, owning their data, that they came from:
+    putting other arrays in their place, or making them writeable again,
+    drops them.
+    """
 
     theta: Array  # (N, B)
     mu: Array  # (N, M)
     xi: Array  # (|E|, B)
     t: int = 0
 
+    # (plan, theta, mu, by-product), see _kept
+    _maximizers = None
+    _edge_diff = None
+
     def copy(self) -> "SolverState":
         return SolverState(self.theta.copy(), self.mu.copy(), self.xi.copy(), self.t)
+
+
+def _freeze(state: SolverState) -> None:
+    """Make theta and mu read-only; call it on arrays just made, before any
+    view of them exists."""
+    state.theta.setflags(write=False)
+    state.mu.setflags(write=False)
+
+
+def _frozen(state: SolverState) -> bool:
+    """Theta and mu are read-only arrays that own their data, so they can
+    change only if someone makes them writeable again."""
+    theta, mu = state.theta, state.mu
+    return (
+        isinstance(theta, np.ndarray)
+        and isinstance(mu, np.ndarray)
+        and theta.base is None
+        and mu.base is None
+        and not (theta.flags.writeable or mu.flags.writeable)
+    )
+
+
+def _kept(slot, plan: _RoundPlan, state: SolverState):
+    """The by-product in ``slot`` if ``plan`` computed it from the state's
+    current theta and mu, and both have stayed frozen; else None."""
+    if (
+        slot is not None
+        and slot[0] is plan
+        and slot[1] is state.theta
+        and slot[2] is state.mu
+        and _frozen(state)
+    ):
+        return slot[3]
+    return None
+
+
+def _state_maximizers(plan: _RoundPlan, state: SolverState) -> tuple[Array, Array]:
+    """``plan.maximizers`` at the state's duals, kept on a frozen state."""
+    found = _kept(state._maximizers, plan, state)
+    if found is None:
+        theta, mu = state.theta, state.mu
+        found = plan.maximizers(np.asarray(theta, dtype=float), np.asarray(mu, dtype=float))
+        if _frozen(state):
+            state._maximizers = (plan, theta, mu, found)
+    return found
 
 
 def init_state(instance: ProblemInstance) -> SolverState:
@@ -434,13 +503,18 @@ def iterate(
     Every agent update reads only time-t data; every edge update reads the
     freshly computed coupling estimates.  The round runs as one batched
     kernel over the instance's compiled plan, bit-identical to calling
-    :func:`lambda_update` per agent and :func:`xi_update` per edge.
+    :func:`lambda_update` per agent and :func:`xi_update` per edge.  It
+    reuses the primal maximizers that :func:`residuals` kept on the state,
+    and returns a new state with read-only theta and mu that keeps the
+    round's edge differences for :func:`residuals`.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
     theta, mu, xi = state.theta, state.mu, state.xi
 
-    _, x_hat = plan.maximizers(theta, mu)
+    # only residuals keeps maximizers: a state's round is its last sweep
+    kept = _kept(state._maximizers, plan, state)
+    _, x_hat = plan.maximizers(theta, mu) if kept is None else kept
     # lambda_update's pressure, one neighbour slot at a time in its order.
     # A padded slot adds -0.0, which leaves every double as it is (adding
     # +0.0 would turn a -0.0 into +0.0), and subtracting xi is adding -xi
@@ -458,10 +532,11 @@ def iterate(
     theta_new = theta - c * pressure
     grad_mu = -x_hat
     mu_new = plan.conjugate_prox(c, mu - c * grad_mu)
-    xi_new = xi + gamma * (
-        theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
-    )
-    return SolverState(theta_new, mu_new, xi_new, state.t + 1)
+    edge_diff = theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
+    new = SolverState(theta_new, mu_new, xi + gamma * edge_diff, state.t + 1)
+    _freeze(new)
+    new._edge_diff = (plan, theta_new, mu_new, edge_diff)
+    return new
 
 
 # --- recovery, objective, diagnostics --------------------------------------
@@ -474,30 +549,35 @@ def primal_recovery(agent: AgentProblem, theta, mu) -> Array:
     )
 
 
-def _dual_sweep(instance: ProblemInstance, theta: Array, mu: Array) -> tuple[float, Array]:
-    """Dual objective and the coupling term ``sum_i A_i x_hat_i`` at stacked duals.
+def _dual_sweep(
+    plan: _RoundPlan, theta: Array, mu: Array, v: Array, x_hat: Array
+) -> tuple[float, Array]:
+    """Dual objective and the coupling term ``sum_i A_i x_hat_i`` at stacked
+    duals, from their maximizers ``(v, x_hat) = plan.maximizers(theta, mu)``.
 
     The objective sums each agent's smooth dual term and the conjugate of
     its nonsmooth part at mu: ``math.inf`` marks a dual point outside the
-    conjugate's domain, NaN a part that has no conjugate value.  Both sums
-    run in agent order, so they round as an agent-by-agent loop would.
+    conjugate's domain, NaN a part that has no conjugate value.  Column 0
+    of one buffer holds the objective's terms and the other columns the
+    ``A_i x_hat_i``, under a zero row; one accumulation sums them all in
+    agent order, so they round as an agent-by-agent loop would.
     """
-    plan = _round_plan(instance)
-    theta = np.asarray(theta, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    v, x_hat = plan.maximizers(theta, mu)
-    b_theta = _rowdot(np.broadcast_to(instance.b, theta.shape), theta)
-    smooth = _rowdot(v, x_hat) - plan.f_values(x_hat) + plan.kappa * b_theta
-    terms = smooth + plan.support_values(mu)
-    phi = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
-    ax_terms = np.vstack([np.zeros(instance.b_dim), plan.coupling_terms(x_hat)])
-    return float(phi), np.add.accumulate(ax_terms)[-1]
+    terms = np.empty((len(theta) + 1, 1 + theta.shape[1]))
+    terms[0] = 0.0
+    smooth = _rowdot(v, x_hat) - plan.f_values(x_hat) + plan.kappa * _rowdot(plan.b_rows, theta)
+    terms[1:, 0] = smooth + plan.support_values(mu)
+    terms[1:, 1:] = plan.coupling_terms(x_hat)
+    total = np.add.accumulate(terms)[-1]
+    return float(total[0]), total[1:]
 
 
 def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> float:
     """Dual objective at stacked duals; ``math.inf`` marks an infeasible point
     and NaN a part without a conjugate value."""
-    return _dual_sweep(instance, theta, mu)[0]
+    plan = _round_plan(instance)
+    theta = np.asarray(theta, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    return _dual_sweep(plan, theta, mu, *plan.maximizers(theta, mu))[0]
 
 
 @dataclass(frozen=True)
@@ -515,11 +595,19 @@ def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residu
     Consensus is the norm of all per-edge theta differences; primal is the
     coupling-constraint violation of the recovered primal point.  The dual
     objective is evaluated from the same primal maximizers, so each agent
-    costs a single conjugate-gradient solve.
+    costs a single conjugate-gradient solve.  A state that :func:`iterate`
+    returned brings its edge differences, and keeps the maximizers for the
+    next round; ``inc``, instance.graph's consensus operator, is needed only
+    for other states and is built when not given.
     """
-    inc = inc or instance.graph.incidence(instance.b_dim)
-    consensus = float(np.linalg.norm(inc.apply_m(state.theta)))
-    phi, ax = _dual_sweep(instance, state.theta, state.mu)
+    plan = _round_plan(instance)
+    edge_diff = _kept(state._edge_diff, plan, state)
+    if edge_diff is None:
+        inc = inc or instance.graph.incidence(instance.b_dim)
+        edge_diff = inc.apply_m(state.theta)
+    consensus = float(np.linalg.norm(edge_diff))
+    theta, mu = np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float)
+    phi, ax = _dual_sweep(plan, theta, mu, *_state_maximizers(plan, state))
     primal = float(np.linalg.norm(ax - instance.b))
     return Residuals(consensus, primal, phi)
 
@@ -754,6 +842,13 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     Set-up validates the instance, computes ``h`` and ``tau``, picks the
     steps and compiles the round plan; a rejection raises
     :class:`SetupError` before round 0.
+
+    The rounds call :func:`residuals` and :func:`iterate` through this
+    module's namespace, so that a replacement installed there (a benchmark
+    hook or a tracer) sees every call.  Each evaluated state costs one
+    sweep of primal maximizers: :func:`residuals` keeps it on the state,
+    and the next round, or the recovery of ``x`` after the last one,
+    reuses it.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -769,14 +864,14 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     steps = StepSizes(c, config.gamma)
 
     state = init_state(instance)
+    _freeze(state)
     trace = Trace(with_state=config.trace_state)
     n, m, b_dim = instance.dims
     avg = RunningAverage(n, b_dim, m)
-    inc = instance.graph.incidence(instance.b_dim)
     plan = _round_plan(instance)
     t0 = time.perf_counter()
 
-    res = residuals(instance, state, inc)
+    res = residuals(instance, state)
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
 
@@ -795,7 +890,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         # only when a trace row is due or the step is already small enough
         if not (due or step_norm <= config.tol_step):
             continue
-        res = residuals(instance, state, inc)
+        res = residuals(instance, state)
         done = (
             res.consensus <= config.tol_consensus
             and res.primal <= config.tol_primal
@@ -809,11 +904,15 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
             reason = "residual tolerances met"
             break
 
+    # the last state was evaluated, so this reuses its maximizers
+    x = _state_maximizers(plan, state)[1]
+    state.theta.setflags(write=True)
+    state.mu.setflags(write=True)
     return SolveResult(
         theta=state.theta,
         mu=state.mu,
         xi=state.xi,
-        x=plan.maximizers(state.theta, state.mu)[1],
+        x=x,
         trace=trace,
         converged=converged,
         reason=reason,

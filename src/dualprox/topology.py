@@ -218,10 +218,8 @@ class IncidenceOperator:
 
     The operator stacks, for each edge (i, j) with i < j, the difference of
     the endpoints' coupling blocks (the first ``b_dim`` components of each
-    agent's dual vector).  Its transpose scatters per-edge vectors back
-    onto the coupling blocks with signs +1 at the smaller endpoint and -1
-    at the larger one.  The dense matrix is never formed here; tests build
-    it independently via a Kronecker product.
+    agent's dual vector).  The dense matrix is never formed here; tests
+    build it independently via a Kronecker product.
     """
 
     def __init__(self, graph: Graph, b_dim: int):
@@ -234,15 +232,6 @@ class IncidenceOperator:
         # q_rows_pos[k], -1 at q_rows_neg[k]
         self.q_rows_pos = edges[:, 0] - 1
         self.q_rows_neg = edges[:, 1] - 1
-
-    @property
-    def q_entries(self) -> list[tuple[int, int, int]]:
-        """Signed incidence entries as (vertex, edge_index, sign) triples."""
-        out = []
-        for k in range(self.graph.n_edges):
-            out.append((int(self.q_rows_pos[k]) + 1, k, +1))
-            out.append((int(self.q_rows_neg[k]) + 1, k, -1))
-        return out
 
     def apply_m(self, lam: np.ndarray) -> np.ndarray:
         """Per-edge differences of the coupling blocks of stacked duals.
@@ -263,24 +252,6 @@ class IncidenceOperator:
             )
         theta = lam[:, : self.b_dim]
         return theta[self.q_rows_pos] - theta[self.q_rows_neg]
-
-    def apply_m_transpose(self, xi: np.ndarray, m_dim: int) -> np.ndarray:
-        """Scatter per-edge vectors onto stacked dual space.
-
-        ``xi`` is an (|E|, B) array.  Returns an (N, B + m_dim) array whose
-        coupling block accumulates +xi_k at the smaller endpoint of edge k
-        and -xi_k at the larger; the remaining ``m_dim`` columns are zero.
-        """
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.graph.n_edges, self.b_dim):
-            raise ValueError(
-                f"expected ({self.graph.n_edges}, {self.b_dim}) edge vectors, "
-                f"got shape {xi.shape}"
-            )
-        out = np.zeros((self.graph.n_vertices, self.b_dim + m_dim))
-        np.add.at(out[:, : self.b_dim], self.q_rows_pos, xi)
-        np.subtract.at(out[:, : self.b_dim], self.q_rows_neg, xi)
-        return out
 
 
 class SpectralRadius(NamedTuple):

@@ -6,10 +6,11 @@ instead of closed-form prox maps, finite differences instead of analytic
 gradients, and a hand-derived closed form for the market optimum.  The
 exceptions are the one-at-a-time set-up references (edge order, graph
 structures, the market's agents and the solvability checks), which the
-library now builds from arrays, the row-by-row trace writer, and the
-per-agent round and dual sweep at the end, which loop over agents with the
-library's per-node update; the library is checked against all of them bit
-for bit (or byte for byte).
+library now builds from arrays, the row-by-row trace writer, the per-agent
+round and dual sweep, which loop over agents with the library's per-node
+update, and the solve loop at the end, which calls the library's public
+round and residuals on fresh states; the library is checked against all of
+them bit for bit (or byte for byte).
 """
 
 from __future__ import annotations
@@ -28,14 +29,28 @@ from dualprox.problems import (
     ValidationReport,
 )
 from dualprox.solver import (
+    RunningAverage,
+    SolveResult,
+    SolverConfig,
     SolverState,
     StepSizes,
     Trace,
-    _smooth_dual_parts,
+    init_state,
+    iterate,
     lambda_update,
+    max_lipschitz,
+    primal_recovery,
+    residuals,
+    suggest_step_sizes,
     xi_update,
 )
-from dualprox.topology import Graph, NeighborSets, check_connected
+from dualprox.topology import (
+    Graph,
+    IncidenceOperator,
+    NeighborSets,
+    check_connected,
+    laplacian_spectral_radius,
+)
 
 
 # --- dense linear-algebra oracles ------------------------------------------
@@ -64,6 +79,36 @@ def dense_k(b_dim: int, m: int) -> np.ndarray:
 def dense_m(graph: Graph, b_dim: int, m: int) -> np.ndarray:
     """Dense consensus operator via the Kronecker product."""
     return np.kron(dense_q(graph).T, dense_k(b_dim, m))
+
+
+def q_entries(inc: IncidenceOperator) -> list[tuple[int, int, int]]:
+    """Signed incidence entries of a consensus operator as (vertex,
+    edge_index, sign) triples."""
+    out = []
+    for k in range(inc.graph.n_edges):
+        out.append((int(inc.q_rows_pos[k]) + 1, k, +1))
+        out.append((int(inc.q_rows_neg[k]) + 1, k, -1))
+    return out
+
+
+def apply_m_transpose(inc: IncidenceOperator, xi: np.ndarray, m_dim: int) -> np.ndarray:
+    """The consensus operator's transpose: scatter per-edge vectors onto
+    stacked dual space.
+
+    ``xi`` is an (|E|, B) array.  Returns an (N, B + m_dim) array whose
+    coupling block accumulates +xi_k at the smaller endpoint of edge k
+    and -xi_k at the larger; the remaining ``m_dim`` columns are zero.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (inc.graph.n_edges, inc.b_dim):
+        raise ValueError(
+            f"expected ({inc.graph.n_edges}, {inc.b_dim}) edge vectors, "
+            f"got shape {xi.shape}"
+        )
+    out = np.zeros((inc.graph.n_vertices, inc.b_dim + m_dim))
+    np.add.at(out[:, : inc.b_dim], inc.q_rows_pos, xi)
+    np.subtract.at(out[:, : inc.b_dim], inc.q_rows_neg, xi)
+    return out
 
 
 def spectral_norm_svd(mat: np.ndarray) -> float:
@@ -433,6 +478,22 @@ def reference_iterate(
     return SolverState(theta_new, mu_new, xi_new, state.t + 1)
 
 
+def smooth_dual_parts(
+    agent: AgentProblem, b: np.ndarray, theta: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Primal maximizer and smooth dual value, from one conjugate-gradient call."""
+    v = -(agent.a_block.T @ theta) - mu
+    x_hat = agent.f.conjugate_gradient(v)
+    value = float(v @ x_hat) - agent.f.value(x_hat) + agent.kappa * float(b @ theta)
+    return x_hat, value
+
+
+def smooth_dual_value(agent: AgentProblem, b, theta, mu) -> float:
+    """Value of the agent's smooth dual term at (theta, mu)."""
+    b, theta, mu = (np.asarray(a, dtype=float) for a in (b, theta, mu))
+    return smooth_dual_parts(agent, b, theta, mu)[1]
+
+
 def reference_dual_sweep(
     instance: ProblemInstance, theta: np.ndarray, mu: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -440,7 +501,7 @@ def reference_dual_sweep(
     ax = np.zeros(instance.b_dim)
     phi = 0.0
     for idx, agent in enumerate(instance.agents):
-        x_hat, smooth = _smooth_dual_parts(agent, instance.b, theta[idx], mu[idx])
+        x_hat, smooth = smooth_dual_parts(agent, instance.b, theta[idx], mu[idx])
         ax += agent.a_block @ x_hat
         try:
             sup = agent.g.support_value(mu[idx])
@@ -448,3 +509,62 @@ def reference_dual_sweep(
             sup = math.nan
         phi += smooth + sup
     return phi, ax
+
+
+# --- the solve loop -------------------------------------------------------------
+
+
+def reference_solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
+    """``solve``'s rounds as a loop over the public ``iterate``, ``residuals``
+    and ``primal_recovery``, on a valid instance and step.
+
+    Every state is a fresh, writeable copy, so no call can reuse a by-product
+    of an earlier sweep: each state is swept once by ``residuals`` (when
+    evaluated) and once more by ``iterate``, and ``x`` is recovered agent by
+    agent.  Wall times are recorded as 0.0.
+    """
+    h = max_lipschitz(instance)
+    tau = laplacian_spectral_radius(instance.graph).value
+    c = suggest_step_sizes(h, tau, config.gamma).c if config.c is None else config.c
+    steps = StepSizes(c, config.gamma)
+    n, m, b_dim = instance.dims
+    trace = Trace(with_state=config.trace_state)
+    avg = RunningAverage(n, b_dim, m)
+
+    state = init_state(instance)
+    res = residuals(instance, state)
+    trace.record(0, res.dual_value, res.consensus, res.primal, math.nan, 0.0, state)
+    converged, reason = False, "max_iter exhausted"
+    while state.t < config.max_iter:
+        new_state = iterate(instance, state, steps).copy()
+        step_norm = math.sqrt(
+            float(np.sum((new_state.theta - state.theta) ** 2))
+            + float(np.sum((new_state.mu - state.mu) ** 2))
+        )
+        state = new_state
+        avg.update(state.theta, state.mu)
+        due = state.t % config.trace_every == 0 or state.t == config.max_iter
+        if not (due or step_norm <= config.tol_step):
+            continue
+        res = residuals(instance, state)
+        done = (
+            res.consensus <= config.tol_consensus
+            and res.primal <= config.tol_primal
+            and step_norm <= config.tol_step
+        )
+        if done or due:
+            trace.record(state.t, res.dual_value, res.consensus, res.primal,
+                         step_norm, 0.0, state)
+        if done:
+            converged, reason = True, "residual tolerances met"
+            break
+
+    x = np.vstack([
+        primal_recovery(agent, state.theta[i], state.mu[i])
+        for i, agent in enumerate(instance.agents)
+    ])
+    return SolveResult(
+        theta=state.theta, mu=state.mu, xi=state.xi, x=x, trace=trace,
+        converged=converged, reason=reason, iterations=state.t,
+        ergodic_theta=avg.theta, ergodic_mu=avg.mu, steps=steps, h=h, tau=tau,
+    )

@@ -9,11 +9,14 @@ evaluated one row at a time.  Over 20 rounds the message-passing engine
 must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
 bit, and ``solve`` must recover the same x as the per-agent
-``primal_recovery``.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+``primal_recovery``.  ``solve``, which reuses each state's maximizers and
+edge differences, must match ``oracles.reference_solve``, which sweeps
+every state afresh, in every output but the wall times.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale, and a star and that
 graph, where most neighbour slots are padding, check it at random signed
 duals.  ``iterate`` must leave its state and the plan's tables as they
-were, and ``h`` must be the per-agent maximum bit for bit.  The step that
+were, and ``h`` must be the per-agent maximum bit for bit, also where
+1x1 blocks skip the SVD.  The step that
 ``solve`` picks must pass the paper's step rule against the exact largest
 Laplacian eigenvalue, on the same random graphs and on three fixed ones.
 """
@@ -48,9 +51,11 @@ from dualprox.problems import (
     validate,
 )
 from dualprox.solver import (
+    _SVD_UNSCALED,
     SolverConfig,
     SolverState,
     _round_plan,
+    _spectral_norms,
     eval_dual_objective,
     init_state,
     iterate,
@@ -69,6 +74,7 @@ from oracles import (
     random_instance,
     reference_dual_sweep,
     reference_iterate,
+    reference_solve,
 )
 
 ROUNDS = 20
@@ -185,6 +191,55 @@ def test_solve_recovers_x_bitwise_as_primal_recovery_does(instance, rounds):
     ]
     assert result.x.shape == (instance.n_agents, instance.m)
     assert bits(result.x) == bits(np.vstack(want))
+
+
+def result_bits(result) -> dict:
+    """Every output of a solve but the wall times, as exact bytes."""
+    rows = np.array([row[:5] for row in result.trace.rows], dtype=float)
+    out = {
+        "trace": bits(rows),
+        "states": b"".join(bits(a) for row in result.trace.state_rows for a in row),
+        "stop": (result.converged, result.reason, result.iterations, len(result.trace)),
+        "steps": (result.steps.c.hex(), result.steps.gamma.hex()),
+    }
+    for name in ("theta", "mu", "xi", "x", "ergodic_theta", "ergodic_mu", "h", "tau"):
+        out[name] = bits(getattr(result, name))
+    return out
+
+
+@pytest.mark.parametrize("stop", ["residual tolerances met", "max_iter exhausted"])
+@pytest.mark.parametrize("trace_state", [False, True], ids=["no_state", "state"])
+@pytest.mark.parametrize("trace_every", [1, 3, 100])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_solve_matches_the_reference_loop_bitwise(trace_every, trace_state, stop, data):
+    """``solve`` reuses each evaluated state's maximizers and each round's
+    edge differences; the reference loop sweeps every state afresh.  A run
+    to tolerance uses ``oracles.random_instance``, which converges within
+    the round budget unless its coupling has about as many rows as the
+    agents have variables (about one draw in a hundred, skipped); a run out
+    of rounds uses the module's catalog mixes with tolerances of zero."""
+    if stop == "max_iter exhausted":
+        instance = data.draw(instances())
+        assume(validate(instance).ok)
+        config = SolverConfig(
+            max_iter=data.draw(st.integers(0, 40)), tol_consensus=0.0, tol_primal=0.0,
+            tol_step=0.0, trace_every=trace_every, trace_state=trace_state,
+        )
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, m, b_dim = (data.draw(st.integers(lo, hi)) for lo, hi in ((2, 6), (1, 3), (1, 3)))
+        instance = random_instance(rng, n, m, b_dim)
+        config = SolverConfig(
+            max_iter=8_000, tol_consensus=1e-3, tol_primal=1e-3, tol_step=1e-4,
+            trace_every=trace_every, trace_state=trace_state,
+        )
+    got = solve(instance, config)
+    assume(got.reason == stop)
+    want = reference_solve(instance, config)
+    got_bits, want_bits = result_bits(got), result_bits(want)
+    for name in want_bits:
+        assert got_bits[name] == want_bits[name], name
 
 
 def load_bench_inputs():
@@ -395,7 +450,7 @@ def oracle_instances(draw):
     """``oracles.random_instance`` draws with non-square coupling blocks, and
     some agents' smooth parts swapped for an oracle-backed ``CustomSmooth``."""
     n = draw(st.integers(2, 8))
-    m, b_dim = draw(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]))
+    m, b_dim = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     instance = random_instance(rng, n, m, b_dim)
     custom = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -410,11 +465,25 @@ def oracle_instances(draw):
 @settings(max_examples=30, deadline=None)
 @given(oracle_instances())
 def test_h_is_the_max_of_the_per_agent_constants(instance):
-    """``h`` comes from one batched spectral norm; it must equal the largest
-    per-agent ``lipschitz_h`` bit for bit."""
+    """``h`` comes from one batched spectral norm, or ``|a|`` for 1x1
+    blocks; it must equal the largest per-agent ``lipschitz_h`` bit for
+    bit."""
     want = max(lipschitz_h(agent.a_block, agent.f.sigma) for agent in instance.agents)
     assert bits(max_lipschitz(instance)) == bits(want)
     assert bits(solve(instance, SolverConfig(max_iter=0)).h) == bits(want)
+
+
+def test_1x1_spectral_norms_match_the_batched_svd_bitwise():
+    """1x1 blocks skip the SVD where LAPACK would not rescale them: over
+    320 decades, at the rescaling thresholds, at zeros of either sign and
+    at subnormals, every norm must equal the batched SVD's."""
+    rng = np.random.default_rng(11)
+    values = rng.choice([-1.0, 1.0], size=200_000) * 10.0 ** rng.uniform(-160, 160, 200_000)
+    edges = [_SVD_UNSCALED, 1.0 / _SVD_UNSCALED]
+    edges += [np.nextafter(edges[0], 0.0), np.nextafter(edges[1], np.inf)]
+    special = [0.0, -0.0, 5e-324, -1e-310, 1.7e308, -1.7e308, *edges, *(-e for e in edges)]
+    a = np.concatenate([values, special]).reshape(-1, 1, 1)
+    assert bits(_spectral_norms(a)) == bits(np.linalg.norm(a, 2, axis=(1, 2)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from dualprox.solver import (
     max_lipschitz,
     primal_recovery,
     residuals,
-    smooth_dual_value,
     solve,
     suggest_step_sizes,
     validate_step_sizes,
@@ -37,6 +37,7 @@ from oracles import (
     dense_m,
     random_instance,
     reference_write_csv,
+    smooth_dual_value,
     spectral_norm_svd,
 )
 
@@ -565,6 +566,151 @@ class TestLazyResiduals:
         monkeypatch.setattr(solver_module, "residuals", watched)
         solve(instance, SolverConfig(max_iter=1))
         assert found[0]
+
+
+def state_bits(state: SolverState) -> list:
+    return [state.theta.tobytes(), state.mu.tobytes(), state.xi.tobytes(), state.t]
+
+
+def residual_bits(res) -> bytes:
+    return np.array([res.consensus, res.primal, res.dual_value]).tobytes()
+
+
+def change_state(state: SolverState, name: str, how: str) -> None:
+    """Move one of the state's dual arrays by 0.5 in row 1: in place, after
+    making it writeable again, or by putting a new read-only array in its
+    place."""
+    if how == "replace":
+        moved = getattr(state, name).copy()
+        moved[1] += 0.5
+        moved.flags.writeable = False
+        setattr(state, name, moved)
+    else:
+        getattr(state, name).flags.writeable = True
+        getattr(state, name)[1] += 0.5
+
+
+class TestSweepReuse:
+    """``iterate`` returns a read-only state that keeps its round's edge
+    differences, and ``residuals`` keeps the maximizers of a read-only state
+    for the next round.  Whatever is done to a state between the calls, a
+    result must equal that of a fresh copy, or the change must raise."""
+
+    def evaluated(self):
+        instance = build_market()
+        steps = market_steps(instance)
+        state = init_state(instance)
+        for _ in range(3):
+            state = iterate(instance, state, steps)
+        residuals(instance, state)
+        return instance, steps, state
+
+    @pytest.mark.parametrize("name", ["theta", "mu"])
+    def test_writing_into_a_returned_state_raises(self, name):
+        instance, steps, state = self.evaluated()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(state, name)[1] += 0.5
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    @pytest.mark.parametrize("name", ["theta", "mu"])
+    def test_a_change_after_residuals_is_seen_by_iterate(self, name, how):
+        instance, steps, state = self.evaluated()
+        change_state(state, name, how)
+        want = iterate(instance, state.copy(), steps)
+        assert state_bits(iterate(instance, state, steps)) == state_bits(want)
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    @pytest.mark.parametrize("name", ["theta", "mu"])
+    def test_a_change_after_iterate_is_seen_by_residuals(self, name, how):
+        instance, steps, state = self.evaluated()
+        new = iterate(instance, state, steps)
+        change_state(new, name, how)
+        want = residuals(instance, new.copy())
+        assert residual_bits(residuals(instance, new)) == residual_bits(want)
+
+    def test_a_writeable_state_keeps_nothing(self):
+        # init_state's arrays stay writeable: residuals may not keep the
+        # maximizers of a state its owner can still write into
+        instance = build_market()
+        steps = market_steps(instance)
+        state = init_state(instance)
+        residuals(instance, state)
+        state.theta[:] = -4.2
+        state.mu[2] = 0.3
+        want = iterate(instance, state.copy(), steps)
+        assert state_bits(iterate(instance, state, steps)) == state_bits(want)
+        assert residuals(instance, state).consensus == 0.0
+
+    def test_a_read_only_view_of_a_writeable_array_keeps_nothing(self):
+        instance, steps, evaluated = self.evaluated()
+        base = evaluated.theta.copy()
+        view = base[:]
+        view.flags.writeable = False
+        mu = evaluated.mu.copy()
+        mu.flags.writeable = False
+        state = SolverState(view, mu, evaluated.xi, evaluated.t)
+        residuals(instance, state)
+        base[1] += 0.5
+        want = iterate(instance, state.copy(), steps)
+        assert state_bits(iterate(instance, state, steps)) == state_bits(want)
+
+    def test_another_instance_sweeps_afresh(self):
+        instance, steps, state = self.evaluated()
+        other = build_market()
+        want = iterate(other, state.copy(), steps)
+        assert state_bits(iterate(other, state, steps)) == state_bits(want)
+        new = iterate(instance, state, steps)
+        want = residuals(other, new.copy())
+        assert residual_bits(residuals(other, new)) == residual_bits(want)
+
+    def test_copy_equality_and_repr_ignore_the_by_products(self):
+        instance, steps, state = self.evaluated()
+        plain = SolverState(state.theta, state.mu, state.xi, state.t)
+        assert [f.name for f in dataclasses.fields(SolverState)] == ["theta", "mu", "xi", "t"]
+        assert state == plain
+        assert repr(state) == repr(plain)
+        copied = state.copy()
+        assert state_bits(copied) == state_bits(state)
+        assert copied.theta.flags.writeable and copied.mu.flags.writeable
+        copied.theta[1] += 0.5  # a copy is the caller's to change
+
+    def test_solve_returns_writeable_arrays(self):
+        result = solve(build_market(), SolverConfig(max_iter=5))
+        for name in ("theta", "mu", "xi", "x"):
+            assert getattr(result, name).flags.writeable, name
+
+
+class TestOneSweepPerEvaluatedState:
+    def test_market_traced_every_round(self, monkeypatch):
+        """At ``trace_every=1`` every state is evaluated: one maximizer sweep
+        each, one call per catalog group, and none for the recovery of x.
+        ``solve`` must call ``residuals`` and ``iterate`` through the module,
+        where the benchmark's hooks replace them."""
+        import dualprox.solver as solver_module
+
+        counts = dict.fromkeys(("conjugate_gradient", "residuals", "iterate"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            Quadratic, "conjugate_gradient",
+            counting("conjugate_gradient", Quadratic.conjugate_gradient),
+        )
+        for name in ("residuals", "iterate"):
+            monkeypatch.setattr(solver_module, name, counting(name, getattr(solver_module, name)))
+        instance = build_market()
+        result = solve(instance, SolverConfig(trace_every=1))
+        rounds = result.iterations
+        assert result.converged and rounds > 1000
+        assert len(solver_module._round_plan(instance).f_groups) == 1
+        assert counts["iterate"] == rounds
+        assert counts["residuals"] == rounds + 1 == len(result.trace)
+        assert counts["conjugate_gradient"] == rounds + 1
 
 
 def scalar_path(g, q=(-1.0, 0.5, 2.0, -0.3, 0.8, -1.2), b=0.5) -> ProblemInstance:
