@@ -247,9 +247,7 @@ def saddle_point(
         ]
     )
     q = np.zeros((n, graph.n_edges))
-    for k, (i, j) in enumerate(graph.edges):
-        q[i - 1, k] = 1.0
-        q[j - 1, k] = -1.0
+    q[graph.edge_array - 1, np.arange(graph.n_edges)[:, None]] = (1.0, -1.0)
     xi_star, *_ = np.linalg.lstsq(q, d, rcond=None)
     gap = float(np.max(np.abs(q @ xi_star - d)))
     if gap > 1e-8:

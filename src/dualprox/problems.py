@@ -498,11 +498,16 @@ def _fmt_matrix(a: np.ndarray) -> str:
     return "; ".join(_fmt_vector(row) for row in np.atleast_2d(a))
 
 
-def _parse_vector(text: str, where: str) -> np.ndarray:
+def _parse_number(kind, text: str, where: str):
+    """``kind(text)``; a malformed number is a ParseError that names ``where``."""
     try:
-        return np.array([float(tok) for tok in text.split()])
+        return kind(text)
     except ValueError as exc:
-        raise ParseError(f"{where}: bad number in {text!r}") from exc
+        raise ParseError(f"{where}: bad number {text!r}") from exc
+
+
+def _parse_vector(text: str, where: str) -> np.ndarray:
+    return _parse_number(lambda t: np.array([float(tok) for tok in t.split()]), text, where)
 
 
 def _parse_matrix(text: str, where: str) -> np.ndarray:
@@ -606,20 +611,20 @@ def load_instance(path) -> ProblemInstance:
             raise ParseError(f"missing [{required}] section")
 
     dims = _section_map(sections["dims"], "dims")
-    m = int(_require(dims, "m", "dims"))
-    b_dim = int(_require(dims, "b_dim", "dims"))
+    m = _parse_number(int, _require(dims, "m", "dims"), "[dims] m")
+    b_dim = _parse_number(int, _require(dims, "b_dim", "dims"), "[dims] b_dim")
 
     graph_entries = sections["graph"]
     n_vertices = None
     edges = []
     for lineno, key, value in graph_entries:
         if key == "n_vertices":
-            n_vertices = int(value)
+            n_vertices = _parse_number(int, value, f"line {lineno}: n_vertices")
         elif key == "edge":
             pair = value.split()
             if len(pair) != 2:
                 raise ParseError(f"line {lineno}: edge needs two endpoints, got {value!r}")
-            edges.append((int(pair[0]), int(pair[1])))
+            edges.append(tuple(_parse_number(int, v, f"line {lineno}: edge") for v in pair))
         else:
             raise ParseError(f"line {lineno}: unknown graph key {key!r}")
     if n_vertices is None:
@@ -634,27 +639,26 @@ def load_instance(path) -> ProblemInstance:
     if b.size != b_dim:
         raise ParseError(f"[b]: got {b.size} values, expected b_dim = {b_dim}")
 
-    agent_names = sorted(
-        (name for name in sections if name.startswith("agent ")),
-        key=lambda s: int(s.split()[1]),
-    )
-    if not agent_names:
+    found = sorted(name for name in sections if name.startswith("agent "))
+    if not found:
         raise ParseError("no [agent k] sections found")
-    expected = [f"agent {k}" for k in range(1, len(agent_names) + 1)]
-    if agent_names != expected:
-        raise ParseError(f"agent sections must be numbered 1..N; found {agent_names}")
+    agent_names = [f"agent {k}" for k in range(1, len(found) + 1)]
+    if set(found) != set(agent_names):
+        raise ParseError(f"agent sections must be numbered 1..N; found {found}")
 
     agents = []
     for name in agent_names:
         amap = _section_map(sections[name], name)
         a_block = _parse_matrix(_require(amap, "a_block", name), f"[{name}] a_block")
-        kappa = float(amap["kappa"]) if "kappa" in amap else 1.0 / len(agent_names)
+        kappa = 1.0 / len(agent_names)
+        if "kappa" in amap:
+            kappa = _parse_number(float, amap["kappa"], f"[{name}] kappa")
 
         fkind = _require(amap, "f", name)
         if fkind == "quadratic":
             p = _parse_matrix(_require(amap, "f.p", name), f"[{name}] f.p")
             q = _parse_vector(_require(amap, "f.q", name), f"[{name}] f.q")
-            r = float(amap.get("f.r", "0.0"))
+            r = _parse_number(float, amap.get("f.r", "0.0"), f"[{name}] f.r")
             try:
                 f: SmoothFunction = Quadratic(p, q, r)
             except ValueError as exc:

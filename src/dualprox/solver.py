@@ -107,8 +107,8 @@ class StepSizes:
     gamma: float
 
     def __post_init__(self):
-        if self.c <= 0 or self.gamma <= 0:
-            raise ValueError(f"step sizes must be positive, got {self}")
+        if not (0 < self.c < math.inf and 0 < self.gamma < math.inf):
+            raise StepSizeError(f"step sizes must be finite and positive, got {self}")
 
 
 def lipschitz_h(a_block, sigma: float) -> float:
@@ -166,15 +166,15 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
     """Accept step sizes iff 1/c >= h + gamma * tau_bar (boundary included).
 
     A 1e-12 slack absorbs roundoff when c was produced by the suggestion
-    formula.  Raises :class:`StepSizeError` on rejection and ValueError on
-    nonpositive inputs.
+    formula.  Raises :class:`StepSizeError` on rejection, also of a step or
+    ``tau_bar`` that is not finite, and ValueError on a nonpositive ``h``.
     """
     if h <= 0:
         raise ValueError(f"h must be positive (sigma finite implies h > 0), got {h}")
-    if tau_bar < 0 or c <= 0 or gamma <= 0:
+    if not (0 <= tau_bar < math.inf and 0 < c < math.inf and 0 < gamma < math.inf):
         raise StepSizeError(
-            f"step-size inputs must be positive (tau_bar may be zero for an "
-            f"edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
+            f"step-size inputs must be finite and positive (tau_bar may be zero for "
+            f"an edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
         )
     required = h + gamma * tau_bar
     if 1.0 / c < required - 1e-12:
@@ -185,10 +185,10 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
 
 def suggest_step_sizes(h: float, tau_bar: float, gamma: float = 1.0) -> StepSizes:
     """Step sizes exactly at the acceptance boundary: c = 1/(h + gamma*tau)."""
-    if h <= 0 or tau_bar < 0 or gamma <= 0:
+    if not (0 < h < math.inf and 0 <= tau_bar < math.inf and 0 < gamma < math.inf):
         raise StepSizeError(
-            f"step-size inputs must be positive (tau_bar may be zero for an "
-            f"edgeless network), got h={h}, tau_bar={tau_bar}, gamma={gamma}"
+            f"step-size inputs must be finite and positive (tau_bar may be zero for "
+            f"an edgeless network), got h={h}, tau_bar={tau_bar}, gamma={gamma}"
         )
     return StepSizes(c=1.0 / (h + gamma * tau_bar), gamma=gamma)
 
@@ -298,14 +298,13 @@ def _rowdot(a: Array, b: Array) -> Array:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _slot_table(rows: Array, values: Array, n: int, pad: int) -> Array:
-    """``values`` grouped by the sorted ``rows`` into a slot-major
-    (width, n) table: entry (k, i) is row i's k-th value, or ``pad`` past
-    its last."""
-    counts = np.bincount(rows, minlength=n)
-    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    table = np.full((int(counts.max(initial=0)), n), pad, dtype=np.intp)
-    table[slots, rows] = values
+def _slot_table(first: Array, stop: Array, values: Array, pad: int) -> Array:
+    """Slot-major (width, n) table: column i is ``values[first[i]:stop[i]]``, then ``pad``."""
+    counts = stop - first
+    rows = np.arange(len(counts)).repeat(counts)
+    slots = np.arange(len(rows)) - (counts.cumsum() - counts)[rows]
+    table = np.full((np.maximum.reduce(counts, initial=0), len(counts)), pad, dtype=np.intp)
+    table[slots, rows] = values[first[rows] + slots]
     return table
 
 
@@ -316,7 +315,7 @@ class _RoundPlan:
     :func:`lambda_update`'s pressure sum in its order, one row per slot.
     ``xi_slots`` indexes ``[xi; -xi; -0.0]``: first the edges agent i owns
     (``xi``, by ascending peer), then those its smaller neighbours own
-    (``-xi``, by ascending owner), padded with the ``-0.0`` row.
+    (``-xi``, by ascending owner), padded with the ``-0.0`` row, ``neg_zero``.
     ``nbr_slots`` holds agent i's neighbours in ascending order, padded with
     row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
     entries.  The coupling blocks ``a``, the shares ``kappa`` and the
@@ -327,20 +326,15 @@ class _RoundPlan:
 
     def __init__(self, instance: ProblemInstance):
         n = instance.n_agents
-        edges = instance.graph.edge_array - 1
-        n_edges = len(edges)
-        self.edge_owner, self.edge_peer = edges[:, 0], edges[:, 1]
-        by_peer = np.argsort(self.edge_peer, kind="stable")
+        graph, n_edges = instance.graph, instance.graph.n_edges
+        self.edge_owner, self.edge_peer = (graph.edge_array - 1).T
+        first, split, stop = graph.nbr_start[:-1], graph.nbr_split, graph.nbr_start[1:]
         self.xi_slots = np.vstack([
-            _slot_table(self.edge_owner, np.arange(n_edges), n, 2 * n_edges),
-            _slot_table(self.edge_peer[by_peer], n_edges + by_peer, n, 2 * n_edges),
+            _slot_table(split, stop, graph.nbr_edge, 2 * n_edges),
+            _slot_table(first, split, n_edges + graph.nbr_edge, 2 * n_edges),
         ])
-        ends = np.concatenate([self.edge_owner, self.edge_peer])
-        others = np.concatenate([self.edge_peer, self.edge_owner])
-        by_end = np.lexsort((others, ends))
-        self.nbr_slots = _slot_table(ends[by_end], others[by_end], n, 0)
-        degree = np.bincount(ends, minlength=n)
-        pad = np.arange(len(self.nbr_slots))[:, None] >= degree
+        self.nbr_slots = _slot_table(first, stop, graph.nbr - 1, 0)
+        pad = np.arange(len(self.nbr_slots))[:, None] >= graph.degrees
         self.nbr_pad = np.repeat(pad[:, :, None], instance.b_dim, axis=2)
 
         stacked = instance.stacked
@@ -348,6 +342,7 @@ class _RoundPlan:
         self.a_t = self.a.transpose(0, 2, 1)
         self.b_rows = np.broadcast_to(instance.b, (n, instance.b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
+        self.neg_zero = np.full((1, instance.b_dim), -0.0)
         self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
@@ -520,10 +515,12 @@ def iterate(
     # +0.0 would turn a -0.0 into +0.0), and subtracting xi is adding -xi
     # by the definition of IEEE subtraction.
     pressure = -plan.coupling_terms(x_hat) + plan.kappa_b
-    signed_xi = np.concatenate([xi, -xi, np.full((1, xi.shape[1]), -0.0)])
-    for term in signed_xi.take(plan.xi_slots, axis=0):
+    signed_xi = np.concatenate([xi, -xi, plan.neg_zero])
+    terms = signed_xi.take(plan.xi_slots, axis=0)
+    for term in terms:
         pressure += term
-    nbr_terms = theta.take(plan.nbr_slots, axis=0)
+    # no agent has more neighbours than xi slots; mode="clip" writes in place
+    nbr_terms = theta.take(plan.nbr_slots, axis=0, out=terms[:len(plan.nbr_slots)], mode="clip")
     np.subtract(theta, nbr_terms, out=nbr_terms)
     nbr_terms *= gamma
     np.copyto(nbr_terms, -0.0, where=plan.nbr_pad)
@@ -856,6 +853,8 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         raise SetupError(f"instance failed validation:\n{report}")
     if config.trace_every < 1:
         raise SetupError(f"trace_every must be at least 1, got {config.trace_every}")
+    if config.max_iter < 0:
+        raise SetupError(f"max_iter must be at least 0, got {config.max_iter}")
 
     h = max_lipschitz(instance)
     tau = laplacian_spectral_radius(instance.graph).value

@@ -10,7 +10,6 @@ coupling blocks.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -28,6 +27,38 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+
+def _edge_array(n_vertices: int, edges: Sequence[Edge]) -> np.ndarray:
+    """:func:`canonical_edge_order` as an (|E|, 2) ``intp`` array."""
+    if n_vertices < 1:
+        raise ValueError(f"need at least one vertex, got {n_vertices}")
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biu":
+        raise ValueError(
+            f"edges must be pairs of integers, got an array of shape {pairs.shape} "
+            f"and dtype {pairs.dtype}"
+        )
+    pairs = pairs.astype(np.intp, copy=False)
+    lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    self_loop = lo == hi
+    outside = (lo < 1) | (hi > n_vertices)
+    order = np.lexsort((hi, lo))  # stable: repeats follow their first occurrence
+    lo, hi = lo[order], hi[order]
+    repeat = np.zeros(len(pairs), dtype=bool)
+    repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    bad = self_loop | outside | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = edges[k]
+        if self_loop[k]:
+            raise ValueError(f"self-loop ({i}, {j}) is not allowed")
+        if outside[k]:
+            raise ValueError(f"edge ({i}, {j}) has endpoints outside 1..{n_vertices}")
+        raise ValueError(f"duplicate edge ({i}, {j})")
+    return np.concatenate((lo[:, None], hi[:, None]), axis=1)
 
 
 def canonical_edge_order(n_vertices: int, edges: Sequence[Edge]) -> list[Edge]:
@@ -58,34 +89,7 @@ def canonical_edge_order(n_vertices: int, edges: Sequence[Edge]) -> list[Edge]:
         out-of-range endpoint, or a duplicate edge (in either orientation);
         the offending pair is named.
     """
-    if n_vertices < 1:
-        raise ValueError(f"need at least one vertex, got {n_vertices}")
-    pairs = np.asarray(edges)
-    if pairs.size == 0:
-        return []
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biu":
-        raise ValueError(
-            f"edges must be pairs of integers, got an array of shape {pairs.shape} "
-            f"and dtype {pairs.dtype}"
-        )
-    pairs = pairs.astype(np.int64, copy=False)
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    self_loop = lo == hi
-    outside = (lo < 1) | (hi > n_vertices)
-    order = np.lexsort((hi, lo))  # stable: repeats follow their first occurrence
-    lo, hi = lo[order], hi[order]
-    repeat = np.zeros(len(pairs), dtype=bool)
-    repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    bad = self_loop | outside | repeat
-    if bad.any():
-        k = int(np.argmax(bad))
-        i, j = edges[k]
-        if self_loop[k]:
-            raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-        if outside[k]:
-            raise ValueError(f"edge ({i}, {j}) has endpoints outside 1..{n_vertices}")
-        raise ValueError(f"duplicate edge ({i}, {j})")
-    return list(zip(lo.tolist(), hi.tolist()))
+    return list(zip(*_edge_array(n_vertices, edges).T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,74 +112,72 @@ class Graph:
 
     Vertices are 1-indexed.  The edge list is canonicalized at
     construction; a graph is immutable afterwards, so problem instances
-    and engines can share one.  Construction only checks and sorts the
-    edges: the edge array, the edge index and the adjacency lists are built
-    on first use, and a vertex's :class:`NeighborSets` on each call of
-    :meth:`neighbors`.  The batched solver reads only ``edge_array`` (and
-    :func:`check_connected` the adjacency lists), so it builds no edge
-    index and no neighbor sets.
+    and engines can share one.  Construction builds every structure the
+    solver reads as read-only arrays: ``edge_array``, the ``degrees``
+    (entry ``i - 1`` is vertex i's) and the adjacency lists.  Vertex i's
+    neighbors, ascending, are ``nbr[nbr_start[i - 1]:nbr_start[i]]``, the
+    larger (owned) ones from ``nbr_split[i - 1]`` on, and ``nbr_edge`` holds
+    the canonical index of the edge to each.  The Python pairs ``edges``,
+    the ``edge_index`` and a vertex's :class:`NeighborSets` are built on
+    first use.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
-        self.n_vertices = int(n_vertices)
-        self.edges: tuple[Edge, ...] = tuple(
-            canonical_edge_order(self.n_vertices, edges)
-        )
+        self.n_vertices = n = int(n_vertices)
+        self.edge_array = pairs = _edge_array(n, edges)
+        # every edge's peer end, then its owner end: sorted stably by vertex, a
+        # vertex's edges keep their canonical order, smaller neighbors first
+        ends = pairs[:, ::-1].ravel()
+        by_end = np.argsort(ends, kind="stable")
+        counts = np.bincount(ends, minlength=n + 1)  # no vertex 0: counts[0] == 0
+        self.degrees = counts[1:]
+        self.nbr_start = np.add.accumulate(counts)
+        self.nbr_split = self.nbr_start[:-1] + np.bincount(pairs[:, 1], minlength=n + 1)[1:]
+        self.nbr = ends[by_end ^ 1]
+        self.nbr_edge = by_end >> 1
+        for a in (pairs, self.degrees, self.nbr_start, self.nbr_split, self.nbr, self.nbr_edge):
+            a.setflags(write=False)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The canonical edges as one read-only (|E|, 2) ``intp`` array."""
-        pairs = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        pairs.setflags(write=False)
-        return pairs
+    def edges(self) -> tuple[Edge, ...]:
+        """The canonical edges as pairs of Python ints."""
+        return tuple(zip(*self.edge_array.T.tolist()))
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Canonical index of each edge (i, j), i < j."""
         return {e: k for k, e in enumerate(self.edges)}
 
-    @cached_property
-    def _adjacency(self) -> tuple[list[int], list[int]]:
-        """Flat adjacency lists ``(start, flat)``: vertex i's neighbors, in
-        ascending order, are ``flat[start[i - 1]:start[i]]``."""
-        pairs = self.edge_array
-        ends = pairs.T.ravel()
-        others = pairs[:, ::-1].T.ravel()
-        order = np.lexsort((others, ends))
-        start = np.searchsorted(ends[order], np.arange(1, self.n_vertices + 2))
-        return start.tolist(), others[order].tolist()
-
-    def _neighbor_list(self, i: int) -> list[int]:
+    def _row(self, i: int) -> tuple[int, int, int]:
+        """Vertex i's ``nbr_start``, ``nbr_split`` and end in ``nbr``."""
         if not 1 <= i <= self.n_vertices:
             raise KeyError(i)
-        start, flat = self._adjacency
-        return flat[start[i - 1]:start[i]]
+        return int(self.nbr_start[i - 1]), int(self.nbr_split[i - 1]), int(self.nbr_start[i])
 
     def neighbors(self, i: int) -> NeighborSets:
         """Neighbor sets of agent ``i``."""
-        nbrs = self._neighbor_list(i)
-        split = bisect.bisect(nbrs, i)
-        return NeighborSets(
-            all=tuple(nbrs), owned=tuple(nbrs[split:]), incoming=tuple(nbrs[:split])
-        )
+        start, split, stop = self._row(i)
+        nbrs = tuple(self.nbr[start:stop].tolist())
+        return NeighborSets(all=nbrs, owned=nbrs[split - start:], incoming=nbrs[:split - start])
 
     def degree(self, i: int) -> int:
-        return len(self._neighbor_list(i))
+        start, _, stop = self._row(i)
+        return stop - start
 
     def max_degree(self) -> int:
-        start = self._adjacency[0]
-        return max(b - a for a, b in zip(start, start[1:]))
+        return int(self.degrees.max())
 
     def owned_edges(self, i: int) -> list[tuple[int, int]]:
         """Edge indices and peers for edges owned by agent ``i``.
 
         Returns a list of (edge_index, peer) pairs, peers sorted ascending.
         """
-        return [(self.edge_index[(i, j)], j) for j in self.neighbors(i).owned]
+        _, split, stop = self._row(i)
+        return list(zip(self.nbr_edge[split:stop].tolist(), self.nbr[split:stop].tolist()))
 
     def incidence(self, b_dim: int) -> "IncidenceOperator":
         return IncidenceOperator(self, b_dim)
@@ -184,7 +186,7 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n_vertices == other.n_vertices
-            and self.edges == other.edges
+            and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __repr__(self) -> str:
@@ -194,23 +196,24 @@ class Graph:
 def check_connected(graph: Graph) -> bool:
     """True iff the graph has a single connected component.
 
-    A depth-first walk over the graph's flat adjacency lists.
+    Hooking and pointer jumping over the edge array: each pass hangs every
+    root under the smallest smaller root an edge joins it to, then jumps
+    pointers until each vertex points at the smallest vertex of its tree.  A
+    root that neither hangs nor gets a tree hung under it hangs in the next
+    pass, so a component's trees halve in every two passes.
     """
-    if graph.n_vertices == 0:
-        return False
-    start, flat = graph._adjacency
-    seen = [False] * (graph.n_vertices + 1)
-    seen[1] = True
-    reached = 1
-    stack = [1]
-    while stack:
-        i = stack.pop()
-        for j in flat[start[i - 1]:start[i]]:
-            if not seen[j]:
-                seen[j] = True
-                reached += 1
-                stack.append(j)
-    return reached == graph.n_vertices
+    root = np.arange(graph.n_vertices + 1)
+    lo, hi = graph.edge_array.T
+    while True:
+        a, b = root[lo], root[hi]
+        apart = a != b
+        a, b = a[apart], b[apart]
+        if not len(a):
+            return bool(np.count_nonzero(root == 1) == graph.n_vertices)
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while np.count_nonzero(jumped != root):
+            root, jumped = jumped, jumped[jumped]
 
 
 class IncidenceOperator:
@@ -227,11 +230,8 @@ class IncidenceOperator:
             raise ValueError(f"coupling block must have positive size, got {b_dim}")
         self.graph = graph
         self.b_dim = int(b_dim)
-        edges = graph.edge_array
-        # 0-based endpoint rows per canonical edge; column k has +1 at
-        # q_rows_pos[k], -1 at q_rows_neg[k]
-        self.q_rows_pos = edges[:, 0] - 1
-        self.q_rows_neg = edges[:, 1] - 1
+        # 0-based endpoint rows: edge column k is +1 at q_rows_pos[k], -1 at q_rows_neg[k]
+        self.q_rows_pos, self.q_rows_neg = (graph.edge_array - 1).T
 
     def apply_m(self, lam: np.ndarray) -> np.ndarray:
         """Per-edge differences of the coupling blocks of stacked duals.
@@ -275,6 +275,5 @@ def laplacian_spectral_radius(graph: Graph) -> SpectralRadius:
     against the eigenvalue too.  It is exact on a single edge, a star and an
     even ring, and at most ``2 * max degree``.  An edgeless graph gives 0.0.
     """
-    edges = graph.edge_array - 1
-    degree = np.bincount(edges.ravel(), minlength=graph.n_vertices)
-    return SpectralRadius(float(np.max(degree[edges].sum(axis=1), initial=0)), 0)
+    ends = graph.degrees[graph.edge_array - 1]
+    return SpectralRadius(float(np.max(ends.sum(axis=1), initial=0)), 0)

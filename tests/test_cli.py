@@ -48,6 +48,17 @@ class TestValidateCommand:
         path.write_text("this is not an instance\n")
         assert main(["validate", "--instance", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "old, new", [("edge = 1 2", "edge = 1 x"), ("kappa = 0.2", "kappa = half")],
+        ids=["edge", "kappa"],
+    )
+    def test_malformed_number_is_a_parse_error(self, market_file, capsys, old, new):
+        market_file.write_text(market_file.read_text().replace(old, new, 1))
+        assert main(["validate", "--instance", str(market_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad number" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_box_bounds_of_the_wrong_length_is_a_parse_error(self, tmp_path, capsys, command):
         path = tmp_path / "bad_box.txt"
@@ -162,7 +173,10 @@ class TestMarketDemoCommand:
 class TestBadSolverOptions:
     @pytest.mark.parametrize("command", ["solve", "market-demo"])
     @pytest.mark.parametrize(
-        "option", [["--gamma", "0"], ["--trace-every", "0"]], ids=["gamma", "trace-every"]
+        "option",
+        [["--gamma", "0"], ["--trace-every", "0"], ["--c", "nan"], ["--gamma", "nan"],
+         ["--gamma", "inf"], ["--max-iter", "-1"]],
+        ids=["gamma", "trace-every", "c-nan", "gamma-nan", "gamma-inf", "max-iter"],
     )
     def test_rejected_with_one_line_before_running(
         self, command, option, market_file, tmp_path, capsys

@@ -293,8 +293,8 @@ class TestBuildMarket:
 
     def test_set_up_checks_the_market_once(self, monkeypatch):
         """Counts, not times: building and setting up a 2000-agent market
-        takes one eigenvalue call for all its costs, no neighbor sets and no
-        per-agent objects; the agents are made when first read."""
+        takes one eigenvalue call for all its costs, no neighbor sets, no edge
+        pairs and no per-agent objects; the agents are made when first read."""
         n_uc, n_users = 800, 1200
         params = MarketParams(
             uc=tuple(UCParams(0.0031 * (1 + k / n_uc), 8.71, 0.0, 150.0) for k in range(n_uc)),
@@ -327,6 +327,7 @@ class TestBuildMarket:
         assert result.iterations == 0
         assert calls == {"eigvalsh": 1, "NeighborSets": 0, "AgentProblem": 0, "rows": 0,
                          "stack": 0}
+        assert "edges" not in graph.__dict__  # no Python edge pairs either
         assert instance.agents == per_agent_market(params, graph).agents
 
     def test_stationarity_at_reported_point(self):
@@ -395,6 +396,28 @@ class TestInstanceFiles:
         save_instance(build_market(), path)
         path.write_text(path.read_text().replace("f.q = 8.71", "f.q = eight"))
         with pytest.raises(ParseError, match="agent 1"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("m = 1", "m = one", r"\[dims\] m"),
+            ("b_dim = 1", "b_dim = 1.5", r"\[dims\] b_dim"),
+            ("n_vertices = 5", "n_vertices = five", "line 6: n_vertices"),
+            ("edge = 1 2", "edge = 1 x", "line 7: edge"),
+            ("kappa = 0.2", "kappa = half", r"\[agent 1\] kappa"),
+            ("f.r = 0.0", "f.r = zero", r"\[agent 1\] f.r"),
+            ("[agent 5]", "[agent five]", "numbered 1..N"),
+        ],
+        ids=["m", "b_dim", "n_vertices", "edge", "kappa", "f.r", "section"],
+    )
+    def test_malformed_number_is_parse_error(self, tmp_path, old, new, where):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError, match=where):
             load_instance(path)
 
     def test_missing_section_reported(self, tmp_path):

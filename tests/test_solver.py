@@ -158,6 +158,22 @@ class TestStepSizes:
         with pytest.raises(ValueError):
             StepSizes(-0.1, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_rejected(self, bad):
+        for args in [(2.0, 4.0, bad, 1.0), (2.0, 4.0, 0.1, bad), (2.0, bad, 0.1, 1.0)]:
+            with pytest.raises(StepSizeError):
+                validate_step_sizes(*args)
+        for args in [(bad, 4.0, 1.0), (2.0, bad, 1.0), (2.0, 4.0, bad)]:
+            with pytest.raises(StepSizeError):
+                suggest_step_sizes(*args)
+        for args in [(bad, 1.0), (0.1, bad)]:
+            with pytest.raises(StepSizeError):
+                StepSizes(*args)
+
+    def test_overflowing_suggestion_is_rejected(self):
+        with pytest.raises(StepSizeError):
+            suggest_step_sizes(2.0, 4.0, 1e308)
+
 
 class TestGradP:
     def test_origin_of_decoupled_agent(self):
@@ -483,6 +499,28 @@ class TestSolve:
     def test_explicit_bad_c_rejected(self):
         with pytest.raises(StepSizeError):
             solve(build_market(), SolverConfig(c=0.5))
+
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            (SolverConfig(c=math.nan), StepSizeError),
+            (SolverConfig(c=math.inf), StepSizeError),
+            (SolverConfig(gamma=math.nan), StepSizeError),
+            (SolverConfig(gamma=math.inf), StepSizeError),
+            (SolverConfig(c=1e-4, gamma=math.nan), StepSizeError),
+            (SolverConfig(max_iter=-1), SetupError),
+        ],
+        ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "c-and-gamma-nan", "max-iter"],
+    )
+    def test_bad_config_rejected_before_round_0(self, config, error, monkeypatch):
+        import dualprox.solver
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(dualprox.solver, "iterate", no_round)
+        with pytest.raises(error):
+            solve(build_market(), config)
 
     def test_validation_failure_raises(self):
         bad = ProblemInstance(

@@ -222,6 +222,25 @@ class TestNeighborSets:
         assert sorted(owned) == sorted(graph.edges)
 
 
+def large_graph(kind: str, n: int = 10_000) -> list[tuple[int, int]]:
+    """Adversarial edge lists on n vertices for the array structures: a path
+    whose labels run in order, in reverse or shuffled, whole or cut in two at
+    its middle edge, and a star whose hub is the first or the last vertex."""
+    shape, _, variant = kind.partition("-")
+    if shape == "star":
+        hub = 1 if variant == "first" else n
+        return [(hub, k) for k in range(1, n + 1) if k != hub]
+    labels = {
+        "ordered": np.arange(1, n + 1),
+        "reversed": np.arange(n, 0, -1),
+        "shuffled": np.random.default_rng(12).permutation(n) + 1,
+    }[variant.removesuffix("-cut")]
+    edges = list(zip(labels[:-1].tolist(), labels[1:].tolist()))
+    if variant.endswith("-cut"):
+        del edges[len(edges) // 2]
+    return edges
+
+
 class TestLazyStructures:
     """The structures a graph builds on first use against an eager build."""
 
@@ -243,6 +262,21 @@ class TestLazyStructures:
         for name, probe in self.PROBES.items():
             assert probe(Graph(n, edges)) == want[name], f"{name} on a fresh graph"
             assert probe(warm) == want[name], f"{name} after the other probes"
+        assert warm.degrees.tolist() == list(want["degree"].values())
+
+    @pytest.mark.parametrize(
+        "kind",
+        [f"path-{labels}{cut}" for labels in ("ordered", "reversed", "shuffled")
+         for cut in ("", "-cut")] + ["star-first", "star-last"],
+    )
+    def test_large_graphs_match_an_eager_build(self, kind):
+        edges = large_graph(kind)
+        want = eager_graph_structures(10_000, edges)
+        graph = Graph(10_000, edges)
+        for name, probe in self.PROBES.items():
+            assert probe(graph) == want[name], name
+        assert graph.degrees.tolist() == list(want["degree"].values())
+        assert want["connected"] == (not kind.endswith("-cut"))
 
     @pytest.mark.parametrize("vertex", [0, 6, -1])
     def test_unknown_vertex_is_a_key_error(self, vertex):
@@ -311,6 +345,8 @@ class TestGraph:
         assert np.array_equal(pairs, np.asarray(graph.edges).reshape(-1, 2))
         assert not pairs.flags.writeable
         assert graph.edge_array is pairs
+        for name in ("degrees", "nbr_start", "nbr_split", "nbr", "nbr_edge"):
+            assert not getattr(graph, name).flags.writeable, name
 
     def test_equality_after_canonicalization(self):
         assert Graph(3, [(3, 1), (1, 2)]) == Graph(3, [(1, 2), (1, 3)])
