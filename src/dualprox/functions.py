@@ -14,6 +14,7 @@ so the conjugate itself is never evaluated.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable
 
@@ -104,9 +105,18 @@ def minimize_strongly_convex(
     raise InnerLoopError(float(np.linalg.norm(g)), max_iter)
 
 
+def _norm(v: Array) -> float:
+    """``float(np.linalg.norm(v))``, bit for bit: its own formula for the
+    2-norm of the flattened array."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _as_vector(v, dim: int | None = None, rows: tuple = ()) -> Array:
     """``v`` as a float vector, or as one vector per row of shape ``rows``."""
-    out = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.asarray(v, dtype=float)
+    if not out.ndim:
+        out = out.reshape(1)
     if out.shape[:-1] != rows:
         raise ValueError(f"expected a vector, got shape {out.shape}")
     if dim is not None and out.shape[-1] != dim:
@@ -334,7 +344,7 @@ class Zero(NonsmoothFunction):
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        return 0.0 if np.all(mu == 0.0) else math.inf
+        return 0.0 if (mu == 0.0).all() else math.inf
 
     def value(self, x: Array) -> float:
         return 0.0
@@ -364,11 +374,11 @@ class L1(NonsmoothFunction):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
     def _conjugate_prox(self, alpha: float, v: Array) -> Array:
-        return np.clip(v, -self.weight, self.weight)
+        return v.clip(-self.weight, self.weight)
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        dual = float(np.max(np.abs(mu), initial=0.0))
+        dual = float(np.abs(mu).max(initial=0.0))
         return 0.0 if dual <= self.weight * (1.0 + _RADIUS_SLACK) else math.inf
 
     def value(self, x: Array) -> float:
@@ -426,16 +436,20 @@ class Box(NonsmoothFunction):
         return out
 
     def _prox(self, alpha: float, v: Array) -> Array:
-        return np.clip(v, self.lo, self.hi)
+        return v.clip(self.lo, self.hi)
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        # piecewise so that a zero multiplier kills an infinite bound
-        with np.errstate(invalid="ignore"):
-            terms = np.where(
-                mu > 0, mu * self.hi, np.where(mu < 0, mu * self.lo, 0.0)
-            )
-        total = np.sum(terms, axis=-1)
+        # piecewise, so that a zero multiplier kills an infinite bound: the
+        # lanes a mask leaves out are never computed.  The one invalid
+        # product left, an infinite multiplier times a zero bound, gives NaN
+        # as silently as ever.
+        terms = np.zeros(np.broadcast(mu, self.hi).shape)
+        infinite = np.isinf(mu).any()
+        with np.errstate(invalid="ignore") if infinite else contextlib.nullcontext():
+            np.multiply(mu, self.hi, out=terms, where=mu > 0)
+            np.multiply(mu, self.lo, out=terms, where=mu < 0)
+        total = np.add.reduce(terms, axis=-1)
         return total if self.lo.ndim == 2 else float(total)
 
     def value(self, x: Array) -> float:
@@ -479,17 +493,13 @@ class NormPenalty(NonsmoothFunction):
     def _conjugate_prox(self, alpha: float, v: Array) -> Array:
         # projection onto the dual-norm unit ball; step size is irrelevant
         if self.e == 1:
-            return np.clip(v, -1.0, 1.0)
-        norm = float(np.linalg.norm(v))
+            return v.clip(-1.0, 1.0)
+        norm = _norm(v)
         return v if norm <= 1.0 else v / norm
 
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        dual = (
-            float(np.max(np.abs(mu), initial=0.0))
-            if self.e == 1
-            else float(np.linalg.norm(mu))
-        )
+        dual = float(np.abs(mu).max(initial=0.0)) if self.e == 1 else _norm(mu)
         return 0.0 if dual <= 1.0 + _RADIUS_SLACK else math.inf
 
     def value(self, x: Array) -> float:

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .functions import ConjugateUnavailable
+from .functions import ConjugateUnavailable, _norm
 from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
@@ -320,8 +320,13 @@ class _RoundPlan:
     row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
     entries.  The coupling blocks ``a``, the shares ``kappa`` and the
     ``(rows, function)`` groups ``f_groups`` and ``g_groups`` are those of
-    the instance's stacked view; ``b_rows`` is ``b`` broadcast to one row
-    per agent.
+    the instance's stacked view; ``f_whole`` and ``g_whole`` are the
+    function of a group that covers every row, which is called on the whole
+    array, or None.  ``b_rows`` is ``b`` broadcast to one row per agent.
+
+    The methods run every round, so they call ufuncs, ndarray methods and
+    the catalog's public methods, one call per group, and leave NumPy's
+    Python-level wrappers and the checks of set-up to set-up.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -344,11 +349,14 @@ class _RoundPlan:
         self.kappa_b = self.kappa[:, None] * instance.b
         self.neg_zero = np.full((1, instance.b_dim), -0.0)
         self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
+        self.f_whole, self.g_whole = _whole(self.f_groups), _whole(self.g_groups)
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
         ``x_hat_i``, the gradient of the conjugate of ``f_i`` at ``v_i``."""
         v = -_stacked_matvec(self.a_t, theta) - mu
+        if self.f_whole is not None:
+            return v, self.f_whole.conjugate_gradient(v)
         x_hat = np.empty_like(v)
         for rows, f in self.f_groups:
             x_hat[rows] = f.conjugate_gradient(v[rows])
@@ -360,6 +368,8 @@ class _RoundPlan:
 
     def conjugate_prox(self, c: float, w: Array) -> Array:
         """Every agent's prox step on the conjugate of its nonsmooth part."""
+        if self.g_whole is not None:
+            return self.g_whole.conjugate_prox(c, w)
         out = np.empty_like(w)
         for rows, g in self.g_groups:
             out[rows] = g.conjugate_prox(c, w[rows])
@@ -367,6 +377,8 @@ class _RoundPlan:
 
     def f_values(self, x: Array) -> Array:
         """Entry i is ``f_i(x_i)``."""
+        if self.f_whole is not None:
+            return self.f_whole.value(x)
         out = np.empty(len(x))
         for rows, f in self.f_groups:
             out[rows] = f.value(x[rows])
@@ -375,6 +387,8 @@ class _RoundPlan:
     def support_values(self, mu: Array) -> Array:
         """Entry i is the conjugate of ``g_i`` at ``mu_i``, NaN where it is
         unavailable."""
+        if self.g_whole is not None:
+            return self.g_whole.support_value(mu)
         out = np.empty(len(mu))
         for rows, g in self.g_groups:
             try:
@@ -382,6 +396,13 @@ class _RoundPlan:
             except ConjugateUnavailable:
                 out[rows] = math.nan
         return out
+
+
+def _whole(groups: list):
+    """The function of the one group that covers every row, else None."""
+    if len(groups) == 1 and isinstance(groups[0][0], slice):
+        return groups[0][1]
+    return None
 
 
 def _round_plan(instance: ProblemInstance) -> _RoundPlan:
@@ -602,10 +623,10 @@ def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residu
     if edge_diff is None:
         inc = inc or instance.graph.incidence(instance.b_dim)
         edge_diff = inc.apply_m(state.theta)
-    consensus = float(np.linalg.norm(edge_diff))
+    consensus = _norm(edge_diff)
     theta, mu = np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float)
     phi, ax = _dual_sweep(plan, theta, mu, *_state_maximizers(plan, state))
-    primal = float(np.linalg.norm(ax - instance.b))
+    primal = _norm(ax - instance.b)
     return Residuals(consensus, primal, phi)
 
 
@@ -619,8 +640,23 @@ class RunningAverage:
 
     def update(self, theta: Array, mu: Array) -> None:
         self.count += 1
-        self.theta += (theta - self.theta) / self.count
-        self.mu += (mu - self.mu) / self.count
+        for mean, new in ((self.theta, theta), (self.mu, mu)):
+            step = np.subtract(new, mean)
+            step /= self.count
+            mean += step
+
+
+def _step_norm(new: SolverState, old: SolverState) -> float:
+    """Euclidean norm of the dual step from ``old`` to ``new``: the root of
+    the sum of the squared theta changes plus that of the mu changes."""
+    d_theta = np.subtract(new.theta, old.theta)
+    d_mu = np.subtract(new.mu, old.mu)
+    # added as Python floats: NumPy scalars may swap the operands, which
+    # keeps the other NaN when both sums are NaN
+    return math.sqrt(
+        float(np.add.reduce(np.square(d_theta, out=d_theta), axis=None))
+        + float(np.add.reduce(np.square(d_mu, out=d_mu), axis=None))
+    )
 
 
 def _weighted_sq_distance(
@@ -716,11 +752,12 @@ class SolverConfig:
     """Knobs for :func:`solve`.
 
     Leaving ``c`` unset picks the boundary step from the network constants;
-    an explicit value is validated before the first round.  ``trace_state``
-    additionally snapshots theta/mu/xi into each trace row.  ``n_workers``
-    and ``seed`` are accepted for compatibility and have no effect: a round
-    runs on one thread, as one batched kernel over all agents, and ``tau``
-    is a closed-form bound that needs no random start.
+    an explicit value is validated before the first round, and so are the
+    tolerances, which must be nonnegative (``inf`` turns a criterion off).
+    ``trace_state`` additionally snapshots theta/mu/xi into each trace row.
+    ``n_workers`` and ``seed`` are accepted for compatibility and have no
+    effect: a round runs on one thread, as one batched kernel over all
+    agents, and ``tau`` is a closed-form bound that needs no random start.
     """
 
     c: float | None = None
@@ -836,9 +873,10 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     dual step norm below ``tol_step``.  Exhausting ``max_iter`` returns a
     non-converged result with the full trace rather than raising.
 
-    Set-up validates the instance, computes ``h`` and ``tau``, picks the
-    steps and compiles the round plan; a rejection raises
-    :class:`SetupError` before round 0.
+    Set-up validates the instance and the configuration (a tolerance
+    must be nonnegative; ``inf`` turns its criterion off), computes ``h``
+    and ``tau``, picks the steps and compiles the round plan; a rejection
+    raises :class:`SetupError` before round 0.
 
     The rounds call :func:`residuals` and :func:`iterate` through this
     module's namespace, so that a replacement installed there (a benchmark
@@ -855,6 +893,10 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         raise SetupError(f"trace_every must be at least 1, got {config.trace_every}")
     if config.max_iter < 0:
         raise SetupError(f"max_iter must be at least 0, got {config.max_iter}")
+    for name in ("tol_consensus", "tol_primal", "tol_step"):
+        tol = getattr(config, name)
+        if not tol >= 0:  # false for NaN too; inf turns the criterion off
+            raise SetupError(f"{name} must be nonnegative (or inf), got {tol}")
 
     h = max_lipschitz(instance)
     tau = laplacian_spectral_radius(instance.graph).value
@@ -876,24 +918,22 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
     converged = False
     reason = "max_iter exhausted"
-    while state.t < config.max_iter:
+    max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
+    while state.t < max_iter:
         new_state = iterate(instance, state, steps)
-        step_norm = math.sqrt(
-            float(np.sum((new_state.theta - state.theta) ** 2))
-            + float(np.sum((new_state.mu - state.mu) ** 2))
-        )
+        step_norm = _step_norm(new_state, state)
         state = new_state
         avg.update(state.theta, state.mu)
-        due = state.t % config.trace_every == 0 or state.t == config.max_iter
+        due = state.t % trace_every == 0 or state.t == max_iter
         # the stop rule needs all three tolerances, so the residuals matter
         # only when a trace row is due or the step is already small enough
-        if not (due or step_norm <= config.tol_step):
+        if not (due or step_norm <= tol_step):
             continue
         res = residuals(instance, state)
         done = (
             res.consensus <= config.tol_consensus
             and res.primal <= config.tol_primal
-            and step_norm <= config.tol_step
+            and step_norm <= tol_step
         )
         if done or due:
             trace.record(state.t, res.dual_value, res.consensus, res.primal,

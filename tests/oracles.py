@@ -8,9 +8,10 @@ exceptions are the one-at-a-time set-up references (edge order, graph
 structures, the market's agents and the solvability checks), which the
 library now builds from arrays, the row-by-row trace writer, the per-agent
 round and dual sweep, which loop over agents with the library's per-node
-update, and the solve loop at the end, which calls the library's public
-round and residuals on fresh states; the library is checked against all of
-them bit for bit (or byte for byte).
+update, the catalog methods, norms, step norm and running average as they
+were written with NumPy's function wrappers, and the solve loop at the end,
+which calls the library's public round and residuals on fresh states; the
+library is checked against all of them bit for bit (or byte for byte).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dualprox.functions import Box, ConjugateUnavailable, Quadratic
+from dualprox.functions import Box, ConjugateUnavailable, L1, NormPenalty, Quadratic, Zero
 from dualprox.problems import (
     AgentProblem,
     MarketParams,
@@ -511,6 +512,91 @@ def reference_dual_sweep(
     return phi, ax
 
 
+# --- the round's formulas through NumPy's function wrappers ------------------------
+#
+# The library's round, bookkeeping and residual sweep call ufuncs and ndarray
+# methods; these are the forms they replaced, which must give the same bits.
+
+
+def reference_as_vector(v, dim: int | None = None, rows: tuple = ()) -> np.ndarray:
+    out = np.atleast_1d(np.asarray(v, dtype=float))
+    if out.shape[:-1] != rows:
+        raise ValueError(f"expected a vector, got shape {out.shape}")
+    if dim is not None and out.shape[-1] != dim:
+        raise ValueError(f"expected a vector of size {dim}, got {out.shape[-1]}")
+    return out
+
+
+def reference_quadratic_value(f: Quadratic, x):
+    x = reference_as_vector(x, f.dim, f.p.shape[:-2])
+    xpx = (x[..., None, :] @ f.p @ x[..., :, None])[..., 0, 0]
+    out = xpx + (f.q[..., None, :] @ x[..., :, None])[..., 0, 0] + f.r
+    return out if f.p.ndim == 3 else float(out)
+
+
+def reference_conjugate_gradient(f: Quadratic, v) -> np.ndarray:
+    shifted = reference_as_vector(v, f.dim, f.p.shape[:-2]) - f.q
+    if f.dim == 1:
+        return shifted / f._two_p[..., 0]
+    return np.linalg.solve(f._two_p, shifted[..., None])[..., 0]
+
+
+def reference_box_conjugate_prox(box: Box, alpha: float, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v - alpha * np.clip(v / alpha, box.lo, box.hi)
+
+
+def reference_box_support_value(box: Box, mu):
+    mu = np.asarray(mu, dtype=float)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(mu > 0, mu * box.hi, np.where(mu < 0, mu * box.lo, 0.0))
+    total = np.sum(terms, axis=-1)
+    return total if box.lo.ndim == 2 else float(total)
+
+
+def reference_ball_conjugate_prox(g, v) -> np.ndarray:
+    """``conjugate_prox`` of ``L1`` and ``NormPenalty``: the projection onto
+    the dual-norm ball."""
+    v = np.asarray(v, dtype=float)
+    if isinstance(g, L1):
+        return np.clip(v, -g.weight, g.weight)
+    if g.e == 1:
+        return np.clip(v, -1.0, 1.0)
+    norm = float(np.linalg.norm(v))
+    return v if norm <= 1.0 else v / norm
+
+
+def reference_ball_support_value(g, mu) -> float:
+    """``support_value`` of ``Zero``, ``L1`` and ``NormPenalty``."""
+    mu = np.asarray(mu, dtype=float)
+    if isinstance(g, Zero):
+        return 0.0 if np.all(mu == 0.0) else math.inf
+    radius = g.weight if isinstance(g, L1) else 1.0
+    if isinstance(g, NormPenalty) and g.e == 2:
+        dual = float(np.linalg.norm(mu))
+    else:
+        dual = float(np.max(np.abs(mu), initial=0.0))
+    return 0.0 if dual <= radius * (1.0 + 4.0 * float(np.finfo(float).eps)) else math.inf
+
+
+def reference_norm(x) -> float:
+    return float(np.linalg.norm(x))
+
+
+def reference_step_norm(new: SolverState, old: SolverState) -> float:
+    return math.sqrt(
+        float(np.sum((new.theta - old.theta) ** 2))
+        + float(np.sum((new.mu - old.mu) ** 2))
+    )
+
+
+class ReferenceRunningAverage(RunningAverage):
+    def update(self, theta, mu) -> None:
+        self.count += 1
+        self.theta += (theta - self.theta) / self.count
+        self.mu += (mu - self.mu) / self.count
+
+
 # --- the solve loop -------------------------------------------------------------
 
 
@@ -529,7 +615,7 @@ def reference_solve(instance: ProblemInstance, config: SolverConfig) -> SolveRes
     steps = StepSizes(c, config.gamma)
     n, m, b_dim = instance.dims
     trace = Trace(with_state=config.trace_state)
-    avg = RunningAverage(n, b_dim, m)
+    avg = ReferenceRunningAverage(n, b_dim, m)
 
     state = init_state(instance)
     res = residuals(instance, state)
@@ -537,10 +623,7 @@ def reference_solve(instance: ProblemInstance, config: SolverConfig) -> SolveRes
     converged, reason = False, "max_iter exhausted"
     while state.t < config.max_iter:
         new_state = iterate(instance, state, steps).copy()
-        step_norm = math.sqrt(
-            float(np.sum((new_state.theta - state.theta) ** 2))
-            + float(np.sum((new_state.mu - state.mu) ** 2))
-        )
+        step_norm = reference_step_norm(new_state, state)
         state = new_state
         avg.update(state.theta, state.mu)
         due = state.t % config.trace_every == 0 or state.t == config.max_iter

@@ -175,8 +175,10 @@ class TestBadSolverOptions:
     @pytest.mark.parametrize(
         "option",
         [["--gamma", "0"], ["--trace-every", "0"], ["--c", "nan"], ["--gamma", "nan"],
-         ["--gamma", "inf"], ["--max-iter", "-1"]],
-        ids=["gamma", "trace-every", "c-nan", "gamma-nan", "gamma-inf", "max-iter"],
+         ["--gamma", "inf"], ["--max-iter", "-1"], ["--tol-step", "nan"],
+         ["--tol-primal", "-1"], ["--tol-consensus", "nan"]],
+        ids=["gamma", "trace-every", "c-nan", "gamma-nan", "gamma-inf", "max-iter",
+             "tol-step-nan", "tol-primal-negative", "tol-consensus-nan"],
     )
     def test_rejected_with_one_line_before_running(
         self, command, option, market_file, tmp_path, capsys

@@ -509,8 +509,17 @@ class TestSolve:
             (SolverConfig(gamma=math.inf), StepSizeError),
             (SolverConfig(c=1e-4, gamma=math.nan), StepSizeError),
             (SolverConfig(max_iter=-1), SetupError),
+            (SolverConfig(tol_consensus=math.nan), SetupError),
+            (SolverConfig(tol_consensus=-1.0), SetupError),
+            (SolverConfig(tol_primal=math.nan), SetupError),
+            (SolverConfig(tol_primal=-1.0), SetupError),
+            (SolverConfig(tol_step=math.nan), SetupError),
+            (SolverConfig(tol_step=-1e-8), SetupError),
+            (SolverConfig(tol_step=-math.inf), SetupError),
         ],
-        ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "c-and-gamma-nan", "max-iter"],
+        ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "c-and-gamma-nan", "max-iter",
+             "tol-consensus-nan", "tol-consensus-negative", "tol-primal-nan",
+             "tol-primal-negative", "tol-step-nan", "tol-step-negative", "tol-step-minus-inf"],
     )
     def test_bad_config_rejected_before_round_0(self, config, error, monkeypatch):
         import dualprox.solver
@@ -521,6 +530,13 @@ class TestSolve:
         monkeypatch.setattr(dualprox.solver, "iterate", no_round)
         with pytest.raises(error):
             solve(build_market(), config)
+
+    def test_infinite_tolerances_turn_their_criteria_off(self):
+        loose = SolverConfig(tol_consensus=math.inf, tol_primal=math.inf, tol_step=math.inf)
+        result = solve(build_market(), loose)
+        assert (result.converged, result.iterations) == (True, 1)
+        exact = SolverConfig(tol_consensus=0.0, tol_primal=0.0, tol_step=0.0, max_iter=3)
+        assert solve(build_market(), exact).reason == "max_iter exhausted"
 
     def test_validation_failure_raises(self):
         bad = ProblemInstance(
