@@ -221,8 +221,15 @@ class Quadratic(SmoothFunction):
 
     def value(self, x: Array) -> float:
         x = self._points(x)
-        xpx = (x[..., None, :] @ self.p @ x[..., :, None])[..., 0, 0]
-        out = xpx + (self.q[..., None, :] @ x[..., :, None])[..., 0, 0] + self.r
+        if self.dim == 1:
+            # a 1x1 matmul is 0 + a*b, which turns a -0.0 product into +0.0;
+            # with P > 0, x*P*x is never -0.0, so that cannot change the sum
+            xpx = (x * self.p[..., 0] * x)[..., 0]
+            qx = (self.q * x)[..., 0]
+        else:
+            xpx = (x[..., None, :] @ self.p @ x[..., :, None])[..., 0, 0]
+            qx = (self.q[..., None, :] @ x[..., :, None])[..., 0, 0]
+        out = xpx + qx + self.r
         return out if self.p.ndim == 3 else float(out)
 
     def gradient(self, x: Array) -> Array:

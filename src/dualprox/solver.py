@@ -15,15 +15,17 @@ updates, which the message-passing engine runs node by node.  The solver
 runs a round, the dual sweep behind :func:`residuals` and
 :func:`eval_dual_objective`, and the primal recovery at the end of
 :func:`solve` as one batched kernel instead.  Each instance is compiled
-once, in :func:`solve`'s set-up or on first use, into a plan of slot-major
-neighbour tables, stacked coupling blocks and groups of catalog functions:
-all Quadratic smooth parts form one stacked ``Quadratic`` and all Box parts
-one stacked ``Box``, and any other kind is called on its agent's row.  A
-round gathers every agent's neighbour terms in one call per kind (edge
-multipliers, neighbour estimates) and adds them one slot at a time, in
-:func:`lambda_update`'s order; a padded slot holds ``-0.0``, which leaves
-every sum as it is.  So the kernel is bit-identical to the per-agent
-updates, and it sums over agents in agent order.  A batched round has no
+once, in :func:`solve`'s set-up or on first use, into a plan of flat
+edge-end index arrays, stacked coupling blocks and groups of catalog
+functions: all Quadratic smooth parts form one stacked ``Quadratic`` and
+all Box parts one stacked ``Box``, and any other kind is called on its
+agent's row.  A round gathers every agent's neighbour terms in one call per
+kind (edge multipliers, neighbour estimates), one entry per edge end and
+component, and scatters them into the pressure with ``np.add.at``, which is
+unbuffered and adds the entries for a repeated target in index order.  The
+ends of each agent come in :func:`lambda_update`'s order, so each sum is
+bit-identical to the per-agent update, and a round costs O(N + E) whatever
+the degrees.  Sums over agents run in agent order.  A batched round has no
 processing order.  A state's primal maximizers and edge differences are
 computed once and shared by the round and the residuals that read them
 (see :class:`SolverState`).
@@ -289,40 +291,43 @@ def _stacked_matvec(mats: Array, vecs: Array) -> Array:
 
     Stacked ``np.matmul`` makes the same BLAS call per row as a single
     matrix-vector ``@``; ``np.einsum`` and explicit sums round differently.
+    A 1x1 product is ``0 + a*x`` there, so 1x1 blocks take ``a * x + 0.0``,
+    which gives the same double (a ``-0.0`` product becomes ``+0.0``).
     """
+    if mats.shape[1:] == (1, 1):
+        out = mats[:, :, 0] * vecs
+        out += 0.0
+        return out
     return np.matmul(mats, vecs[:, :, None])[:, :, 0]
 
 
 def _rowdot(a: Array, b: Array) -> Array:
-    """Entry i is ``a[i] @ b[i]``, bit-identical to that dot product."""
+    """Entry i is ``a[i] @ b[i]``, bit-identical to that dot product; rows of
+    one entry take ``a * b + 0.0``, as :func:`_stacked_matvec` does."""
+    if a.shape[1] == 1:
+        out = a[:, 0] * b[:, 0]
+        out += 0.0
+        return out
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _slot_table(first: Array, stop: Array, values: Array, pad: int) -> Array:
-    """Slot-major (width, n) table: column i is ``values[first[i]:stop[i]]``, then ``pad``."""
-    counts = stop - first
-    rows = np.arange(len(counts)).repeat(counts)
-    slots = np.arange(len(rows)) - (counts.cumsum() - counts)[rows]
-    table = np.full((np.maximum.reduce(counts, initial=0), len(counts)), pad, dtype=np.intp)
-    table[slots, rows] = values[first[rows] + slots]
-    return table
 
 
 class _RoundPlan:
     """An instance compiled into stacked arrays for the batched round kernel.
 
-    The neighbour tables are slot-major: column i lists agent i's terms of
-    :func:`lambda_update`'s pressure sum in its order, one row per slot.
-    ``xi_slots`` indexes ``[xi; -xi; -0.0]``: first the edges agent i owns
-    (``xi``, by ascending peer), then those its smaller neighbours own
-    (``-xi``, by ascending owner), padded with the ``-0.0`` row, ``neg_zero``.
-    ``nbr_slots`` holds agent i's neighbours in ascending order, padded with
-    row 0, and ``nbr_pad`` marks the padded (slot, agent, component)
-    entries.  The coupling blocks ``a``, the shares ``kappa`` and the
-    ``(rows, function)`` groups ``f_groups`` and ``g_groups`` are those of
-    the instance's stacked view; ``f_whole`` and ``g_whole`` are the
-    function of a group that covers every row, which is called on the whole
-    array, or None.  ``b_rows`` is ``b`` broadcast to one row per agent.
+    The neighbour terms of :func:`lambda_update`'s pressure sum are indexed
+    by edge end and component, in flat arrays of 2E*B entries: entry
+    ``e*B + k`` adds to the flattened pressure at ``end_target``, which is
+    ``agent*B + k``.  The ends are agent-major, so an agent's entries lie
+    together, in the order that :func:`lambda_update` sums them.
+    ``xi_source`` indexes the flattened ``[xi; -xi]``: first the edges the
+    agent owns (``xi``, by ascending peer), then those its smaller
+    neighbours own (``-xi``, by ascending owner).  ``nbr_source`` indexes
+    the flattened theta at the agent's neighbours, ascending.  The coupling
+    blocks ``a``, the shares ``kappa`` and the ``(rows, function)`` groups
+    ``f_groups`` and ``g_groups`` are those of the instance's stacked view;
+    ``f_whole`` and ``g_whole`` are the function of a group that covers
+    every row, which is called on the whole array, or None.  ``b_rows`` is
+    ``b`` broadcast to one row per agent.
 
     The methods run every round, so they call ufuncs, ndarray methods and
     the catalog's public methods, one call per group, and leave NumPy's
@@ -330,24 +335,26 @@ class _RoundPlan:
     """
 
     def __init__(self, instance: ProblemInstance):
-        n = instance.n_agents
+        n, b_dim = instance.n_agents, instance.b_dim
         graph, n_edges = instance.graph, instance.graph.n_edges
         self.edge_owner, self.edge_peer = (graph.edge_array - 1).T
-        first, split, stop = graph.nbr_start[:-1], graph.nbr_split, graph.nbr_start[1:]
-        self.xi_slots = np.vstack([
-            _slot_table(split, stop, graph.nbr_edge, 2 * n_edges),
-            _slot_table(first, split, n_edges + graph.nbr_edge, 2 * n_edges),
-        ])
-        self.nbr_slots = _slot_table(first, stop, graph.nbr - 1, 0)
-        pad = np.arange(len(self.nbr_slots))[:, None] >= graph.degrees
-        self.nbr_pad = np.repeat(pad[:, :, None], instance.b_dim, axis=2)
+        # an agent's adjacency list holds its smaller neighbours, then its
+        # larger ones; its xi terms take the larger (owned) ones first
+        agent = np.arange(n).repeat(graph.degrees)
+        incoming = np.arange(2 * n_edges) < graph.nbr_split[agent]
+        xi_order = np.argsort(2 * agent + incoming, kind="stable")
+        xi_rows = graph.nbr_edge[xi_order] + n_edges * incoming[xi_order]
+        components = np.arange(b_dim)
+        self.end_target, self.xi_source, self.nbr_source = (
+            (rows[:, None] * b_dim + components).ravel()
+            for rows in (agent, xi_rows, graph.nbr - 1)
+        )
 
         stacked = instance.stacked
         self.a, self.kappa = stacked.a, stacked.kappa
         self.a_t = self.a.transpose(0, 2, 1)
-        self.b_rows = np.broadcast_to(instance.b, (n, instance.b_dim))
+        self.b_rows = np.broadcast_to(instance.b, (n, b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
-        self.neg_zero = np.full((1, instance.b_dim), -0.0)
         self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
         self.f_whole, self.g_whole = _whole(self.f_groups), _whole(self.g_groups)
 
@@ -531,22 +538,19 @@ def iterate(
     # only residuals keeps maximizers: a state's round is its last sweep
     kept = _kept(state._maximizers, plan, state)
     _, x_hat = plan.maximizers(theta, mu) if kept is None else kept
-    # lambda_update's pressure, one neighbour slot at a time in its order.
-    # A padded slot adds -0.0, which leaves every double as it is (adding
-    # +0.0 would turn a -0.0 into +0.0), and subtracting xi is adding -xi
-    # by the definition of IEEE subtraction.
+    # lambda_update's pressure: np.add.at is unbuffered and adds the entries
+    # of a repeated target one by one in index order, so every agent's sum
+    # runs over its own ends in lambda_update's order.  Subtracting xi is
+    # adding -xi by the definition of IEEE subtraction.
     pressure = -plan.coupling_terms(x_hat) + plan.kappa_b
-    signed_xi = np.concatenate([xi, -xi, plan.neg_zero])
-    terms = signed_xi.take(plan.xi_slots, axis=0)
-    for term in terms:
-        pressure += term
-    # no agent has more neighbours than xi slots; mode="clip" writes in place
-    nbr_terms = theta.take(plan.nbr_slots, axis=0, out=terms[:len(plan.nbr_slots)], mode="clip")
-    np.subtract(theta, nbr_terms, out=nbr_terms)
+    flat = pressure.reshape(-1)  # a view: pressure is a fresh C-ordered array
+    signed_xi = np.concatenate([xi, -xi]).reshape(-1)
+    np.add.at(flat, plan.end_target, signed_xi.take(plan.xi_source))
+    theta_flat = theta.reshape(-1)
+    nbr_terms = theta_flat.take(plan.end_target)
+    nbr_terms -= theta_flat.take(plan.nbr_source)
     nbr_terms *= gamma
-    np.copyto(nbr_terms, -0.0, where=plan.nbr_pad)
-    for term in nbr_terms:
-        pressure += term
+    np.add.at(flat, plan.end_target, nbr_terms)
     theta_new = theta - c * pressure
     grad_mu = -x_hat
     mu_new = plan.conjugate_prox(c, mu - c * grad_mu)

@@ -9,9 +9,10 @@ structures, the market's agents and the solvability checks), which the
 library now builds from arrays, the row-by-row trace writer, the per-agent
 round and dual sweep, which loop over agents with the library's per-node
 update, the catalog methods, norms, step norm and running average as they
-were written with NumPy's function wrappers, and the solve loop at the end,
-which calls the library's public round and residuals on fresh states; the
-library is checked against all of them bit for bit (or byte for byte).
+were written with NumPy's function wrappers, the 1x1 products through
+matmul, and the solve loop at the end, which calls the library's public
+round and residuals on fresh states; the library is checked against all of
+them bit for bit (or byte for byte).
 """
 
 from __future__ import annotations
@@ -515,7 +516,16 @@ def reference_dual_sweep(
 # --- the round's formulas through NumPy's function wrappers ------------------------
 #
 # The library's round, bookkeeping and residual sweep call ufuncs and ndarray
-# methods; these are the forms they replaced, which must give the same bits.
+# methods, and multiply instead of calling matmul for 1x1 products; these are
+# the forms they replaced, which must give the same bits.
+
+
+def reference_stacked_matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+
+
+def reference_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def reference_as_vector(v, dim: int | None = None, rows: tuple = ()) -> np.ndarray:

@@ -12,9 +12,10 @@ bit, and ``solve`` must recover the same x as the per-agent
 ``primal_recovery``.  ``solve``, which reuses each state's maximizers and
 edge differences, must match ``oracles.reference_solve``, which sweeps
 every state afresh, in every output but the wall times.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
-the kernel against the per-agent round at scale, and a star and that
-graph, where most neighbour slots are padding, check it at random signed
-duals.  ``iterate`` must leave its state and the plan's tables as they
+the kernel against the per-agent round at scale; stars with the hub
+first and last, preferential-attachment trees, paths and a single agent
+check it at signed duals, mostly zeros; and a 3000-agent star checks that the plan and a round take memory linear in
+the edges.  ``iterate`` must leave its state and the plan's arrays as they
 were, and ``h`` must be the per-agent maximum bit for bit, also where
 1x1 blocks skip the SVD.  The step that
 ``solve`` picks must pass the paper's step rule against the exact largest
@@ -24,6 +25,7 @@ Laplacian eigenvalue, on the same random graphs and on three fixed ones.
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,10 +253,10 @@ def load_bench_inputs():
     return module
 
 
-def scaled_market(edges=None):
-    """The benchmark's seed-1 1000-agent market, on its own ring-plus-chord
-    graph or on ``edges``."""
-    market = load_bench_inputs().scaled_market(1, n=1000)
+def scaled_market(edges=None, n=1000):
+    """The benchmark's seed-1 market of ``n`` agents, on its own
+    ring-plus-chord graph or on ``edges``."""
+    market = load_bench_inputs().scaled_market(1, n=n)
     return build_market(
         MarketParams(
             uc=tuple(UCParams(d, s, 0.0, x) for d, s, x in market.companies),
@@ -355,8 +357,8 @@ def test_kernel_matches_the_per_agent_path_at_arbitrary_duals(instance, seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_signed_zeros_match_the_per_agent_round(seed):
     """Zero data and zero duals of random sign on a star with a tail, so
-    agents of every degree have padded neighbour slots: a padded slot must
-    leave a -0.0 pressure as it is."""
+    agents of every degree sum zeros of either sign over their own edge
+    ends, and a -0.0 pressure must stay -0.0."""
     rng = np.random.default_rng(seed)
     edges = [(1, j) for j in range(2, 6)] + [(5, 6), (6, 7), (3, 8)]
     n = 8
@@ -410,11 +412,11 @@ def zero_data(graph: Graph, b_dim: int) -> ProblemInstance:
 )
 @pytest.mark.parametrize("seed", range(3))
 def test_heavily_padded_graphs_match_the_per_agent_round(graph, b_dim, seed):
-    """Most neighbour slots are padding: a star's leaf has one neighbour
-    next to the hub's 199, and on the ring with chords most agents have 2 or
-    3 neighbours next to the hub's 8.  Nine duals in ten are zeros, so that
-    many agents' pressure sums are zeros of either sign, and a padded slot
-    must leave a -0.0 as it is."""
+    """Uneven degrees: a star's leaf has one neighbour next to the hub's
+    199, and on the ring with chords most agents have 2 or 3 neighbours next
+    to the hub's 8.  Nine duals in ten are zeros, so that many agents'
+    pressure sums are zeros of either sign, which the scatter over each
+    agent's own edge ends must keep."""
     instance = zero_data(graph, b_dim)
     state = signed_duals(np.random.default_rng(seed), instance, zero_share=0.9)
     steps = steps_for(instance)
@@ -422,6 +424,78 @@ def test_heavily_padded_graphs_match_the_per_agent_round(graph, b_dim, seed):
     assert bits(got.theta) == bits(want.theta)
     assert bits(got.mu) == bits(want.mu)
     assert bits(got.xi) == bits(want.xi)
+
+
+def preferential_attachment(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+    """A tree in which vertex v joins an earlier vertex drawn in proportion
+    to its degree, so that a few early vertices collect most edges."""
+    ends, edges = [1], []
+    for v in range(2, n + 1):
+        u = ends[rng.integers(len(ends))]
+        edges.append((u, v))
+        ends += [u, v]
+    return edges
+
+
+def parity_graph(kind: str, n: int, rng: np.random.Generator) -> Graph:
+    if kind == "single":
+        return Graph(1, [])
+    if kind == "star_hub_first":  # the hub owns every edge
+        return Graph(n, [(1, j) for j in range(2, n + 1)])
+    if kind == "star_hub_last":  # every edge is incoming to the hub
+        return Graph(n, [(j, n) for j in range(1, n)])
+    if kind == "path":
+        return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, preferential_attachment(rng, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["star_hub_first", "star_hub_last", "preferential", "path", "single"]),
+    st.integers(2, 40),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([0.5, 0.9]),
+    st.floats(0.25, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_scatter_over_edge_ends_matches_the_per_agent_round(kind, n, b_dim, zero_share, gamma, seed):
+    """Each agent's neighbour terms are added over its own edge ends, in
+    ``lambda_update``'s order: on stars whose hub owns every edge or none,
+    on preferential-attachment trees, on paths and on a single agent with
+    no edge, at duals of which half or nine in ten are zeros of either
+    sign, the round must be the per-agent one bit for bit."""
+    rng = np.random.default_rng(seed)
+    instance = zero_data(parity_graph(kind, n, rng), b_dim)
+    state = signed_duals(rng, instance, zero_share=zero_share)
+    steps = steps_for(instance, gamma)
+    got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    assert bits(got.theta) == bits(want.theta)
+    assert bits(got.mu) == bits(want.mu)
+    assert bits(got.xi) == bits(want.xi)
+
+
+def test_a_star_plan_and_round_take_memory_linear_in_the_edges():
+    """A 3000-agent star market: the plan and one round together allocate at
+    most 16 (N + E) * B doubles (about 0.8 MB), so that the hub's degree
+    does not set every agent's cost."""
+    n = 3000
+    instance = scaled_market([(1, j) for j in range(2, n + 1)], n=n)
+    steps = steps_for(instance)
+    state = init_state(instance)
+    limit = 16 * (n + instance.graph.n_edges) * instance.b_dim * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan = _round_plan(instance)
+        plan_bytes = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        new = iterate(instance, state, steps)
+        round_bytes = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert new.t == 1 and plan is _round_plan(instance)
+    assert plan_bytes + round_bytes <= limit, (plan_bytes, round_bytes)
 
 
 @settings(max_examples=20, deadline=None)
@@ -434,7 +508,7 @@ def test_iterate_leaves_its_inputs_and_the_plan_alone(instance, seed):
     plan = _round_plan(instance)
     before = [bits(a) for a in (state.theta, state.mu, state.xi)]
     tables = {k: v.copy() for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    assert "kappa_b" in tables and "nbr_pad" in tables
+    assert {"kappa_b", "end_target", "xi_source", "nbr_source"} <= tables.keys()
     first = iterate(instance, state, steps)
     second = iterate(instance, state, steps)
     assert [bits(a) for a in (state.theta, state.mu, state.xi)] == before

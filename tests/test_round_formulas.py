@@ -3,7 +3,8 @@
 The round, ``solve``'s bookkeeping and the residual sweep, with the catalog
 methods they reach, no longer go through NumPy's Python-level function
 wrappers (``np.sum``, ``np.clip``, ``np.where``, ``np.errstate``,
-``np.atleast_1d``, ``np.linalg.norm``).  The parity tests require every
+``np.atleast_1d``, ``np.linalg.norm``), and 1x1 products multiply
+instead of calling ``np.matmul``.  The parity tests require every
 replaced formula to give the bits of its wrapper form, kept in
 ``tests/oracles.py``, and to raise no warning where that form did not;
 the guard test runs rounds with the wrappers patched to raise.
@@ -42,6 +43,8 @@ from oracles import (
     reference_conjugate_gradient,
     reference_norm,
     reference_quadratic_value,
+    reference_rowdot,
+    reference_stacked_matvec,
     reference_step_norm,
 )
 
@@ -160,6 +163,69 @@ def test_quadratic_value_and_conjugate_gradient_keep_their_bits_and_errors(case)
     assert_parity(f.conjugate_gradient, lambda v: reference_conjugate_gradient(f, v), x)
     for point in (x, x.tolist()):
         assert_parity(functions._as_vector, reference_as_vector, point, f.dim, f.p.shape[:-2])
+
+
+# A 1x1 branch multiplies where matmul did, so a warning it gives names
+# ``multiply`` where matmul's named ``matmul``; the condition must be one
+# that matmul reported too.
+PRODUCT_SPECIAL = SPECIAL + [-math.nan, 5e-324, 1e-200, -1e-200, 1e300]
+product_values = st.one_of(st.sampled_from(PRODUCT_SPECIAL), st.floats())
+
+
+def conditions(caught) -> set:
+    """Warnings as (category, condition), without the function named."""
+    return {(category, message.split(" encountered")[0]) for category, message in caught}
+
+
+def assert_1x1_parity(new, reference, *args):
+    (got, new_warnings), (want, old_warnings) = outcome(new, *args), outcome(reference, *args)
+    assert_same(got, want)
+    assert conditions(new_warnings) <= conditions(old_warnings)
+
+
+def check_1x1_products(mats, vecs):
+    assert_1x1_parity(solver._stacked_matvec, reference_stacked_matvec, mats, vecs)
+    assert_1x1_parity(solver._rowdot, reference_rowdot, mats[:, 0], vecs)
+
+
+def test_1x1_products_keep_their_bits_on_every_pair_of_special_values():
+    a, x = np.meshgrid(PRODUCT_SPECIAL, PRODUCT_SPECIAL)
+    check_1x1_products(a.reshape(-1, 1, 1), x.reshape(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            arrays(float, (n, 1, 1), elements=product_values),
+            arrays(float, (n, 1), elements=product_values),
+        )
+    )
+)
+def test_1x1_products_keep_their_bits_and_warnings(case):
+    check_1x1_products(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(), (1,), (4,)]).flatmap(
+        lambda rows: st.tuples(
+            arrays(float, (*rows, 1, 1), elements=st.one_of(
+                st.sampled_from([5e-324, 1e-310, 1.0, 1e300, 1.7e308]),
+                st.floats(5e-324, 1.7e308),
+            )),
+            arrays(float, (*rows, 1), elements=product_values),
+            arrays(float, rows, elements=product_values),
+            arrays(float, (*rows, 1), elements=product_values),
+        )
+    )
+)
+def test_1x1_quadratic_value_keeps_its_bits_and_warnings(case):
+    p, q, r, x = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 2 P may overflow in set-up
+        f = Quadratic(p, q, r if r.ndim else float(r))
+    assert_1x1_parity(f.value, lambda x: reference_quadratic_value(f, x), x)
 
 
 @settings(max_examples=200, deadline=None)
