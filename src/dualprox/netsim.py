@@ -117,8 +117,7 @@ class InMemoryTransport:
     """Lossless transport delivering directly into recipient mailboxes.
 
     Optionally records (round, phase, sender, recipient, payload_size)
-    events; swapping this class out is the extension point for lossy or
-    instrumented transports.
+    events.
     """
 
     def __init__(self, recipients: Iterable[int], log_events: bool = False):
@@ -252,11 +251,10 @@ class Engine:
         instance: ProblemInstance,
         steps: StepSizes,
         log_events: bool = False,
-        transport: InMemoryTransport | None = None,
     ):
         self.graph: Graph = instance.graph
         ids = range(1, instance.n_agents + 1)
-        self.transport = transport or InMemoryTransport(ids, log_events=log_events)
+        self.transport = InMemoryTransport(ids, log_events=log_events)
         self.nodes = {
             i: AgentNode(
                 i,

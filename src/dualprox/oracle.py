@@ -1,11 +1,19 @@
 """Centralized reference solver, independent of the dual iteration.
 
-Solves the coupled problem directly by ascent on the single coupling
-multiplier with exact per-agent minimizations, from raw quadratic
-coefficients and box bounds.  None of the conjugate/prox machinery is
-used, so results from this module are a genuinely independent check on
-the distributed solver.  Also builds a full saddle point (including edge
-multipliers) from the oracle solution for convergence-theory tests.
+Builds the coupled problem once as one dense quadratic program from the
+raw quadratic coefficients and box bounds,
+
+    minimize  sum_i x_i' P_i x_i + q_i' x_i
+    s.t.      sum_i A_i x_i = b,   lo <= x <= hi,
+
+and solves it with a primal-dual interior-point method (Mehrotra
+predictor-corrector) on its KKT system.  Every iterate also guesses the
+active bounds, fixes them and solves the equality-constrained KKT system
+that remains directly; the first such point that passes the KKT test is
+the answer.  None of the conjugate/prox machinery is used, so results
+from this module are a genuinely independent check on the distributed
+solver.  Also builds a full saddle point (including edge multipliers)
+from the oracle solution for convergence-theory tests.
 """
 
 from __future__ import annotations
@@ -37,181 +45,143 @@ class OracleResult:
     mu: np.ndarray  # (N, M)
     objective: float
     kkt_residual: float
-    iterations: int
+    iterations: int  # interior-point iterations before the accepted point
 
 
-@dataclass(frozen=True)
-class _AgentData:
-    """Raw coefficients extracted once per agent."""
-
-    p: np.ndarray
-    q: np.ndarray
-    a: np.ndarray  # (B, M)
-    lo: np.ndarray | None  # None = unconstrained
-    hi: np.ndarray | None
-    lmax: float  # 2 * largest eigenvalue of p
-    sigma: float
-
-
-def _extract(instance: ProblemInstance) -> list[_AgentData]:
-    data = []
-    for idx, agent in enumerate(instance.agents, start=1):
+def _coupled_qp(instance: ProblemInstance):
+    """Hessian, linear term, coupling matrix, bounds and constant of the
+    stacked problem ``x' H x / 2 + c' x + r`` over x = (x_1, ..., x_N)."""
+    n, m, b_dim = instance.dims
+    p, q, a = np.empty((n, m, m)), np.empty((n, m)), np.empty((n, b_dim, m))
+    lo, hi = np.full((n, m), -np.inf), np.full((n, m), np.inf)
+    for idx, agent in enumerate(instance.agents):
         if not isinstance(agent.f, Quadratic):
             raise OracleError(
-                f"agent {idx}: the reference solver handles quadratic smooth parts only"
+                f"agent {idx + 1}: the reference solver handles quadratic smooth parts only"
             )
         if isinstance(agent.g, Box):
-            lo, hi = agent.g.lo, agent.g.hi
-        elif isinstance(agent.g, Zero):
-            lo = hi = None
-        else:
+            lo[idx], hi[idx] = agent.g.lo, agent.g.hi  # one-entry bounds broadcast
+        elif not isinstance(agent.g, Zero):
             raise OracleError(
-                f"agent {idx}: the reference solver handles box or zero nonsmooth parts only"
+                f"agent {idx + 1}: the reference solver handles box or zero nonsmooth parts only"
             )
-        eigs = np.linalg.eigvalsh(agent.f.p)
-        data.append(
-            _AgentData(
-                p=agent.f.p,
-                q=agent.f.q,
-                a=agent.a_block,
-                lo=lo,
-                hi=hi,
-                lmax=2.0 * float(eigs[-1]),
-                sigma=2.0 * float(eigs[0]),
-            )
-        )
-    return data
+        p[idx], q[idx], a[idx] = agent.f.p, agent.f.q, agent.a_block
+    hess = np.zeros((n, m, n, m))
+    hess[np.arange(n), :, np.arange(n)] = 2.0 * p  # block-diag(2 P_i)
+    constant = sum(agent.f.r for agent in instance.agents)
+    return (
+        hess.reshape(n * m, n * m),
+        q.ravel(),
+        a.transpose(1, 0, 2).reshape(b_dim, n * m),
+        lo.ravel(),
+        hi.ravel(),
+        constant,
+    )
 
 
-def _agent_argmin(d: _AgentData, eta: np.ndarray) -> np.ndarray:
-    """Exact minimizer of f(x) + (A^T eta) @ x over the agent's set."""
-    lin = d.q + d.a.T @ eta
-    if d.lo is None:
-        if d.p.shape[0] == 1:
-            return -lin / (2.0 * d.p[0])
-        return np.linalg.solve(2.0 * d.p, -lin)
-    if d.p.shape[0] == 1:
-        return np.clip(-lin / (2.0 * d.p[0]), d.lo, d.hi)
-    # projected gradient with the exact smoothness step; linear rate since
-    # p is positive definite
-    x = np.clip(np.zeros_like(lin), d.lo, d.hi)
-    step = 1.0 / d.lmax
-    for _ in range(200_000):
-        grad = 2.0 * (d.p @ x) + lin
-        x_next = np.clip(x - step * grad, d.lo, d.hi)
-        if np.max(np.abs(x_next - x)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            return x_next
-        x = x_next
-    raise OracleError("inner box-constrained minimization did not converge")
+def _kkt_solve(h: np.ndarray, a: np.ndarray, top: np.ndarray, bottom: np.ndarray):
+    """Least-squares solution of ``[[h, a'], [a, 0]] (u, v) = (top, bottom)``.
 
-
-def _imbalance(data: list[_AgentData], eta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = -b.astype(float).copy()
-    for d in data:
-        out += d.a @ _agent_argmin(d, eta)
-    return out
-
-
-def _solve_eta_scalar(
-    data: list[_AgentData], b: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
-    """Bisection on the scalar coupling multiplier.
-
-    The imbalance is continuous and non-increasing in eta, so a sign
-    bracket plus bisection is exact and robust even across box kinks.
+    With dependent rows of ``a`` the multiplier part ``v`` is not unique;
+    the minimum-norm solution keeps it in the range of ``a``.
     """
-    used = 0
-
-    def phi(eta: float) -> float:
-        return float(_imbalance(data, np.array([eta]), b)[0])
-
-    lo, hi = 0.0, 0.0
-    f_lo = f_hi = phi(0.0)
-    span = 1.0
-    while f_lo < 0.0:  # need phi(lo) >= 0: move left
-        lo -= span
-        span *= 2.0
-        f_lo = phi(lo)
-        used += 1
-        if used > 200:
-            raise OracleError("could not bracket the coupling multiplier (infeasible?)")
-    span = 1.0
-    while f_hi > 0.0:
-        hi += span
-        span *= 2.0
-        f_hi = phi(hi)
-        used += 1
-        if used > 400:
-            raise OracleError("could not bracket the coupling multiplier (infeasible?)")
-    for _ in range(max_iter):
-        used += 1
-        mid = 0.5 * (lo + hi)
-        f_mid = phi(mid)
-        if abs(f_mid) <= tol or (hi - lo) <= 1e-16 * max(1.0, abs(mid)):
-            return np.array([mid]), used
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise OracleError(f"bisection did not reach tolerance {tol}")
+    n = h.shape[0]
+    kkt = np.block([[h, a.T], [a, np.zeros((a.shape[0], a.shape[0]))]])
+    sol = np.linalg.lstsq(kkt, np.concatenate([top, bottom]), rcond=None)[0]
+    return sol[:n], sol[n:]
 
 
-def _solve_eta_ascent(
-    data: list[_AgentData], b: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
-    """Gradient ascent on the concave dual of the coupling constraint."""
-    lips = sum(float(np.linalg.norm(d.a, 2)) ** 2 / d.sigma for d in data)
-    step = 1.0 / lips
-    eta = np.zeros_like(b, dtype=float)
-    for it in range(max_iter):
-        g = _imbalance(data, eta, b)
-        if float(np.linalg.norm(g)) <= tol:
-            return eta, it
-        eta = eta + step * g
-    raise OracleError(f"dual ascent did not reach feasibility tolerance {tol}")
+_EPS2 = np.finfo(float).eps ** 2
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps ``v + step * dv`` nonnegative.
+
+    Only entries that a full step would take below zero are divided, so
+    every ratio lies in [0, 1) and none can overflow.
+    """
+    blocking = dv < -v
+    return float(np.min(-v[blocking] / dv[blocking])) if blocking.any() else 1.0
 
 
 def centralized_oracle(
-    instance: ProblemInstance, tol: float = 1e-10, max_iter: int = 500_000
+    instance: ProblemInstance, tol: float = 1e-10, max_iter: int = 100
 ) -> OracleResult:
     """Reference solution of the coupled problem.
 
-    Runs bisection (scalar coupling) or dual gradient ascent (vector
-    coupling) on the coupling multiplier, with each agent minimized
-    exactly at every query.  The returned point is verified against the
-    stationarity and feasibility conditions; failure raises
-    :class:`OracleError`.
+    Runs at most ``max_iter`` primal-dual interior-point iterations
+    (Mehrotra predictor-corrector) on the stacked quadratic program.
+    Before each one, the bounds whose multiplier exceeds their slack are
+    fixed and the equality-constrained KKT system that remains is solved
+    by least squares, which gives the minimum-norm coupling multiplier
+    when the coupling rows are dependent.  That point is returned, with
+    the number of iterations taken, once its stationarity and feasibility
+    residual is at most ``tol``.  Iteration ends earlier when the bounds'
+    complementarity has vanished to roundoff (an infeasible instance gets
+    there in a few dozen iterations); the last point is then returned only
+    if its residual is at most ``max(10 * tol, 1e-8)``, and otherwise
+    :class:`OracleError` is raised.
     """
-    data = _extract(instance)
+    hess, c, a, lo, hi, constant = _coupled_qp(instance)
     b = instance.b
-    if instance.b_dim == 1:
-        eta, used = _solve_eta_scalar(data, b, tol, max_iter)
-    else:
-        eta, used = _solve_eta_ascent(data, b, tol, max_iter)
+    n = c.size
+    # each finite bound is a constraint sign * x[idx] - bnd >= 0, with slack s and multiplier z
+    lower, upper = np.flatnonzero(np.isfinite(lo)), np.flatnonzero(np.isfinite(hi))
+    idx = np.concatenate([lower, upper])
+    sign = np.concatenate([np.ones(lower.size), -np.ones(upper.size)])
+    bnd = np.concatenate([lo[lower], -hi[upper]])
+    x, eta, s, z = np.zeros(n), np.zeros(b.size), np.ones(idx.size), np.ones(idx.size)
 
-    x = np.vstack([_agent_argmin(d, eta) for d in data])
-    mu = np.vstack(
-        [-(2.0 * (d.p @ x[i]) + d.q) - d.a.T @ eta for i, d in enumerate(data)]
-    )
+    for it in range(max_iter + 1):
+        active = z > s
+        x_hat = np.zeros(n)
+        x_hat[idx[active]] = sign[active] * bnd[active]
+        free = np.ones(n, dtype=bool)
+        free[idx[active]] = False
+        x_hat[free], eta_hat = _kkt_solve(
+            hess[np.ix_(free, free)], a[:, free], -c[free] - hess[free] @ x_hat, b - a @ x_hat
+        )
+        grad = hess @ x_hat + c + a.T @ eta_hat
+        kkt = max(
+            float(np.linalg.norm(a @ x_hat - b)),
+            float(np.max(np.abs(x_hat - np.clip(x_hat - grad, lo, hi)))),
+        )
+        # Stop also once the mean complementarity s'z / size is below eps**2
+        # (at once when there are no bounds, where the solve above is exact):
+        # no later step changes which bounds are guessed active, and ever
+        # smaller slacks would make z / s overflow.  Each step stops short of
+        # the boundary, so s and z stay positive.
+        if kkt <= tol or it == max_iter or not s @ z > _EPS2 * idx.size:
+            break
 
-    feas = float(np.linalg.norm(sum(d.a @ x[i] for i, d in enumerate(data)) - b))
-    stat = 0.0
-    for i, d in enumerate(data):
-        grad = 2.0 * (d.p @ x[i]) + d.q + d.a.T @ eta
-        if d.lo is None:
-            r = grad
-        else:
-            r = x[i] - np.clip(x[i] - grad, d.lo, d.hi)
-        stat = max(stat, float(np.max(np.abs(r))))
-    kkt = max(feas, stat)
-    if kkt > max(tol * 10.0, 1e-8):
+        r_dual = hess @ x + c + a.T @ eta - np.bincount(idx, sign * z, n)
+        r_slack = sign * x[idx] - bnd - s
+        k = hess + np.diag(np.bincount(idx, z / s, n))
+
+        def direction(r_comp):
+            top = np.bincount(idx, sign * (r_comp - z * r_slack) / s, n) - r_dual
+            dx, deta = _kkt_solve(k, a, top, b - a @ x)
+            ds = sign * dx[idx] + r_slack
+            return dx, deta, ds, (r_comp - z * ds) / s
+
+        gap = s @ z / idx.size
+        dx, deta, ds, dz = direction(-s * z)  # predictor
+        step = min(_max_step(s, ds), _max_step(z, dz))
+        sigma = ((s + step * ds) @ (z + step * dz) / idx.size / gap) ** 3
+        dx, deta, ds, dz = direction(sigma * gap - s * z - ds * dz)  # corrector
+        step = 0.99 * min(_max_step(s, ds), _max_step(z, dz))
+        x, eta, s, z = x + step * dx, eta + step * deta, s + step * ds, z + step * dz
+
+    if not kkt <= max(tol * 10.0, 1e-8):  # also rejects NaN
         raise OracleError(f"reference point failed the optimality check: residual {kkt:.3e}")
-
-    objective = 0.0
-    for i, (d, agent) in enumerate(zip(data, instance.agents)):
-        objective += float(x[i] @ d.p @ x[i] + d.q @ x[i]) + agent.f.r
+    objective = float(0.5 * x_hat @ hess @ x_hat + c @ x_hat) + constant
     return OracleResult(
-        x=x, eta=eta, mu=mu, objective=objective, kkt_residual=kkt, iterations=used
+        x=x_hat.reshape(instance.n_agents, instance.m),
+        eta=eta_hat,
+        mu=-grad.reshape(instance.n_agents, instance.m),
+        objective=objective,
+        kkt_residual=kkt,
+        iterations=it,
     )
 
 

@@ -50,9 +50,7 @@ gammas = st.floats(0.5, 3.0)
 SWAPS = ("box", "l1", "zero", "norm1", "norm2")
 
 
-# The oracle's inner box-constrained loop makes one example cost up to a
-# few seconds when M > 1, so both guarantees share each drawn instance.
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(instances(), gammas)
 def test_lyapunov_value_never_increases_and_the_ergodic_gap_stays_bounded(instance, gamma):
     theta_star, mu_star, xi_star = saddle_point(instance, centralized_oracle(instance))

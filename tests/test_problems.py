@@ -491,13 +491,17 @@ class TestCentralizedOracle:
         )
         with pytest.raises(OracleError):
             centralized_oracle(instance)
+        # iteration ends once the complementarity vanishes, before the
+        # slacks can underflow (a RuntimeWarning is an error here)
+        with pytest.raises(OracleError):
+            centralized_oracle(instance, max_iter=10**6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances_satisfy_kkt(self, seed):
         rng = np.random.default_rng(800 + seed)
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 3))
-        b_dim = int(rng.integers(1, 3))
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 4))
+        b_dim = int(rng.integers(1, 4))
         instance = random_instance(rng, n, m=m, b_dim=b_dim)
         result = centralized_oracle(instance, tol=1e-9)
         # independent recheck of feasibility and box stationarity
@@ -509,6 +513,72 @@ class TestCentralizedOracle:
             grad = agent.f.gradient(result.x[i]) + agent.a_block.T @ result.eta
             proj = np.clip(result.x[i] - grad, agent.g.lo, agent.g.hi)
             assert np.max(np.abs(result.x[i] - proj)) <= 1e-6
+
+    def test_square_coupling_with_an_ill_conditioned_dual(self):
+        # a draw of the scheme above with N = 3, M = 1, B = 3: the coupling
+        # alone fixes x, and A H^-1 A' has condition number about 1e6, so
+        # gradient ascent on the multiplier is too slow to reach 1e-10
+        rng = np.random.default_rng(602)
+        dims = [int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 4))]
+        assert dims == [3, 1, 3]
+        result = centralized_oracle(random_instance(rng, *dims))
+        assert result.kkt_residual <= 1e-10
+
+    def test_more_coupling_rows_than_columns_gives_the_minimum_norm_multiplier(self):
+        # three rows on two scalar agents: x is fixed by the coupling alone,
+        # and the multiplier is unique only up to the null space of A'
+        a = np.array([[1.0, -1.0], [2.0, 1.0], [3.0, 0.5]])
+        instance = ProblemInstance(
+            [
+                AgentProblem(Quadratic(1.0, 2.0), Box(-5.0, 5.0), a[:, :1], 0.5),
+                AgentProblem(Quadratic(2.0, -4.0), Box(-5.0, 5.0), a[:, 1:], 0.5),
+            ],
+            a @ [2.0, 1.0],
+            Graph(2, [(1, 2)]),
+        )
+        result = centralized_oracle(instance)
+        assert np.allclose(result.x.ravel(), [2.0, 1.0], atol=1e-12)
+        grad = np.array([2.0 * 2.0 + 2.0, 4.0 * 1.0 - 4.0])
+        assert np.allclose(result.eta, -np.linalg.pinv(a.T) @ grad, atol=1e-12)
+        assert result.kkt_residual <= 1e-10
+
+    def test_one_entry_box_bounds_apply_to_every_entry(self):
+        p = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+        def solve_with(box):
+            return centralized_oracle(
+                ProblemInstance(
+                    [
+                        AgentProblem(Quadratic(p, [-10.0, 4.0]), box, [[1.0, 1.0]], 0.5),
+                        AgentProblem(Quadratic(p, [1.0, 1.0]), Zero(), [[1.0, -1.0]], 0.5),
+                    ],
+                    [1.0],
+                    Graph(2, [(1, 2)]),
+                )
+            )
+
+        short = solve_with(Box([0.0], [1.0]))
+        full = solve_with(Box([0.0, 0.0], [1.0, 1.0]))
+        # both entries of agent 1 end on a bound: x = 1 at the top, 0 at the bottom
+        assert np.allclose(short.x[0], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(short.x, full.x, atol=1e-12)
+        assert np.allclose(short.eta, full.eta, atol=1e-12)
+
+    def test_half_bounded_boxes(self):
+        # x1 >= 0 stays slack and x2 <= 2.5 binds: x = (0.5, 2.5), and
+        # stationarity gives eta = -(2 * 0.5 + 20) and mu_2 = -(4 * 2.5 - 4 + eta)
+        instance = ProblemInstance(
+            [
+                AgentProblem(Quadratic(1.0, 20.0), Box(0.0, np.inf), [[1.0]], 0.5),
+                AgentProblem(Quadratic(2.0, -4.0), Box(-np.inf, 2.5), [[1.0]], 0.5),
+            ],
+            [3.0],
+            Graph(2, [(1, 2)]),
+        )
+        result = centralized_oracle(instance)
+        assert np.allclose(result.x.ravel(), [0.5, 2.5], atol=1e-12)
+        assert result.eta[0] == pytest.approx(-21.0, abs=1e-12)
+        assert np.allclose(result.mu.ravel(), [0.0, 15.0], atol=1e-12)
 
     def test_rejects_unsupported_kinds(self):
         from dualprox.functions import L1
