@@ -161,9 +161,10 @@ class Quadratic(SmoothFunction):
     Coefficients may carry a leading axis of G rows, P (G, M, M), q (G, M)
     and r (G,): the function then stands for G quadratics, ``sigma`` has one
     entry per row, and the methods act row by row on (G, M) points,
-    bit-identical to each row's own quadratic.  Its checks run once over
-    all rows; :meth:`rows` splits it into the G quadratics and
-    :meth:`stack` joins checked ones back.
+    bit-identical to each row's own quadratic.  Points may carry leading
+    axes, (..., G, M), to evaluate several points per row in one call.  Its
+    checks run once over all rows; :meth:`rows` splits it into the G
+    quadratics and :meth:`stack` joins checked ones back.
     """
 
     def __init__(self, p, q=None, r=0.0):
@@ -217,7 +218,12 @@ class Quadratic(SmoothFunction):
         return out
 
     def _points(self, x) -> Array:
-        return _as_vector(x, self.dim, self.p.shape[:-2])
+        rows = self.p.shape[:-2]
+        if rows:
+            x = np.asarray(x, dtype=float)
+            if x.ndim > 2:  # leading axes before the G rows
+                rows = x.shape[:-2] + rows
+        return _as_vector(x, self.dim, rows)
 
     def value(self, x: Array) -> float:
         x = self._points(x)
@@ -403,10 +409,11 @@ class Box(NonsmoothFunction):
 
     Prox is the Euclidean projection (clamp); the conjugate is the box's
     support function, finite everywhere when the box is bounded.  Bounds
-    of shape (G, M) stack G boxes: the methods then take (G, M) points and
-    act row by row, and ``value`` and ``support_value`` return one entry
-    per row.  :meth:`rows` splits a stacked box into its G boxes and
-    :meth:`stack` joins checked ones back.
+    of shape (G, M) stack G boxes: the methods then take (G, M) points, or
+    (..., G, M) with leading axes, and act row by row, and ``value`` and
+    ``support_value`` return one entry per row and leading index.
+    :meth:`rows` splits a stacked box into its G boxes and :meth:`stack`
+    joins checked ones back.
     """
 
     def __init__(self, lo, hi):

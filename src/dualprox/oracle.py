@@ -110,8 +110,13 @@ def centralized_oracle(
     """Reference solution of the coupled problem.
 
     Runs at most ``max_iter`` primal-dual interior-point iterations
-    (Mehrotra predictor-corrector) on the stacked quadratic program.
-    Before each one, the bounds whose multiplier exceeds their slack are
+    (Mehrotra predictor-corrector) on the stacked quadratic program.  They
+    start, as CVXOPT's ``coneqp`` does, from the minimizer of the objective
+    plus half the squared bound slacks subject to the coupling, with the
+    slacks, and the multipliers set to minus the slacks, each shifted to
+    at least 1 when one of them is not positive; a start at x = 0 with
+    unit slacks and multipliers stalled on badly scaled instances.  Before
+    each one, the bounds whose multiplier exceeds their slack are
     fixed and the equality-constrained KKT system that remains is solved
     by least squares, which gives the minimum-norm coupling multiplier
     when the coupling rows are dependent.  That point is returned, with
@@ -130,7 +135,15 @@ def centralized_oracle(
     idx = np.concatenate([lower, upper])
     sign = np.concatenate([np.ones(lower.size), -np.ones(upper.size)])
     bnd = np.concatenate([lo[lower], -hi[upper]])
-    x, eta, s, z = np.zeros(n), np.zeros(b.size), np.ones(idx.size), np.ones(idx.size)
+    x, eta = _kkt_solve(
+        hess + np.diag(np.bincount(idx, minlength=n).astype(float)), a,
+        -c + np.bincount(idx, sign * bnd, n), b,
+    )
+    s = sign * x[idx] - bnd
+    z = -s
+    for v in (s, z):
+        if v.size and v.min() <= 0.0:
+            v += 1.0 - v.min()
 
     for it in range(max_iter + 1):
         active = z > s

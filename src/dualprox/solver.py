@@ -28,7 +28,9 @@ bit-identical to the per-agent update, and a round costs O(N + E) whatever
 the degrees.  Sums over agents run in agent order.  A batched round has no
 processing order.  A state's primal maximizers and edge differences are
 computed once and shared by the round and the residuals that read them
-(see :class:`SolverState`).
+(see :class:`SolverState`).  The dual sweep also takes a leading axis of
+states: :func:`solve` evaluates the trace rows that cannot stop its run in
+batches, each row bit-identical to its own sweep.
 """
 
 from __future__ import annotations
@@ -164,12 +166,19 @@ def _spectral_norms(a: Array) -> Array:
     return spec
 
 
+# Relative slack of the step rule: 1/c of the suggested c = 1/required is
+# within an ulp or two of required, either side.
+_STEP_RULE_SLACK = 4.0 * float(np.finfo(float).eps)
+
+
 def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> None:
     """Accept step sizes iff 1/c >= h + gamma * tau_bar (boundary included).
 
-    A 1e-12 slack absorbs roundoff when c was produced by the suggestion
-    formula.  Raises :class:`StepSizeError` on rejection, also of a step or
-    ``tau_bar`` that is not finite, and ValueError on a nonpositive ``h``.
+    A slack of a few ulps of ``h + gamma * tau_bar``, and at least 1e-12,
+    absorbs the roundoff of the suggestion formula, so that every step
+    :func:`suggest_step_sizes` gives passes.  Raises :class:`StepSizeError`
+    on rejection, also of a step or ``tau_bar`` that is not finite, and
+    ValueError on a nonpositive ``h``.
     """
     if h <= 0:
         raise ValueError(f"h must be positive (sigma finite implies h > 0), got {h}")
@@ -179,7 +188,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
             f"an edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
         )
     required = h + gamma * tau_bar
-    if 1.0 / c < required - 1e-12:
+    if 1.0 / c < required - max(1e-12, _STEP_RULE_SLACK * required):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} is below the required h + gamma*tau = {required:.6g}"
         )
@@ -287,7 +296,8 @@ def xi_update(xi: Array, theta_owner: Array, theta_peer: Array, gamma: float) ->
 
 
 def _stacked_matvec(mats: Array, vecs: Array) -> Array:
-    """Row i is ``mats[i] @ vecs[i]``, bit-identical to that product.
+    """Row i is ``mats[i] @ vecs[..., i, :]``, bit-identical to that product;
+    ``vecs`` may carry leading axes.
 
     Stacked ``np.matmul`` makes the same BLAS call per row as a single
     matrix-vector ``@``; ``np.einsum`` and explicit sums round differently.
@@ -298,17 +308,18 @@ def _stacked_matvec(mats: Array, vecs: Array) -> Array:
         out = mats[:, :, 0] * vecs
         out += 0.0
         return out
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+    return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 def _rowdot(a: Array, b: Array) -> Array:
-    """Entry i is ``a[i] @ b[i]``, bit-identical to that dot product; rows of
-    one entry take ``a * b + 0.0``, as :func:`_stacked_matvec` does."""
-    if a.shape[1] == 1:
-        out = a[:, 0] * b[:, 0]
+    """Entry ``[..., i]`` is ``a[..., i, :] @ b[..., i, :]``, bit-identical to
+    that dot product, with leading axes broadcast; rows of one entry take
+    ``a * b + 0.0``, as :func:`_stacked_matvec` does."""
+    if a.shape[-1] == 1:
+        out = a[..., 0] * b[..., 0]
         out += 0.0
         return out
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 class _RoundPlan:
@@ -383,25 +394,34 @@ class _RoundPlan:
         return out
 
     def f_values(self, x: Array) -> Array:
-        """Entry i is ``f_i(x_i)``."""
+        """Entry ``[..., i]`` is ``f_i(x[..., i, :])``: (N, M) points, or
+        (K, N, M) for a batch of K states."""
         if self.f_whole is not None:
             return self.f_whole.value(x)
-        out = np.empty(len(x))
+        out = np.empty(x.shape[:-1])
         for rows, f in self.f_groups:
-            out[rows] = f.value(x[rows])
+            if isinstance(rows, int):  # a part of its own takes one point
+                for k in np.ndindex(x.shape[:-2]):
+                    out[k + (rows,)] = f.value(x[k + (rows,)])
+            else:
+                out[..., rows] = f.value(x[..., rows, :])
         return out
 
     def support_values(self, mu: Array) -> Array:
-        """Entry i is the conjugate of ``g_i`` at ``mu_i``, NaN where it is
-        unavailable."""
+        """Entry ``[..., i]`` is the conjugate of ``g_i`` at ``mu[..., i, :]``,
+        NaN where it is unavailable, for (N, M) or (K, N, M) duals."""
         if self.g_whole is not None:
             return self.g_whole.support_value(mu)
-        out = np.empty(len(mu))
+        out = np.empty(mu.shape[:-1])
         for rows, g in self.g_groups:
-            try:
-                out[rows] = g.support_value(mu[rows])
-            except ConjugateUnavailable:
-                out[rows] = math.nan
+            if isinstance(rows, int):  # a part of its own takes one point
+                for k in np.ndindex(mu.shape[:-2]):
+                    try:
+                        out[k + (rows,)] = g.support_value(mu[k + (rows,)])
+                    except ConjugateUnavailable:
+                        out[k + (rows,)] = math.nan
+            else:
+                out[..., rows] = g.support_value(mu[..., rows, :])
         return out
 
 
@@ -430,13 +450,15 @@ class SolverState:
 
     A state that :func:`iterate` returns has read-only ``theta`` and ``mu``,
     and carries by-products of the sweeps over them: the edge differences
-    of the round that made it and, once :func:`residuals` has evaluated it,
-    the agents' primal maximizers, which the next round and :func:`solve`'s
-    recovery reuse.  They are not fields, so ``copy()``, ``==`` and ``repr``
-    ignore them, and they are used only while ``theta`` and ``mu`` are
-    still the read-only arrays, owning their data, that they came from:
-    putting other arrays in their place, or making them writeable again,
-    drops them.
+    of the round that made it; once :func:`residuals` has evaluated it, or
+    :func:`solve` has queued its trace row, the agents' primal maximizers,
+    which the next round, the row's evaluation and :func:`solve`'s recovery
+    reuse; and its :class:`Residuals`, once evaluated, which
+    :func:`residuals` then returns.  They are not fields, so ``copy()``,
+    ``==`` and ``repr`` ignore them, and they are used only while ``theta``
+    and ``mu`` are still the read-only arrays, owning their data, that they
+    came from: putting other arrays in their place, or making them
+    writeable again, drops them.
     """
 
     theta: Array  # (N, B)
@@ -447,6 +469,7 @@ class SolverState:
     # (plan, theta, mu, by-product), see _kept
     _maximizers = None
     _edge_diff = None
+    _residuals = None
 
     def copy(self) -> "SolverState":
         return SolverState(self.theta.copy(), self.mu.copy(), self.xi.copy(), self.t)
@@ -527,15 +550,16 @@ def iterate(
     freshly computed coupling estimates.  The round runs as one batched
     kernel over the instance's compiled plan, bit-identical to calling
     :func:`lambda_update` per agent and :func:`xi_update` per edge.  It
-    reuses the primal maximizers that :func:`residuals` kept on the state,
-    and returns a new state with read-only theta and mu that keeps the
-    round's edge differences for :func:`residuals`.
+    reuses the primal maximizers kept on the state, and returns a new state
+    with read-only theta and mu that keeps the round's edge differences
+    for :func:`residuals`.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
     theta, mu, xi = state.theta, state.mu, state.xi
 
-    # only residuals keeps maximizers: a state's round is its last sweep
+    # only an evaluated or queued state keeps its maximizers: for any other
+    # state its round is its last sweep
     kept = _kept(state._maximizers, plan, state)
     _, x_hat = plan.maximizers(theta, mu) if kept is None else kept
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
@@ -573,24 +597,30 @@ def primal_recovery(agent: AgentProblem, theta, mu) -> Array:
 
 def _dual_sweep(
     plan: _RoundPlan, theta: Array, mu: Array, v: Array, x_hat: Array
-) -> tuple[float, Array]:
-    """Dual objective and the coupling term ``sum_i A_i x_hat_i`` at stacked
-    duals, from their maximizers ``(v, x_hat) = plan.maximizers(theta, mu)``.
+) -> tuple[Array, Array]:
+    """Dual objective and coupling term ``sum_i A_i x_hat_i`` at stacked
+    duals, from their maximizers ``(v, x_hat) = plan.maximizers(theta, mu)``:
+    of one state from (N, .) arrays, or of a batch of K states from
+    (K, N, .) arrays, one objective and one (B,) term per state.
 
     The objective sums each agent's smooth dual term and the conjugate of
     its nonsmooth part at mu: ``math.inf`` marks a dual point outside the
     conjugate's domain, NaN a part that has no conjugate value.  Column 0
-    of one buffer holds the objective's terms and the other columns the
-    ``A_i x_hat_i``, under a zero row; one accumulation sums them all in
-    agent order, so they round as an agent-by-agent loop would.
+    of an (N + 1, [K,] 1 + B) buffer holds the objectives' terms and the
+    other columns the ``A_i x_hat_i``, under a zero row; one accumulation
+    along the agents sums them all in agent order, so every state's sums
+    round as an agent-by-agent loop over that state alone would.
     """
-    terms = np.empty((len(theta) + 1, 1 + theta.shape[1]))
+    n, b_dim = theta.shape[-2:]
+    terms = np.empty((n + 1, *theta.shape[:-2], 1 + b_dim))
     terms[0] = 0.0
     smooth = _rowdot(v, x_hat) - plan.f_values(x_hat) + plan.kappa * _rowdot(plan.b_rows, theta)
-    terms[1:, 0] = smooth + plan.support_values(mu)
-    terms[1:, 1:] = plan.coupling_terms(x_hat)
+    smooth += plan.support_values(mu)
+    # agents first: (K, N) -> (N, K) and (K, N, B) -> (N, K, B)
+    terms[1:, ..., 0] = smooth.T
+    terms[1:, ..., 1:] = plan.coupling_terms(x_hat).swapaxes(0, -2)
     total = np.add.accumulate(terms)[-1]
-    return float(total[0]), total[1:]
+    return total[..., 0], total[..., 1:]
 
 
 def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> float:
@@ -599,7 +629,7 @@ def eval_dual_objective(instance: ProblemInstance, theta: Array, mu: Array) -> f
     plan = _round_plan(instance)
     theta = np.asarray(theta, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    return _dual_sweep(plan, theta, mu, *plan.maximizers(theta, mu))[0]
+    return float(_dual_sweep(plan, theta, mu, *plan.maximizers(theta, mu))[0])
 
 
 @dataclass(frozen=True)
@@ -618,20 +648,49 @@ def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residu
     coupling-constraint violation of the recovered primal point.  The dual
     objective is evaluated from the same primal maximizers, so each agent
     costs a single conjugate-gradient solve.  A state that :func:`iterate`
-    returned brings its edge differences, and keeps the maximizers for the
-    next round; ``inc``, instance.graph's consensus operator, is needed only
-    for other states and is built when not given.
+    returned brings its edge differences, and keeps the maximizers and the
+    residuals; a state whose residuals were kept, as :func:`solve` keeps
+    them on the rows it evaluates in a batch, costs no sweep.  ``inc``,
+    instance.graph's consensus operator, is needed only for other states
+    and is built when not given.
     """
     plan = _round_plan(instance)
-    edge_diff = _kept(state._edge_diff, plan, state)
-    if edge_diff is None:
-        inc = inc or instance.graph.incidence(instance.b_dim)
-        edge_diff = inc.apply_m(state.theta)
-    consensus = _norm(edge_diff)
-    theta, mu = np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float)
-    phi, ax = _dual_sweep(plan, theta, mu, *_state_maximizers(plan, state))
-    primal = _norm(ax - instance.b)
-    return Residuals(consensus, primal, phi)
+    kept = _kept(state._residuals, plan, state)
+    return _evaluate(instance, plan, [state], inc)[0] if kept is None else kept
+
+
+def _evaluate(
+    instance: ProblemInstance, plan: _RoundPlan, states: list, inc=None
+) -> list[Residuals]:
+    """The :class:`Residuals` of ``states`` from one dual sweep over all of
+    them, each kept on its state when frozen.
+
+    One state is swept in place, on its own arrays; several are stacked
+    along a leading axis first.  The consensus and primal norms are one
+    ``_norm`` per state, so every value is bit-identical to that state's
+    sweep alone.
+    """
+    if len(states) == 1:
+        (state,) = states
+        duals = (np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float))
+        arrays = (*duals, *_state_maximizers(plan, state))
+    else:
+        per_state = [(s.theta, s.mu, *_state_maximizers(plan, s)) for s in states]
+        arrays = [np.stack(column) for column in zip(*per_state)]
+    phis, ax = _dual_sweep(plan, *arrays)
+    ax -= instance.b
+    out = []
+    rows = zip(states, phis.reshape(-1).tolist(), ax.reshape(len(states), -1))
+    for state, phi, ax_k in rows:
+        edge_diff = _kept(state._edge_diff, plan, state)
+        if edge_diff is None:
+            inc = inc or instance.graph.incidence(instance.b_dim)
+            edge_diff = inc.apply_m(state.theta)
+        res = Residuals(_norm(edge_diff), _norm(ax_k), phi)
+        if _frozen(state):
+            state._residuals = (plan, state.theta, state.mu, res)
+        out.append(res)
+    return out
 
 
 class RunningAverage:
@@ -749,6 +808,11 @@ def lyapunov_value(
 
 
 # --- the full solve ---------------------------------------------------------
+
+# The rows of a batch of queued trace rows: at most _BATCH_ROWS, and at most
+# _BATCH_ELEMENTS entries in each (K, N, max(M, B)) array of its sweep.
+_BATCH_ROWS = 64
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -882,12 +946,27 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     and ``tau``, picks the steps and compiles the round plan; a rejection
     raises :class:`SetupError` before round 0.
 
+    Round 0, and every round whose step norm is at most ``tol_step``, is
+    evaluated at once, since it may stop the run.  A trace row that is due
+    on any other round (its step norm above ``tol_step`` or NaN) cannot stop
+    the run, so it is queued, and the queue is evaluated in one batched
+    dual sweep when it is full (up to 64 rows, fewer on large instances),
+    before the next row that can stop the run, and after the last round.
+    Every row is recorded in round order and keeps the bits it would have
+    alone; a queued row's ``wall_time`` is taken when its round ends.  An
+    error raised while a queued row is evaluated propagates from
+    ``solve``, at most one batch after that row's round, and the rows of
+    its batch are not recorded.
+
     The rounds call :func:`residuals` and :func:`iterate` through this
     module's namespace, so that a replacement installed there (a benchmark
-    hook or a tracer) sees every call.  Each evaluated state costs one
-    sweep of primal maximizers: :func:`residuals` keeps it on the state,
-    and the next round, or the recovery of ``x`` after the last one,
-    reuses it.
+    hook or a tracer) sees every call: round 0's :func:`residuals` comes
+    first, and a queued row's comes when its batch has been evaluated, in
+    round order, and only reads the residuals kept on its state.  Each
+    evaluated state costs one sweep of primal maximizers: :func:`residuals`,
+    or the queueing of its row, keeps it on the state, and the next round,
+    the row's batch, or the recovery of ``x`` after the last round, reuses
+    it.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -920,6 +999,19 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
 
+    # (state, step norm, wall time) of the due rows that cannot stop the run
+    queue = []
+    batch = max(1, min(_BATCH_ROWS, _BATCH_ELEMENTS // (n * max(m, b_dim))))
+
+    def record_queue():
+        if queue:
+            _evaluate(instance, plan, [row[0] for row in queue])
+            for row_state, row_step, wall in queue:
+                row = residuals(instance, row_state)
+                trace.record(row_state.t, row.dual_value, row.consensus, row.primal,
+                             row_step, wall, row_state)
+            queue.clear()
+
     converged = False
     reason = "max_iter exhausted"
     max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
@@ -929,16 +1021,19 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         state = new_state
         avg.update(state.theta, state.mu)
         due = state.t % trace_every == 0 or state.t == max_iter
-        # the stop rule needs all three tolerances, so the residuals matter
-        # only when a trace row is due or the step is already small enough
-        if not (due or step_norm <= tol_step):
+        # the stop rule needs all three tolerances, so a round whose step is
+        # not small enough needs its residuals only for a due trace row
+        if not step_norm <= tol_step:  # NaN too
+            if due:
+                # swept now, the maximizers serve the next round and the row
+                _state_maximizers(plan, state)
+                queue.append((state, step_norm, time.perf_counter() - t0))
+                if len(queue) == batch:
+                    record_queue()
             continue
+        record_queue()
         res = residuals(instance, state)
-        done = (
-            res.consensus <= config.tol_consensus
-            and res.primal <= config.tol_primal
-            and step_norm <= tol_step
-        )
+        done = res.consensus <= config.tol_consensus and res.primal <= config.tol_primal
         if done or due:
             trace.record(state.t, res.dual_value, res.consensus, res.primal,
                          step_norm, time.perf_counter() - t0, state)
@@ -946,6 +1041,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
             converged = True
             reason = "residual tolerances met"
             break
+    record_queue()
 
     # the last state was evaluated, so this reuses its maximizers
     x = _state_maximizers(plan, state)[1]

@@ -537,15 +537,24 @@ def reference_as_vector(v, dim: int | None = None, rows: tuple = ()) -> np.ndarr
     return out
 
 
+def reference_points(f: Quadratic, x) -> np.ndarray:
+    """One point of ``f``, or (..., G, M) points of G stacked rows."""
+    x = np.asarray(x, dtype=float)
+    rows = f.p.shape[:-2]
+    if rows and x.ndim > 2:
+        rows = x.shape[:-2] + rows
+    return reference_as_vector(x, f.dim, rows)
+
+
 def reference_quadratic_value(f: Quadratic, x):
-    x = reference_as_vector(x, f.dim, f.p.shape[:-2])
+    x = reference_points(f, x)
     xpx = (x[..., None, :] @ f.p @ x[..., :, None])[..., 0, 0]
     out = xpx + (f.q[..., None, :] @ x[..., :, None])[..., 0, 0] + f.r
     return out if f.p.ndim == 3 else float(out)
 
 
 def reference_conjugate_gradient(f: Quadratic, v) -> np.ndarray:
-    shifted = reference_as_vector(v, f.dim, f.p.shape[:-2]) - f.q
+    shifted = reference_points(f, v) - f.q
     if f.dim == 1:
         return shifted / f._two_p[..., 0]
     return np.linalg.solve(f._two_p, shifted[..., None])[..., 0]

@@ -3,9 +3,11 @@
 ``bench/run.py`` wraps the program's public functions and divides by their
 call counts, so a change to the program can break it without any test
 under ``bench/`` failing.  This runs the ``market`` workload for about a
-second, untraced and traced, and the other workloads traced, each on a
-copy of the checkout (the harness writes its output next to ``bench/``),
-and checks the JSON line it ends with.
+second, untraced and traced, the other workloads traced, and ``cli``
+untraced on three seeds, as the benchmark itself runs it, each on a copy
+of the checkout (the harness writes its output next to ``bench/``), and
+checks the JSON line it ends with.  The harness exits 1 when a command has
+no successful operation or a child records no start of round 0.
 """
 
 import json
@@ -19,13 +21,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_workload(tmp_path, workload: str, trace: int) -> None:
+def run_workload(tmp_path, workload: str, trace: int, seed: int = 1) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".bench_out")
     for part in ("bench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
@@ -44,3 +46,8 @@ def test_market_workload_runs_correct_with_no_failures(tmp_path, trace):
 @pytest.mark.parametrize("workload", ["market-scaled", "cli"])
 def test_traced_workload_runs_correct_with_no_failures(tmp_path, workload):
     run_workload(tmp_path, workload, trace=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_untraced_cli_workload_runs_correct_with_no_failures(tmp_path, seed):
+    run_workload(tmp_path, "cli", trace=0, seed=seed)

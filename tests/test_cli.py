@@ -150,6 +150,19 @@ class TestMarketDemoCommand:
         )
         assert code == 1
 
+    def test_suggested_step_at_a_large_gamma_is_accepted(self, tmp_path, capsys):
+        """At ``--gamma 4736`` the boundary step's ``1/c`` lies an ulp below
+        ``h + gamma*tau`` = 24002.6, which an absolute 1e-12 slack rejected
+        as a set-up error (exit 2); the run must start and stop at its
+        iteration cap instead."""
+        trace = tmp_path / "t.csv"
+        argv = ["market-demo", "--gamma", "4736", "--max-iter", "3", "--trace-out", str(trace)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_report(captured.out)["step_sizes"].endswith("gamma=4736.0")
+        assert len(trace.read_text().splitlines()) == 1 + 2  # header, rounds 0 and 3
+
     def test_same_bytes_as_a_market_built_one_agent_at_a_time(
         self, tmp_path, capsys, monkeypatch
     ):

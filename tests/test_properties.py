@@ -11,7 +11,9 @@ must reproduce ``iterate`` bit for bit, and ``residuals`` and
 bit, and ``solve`` must recover the same x as the per-agent
 ``primal_recovery``.  ``solve``, which reuses each state's maximizers and
 edge differences, must match ``oracles.reference_solve``, which sweeps
-every state afresh, in every output but the wall times.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+every state afresh, in every output but the wall times, also with its
+queued trace rows evaluated two at a time, and a batch of up to 64 states
+swept at once must give each state its own residuals bit for bit.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale; stars with the hub
 first and last, preferential-attachment trees, paths and a single agent
 check it at signed duals, mostly zeros; and a 3000-agent star checks that the plan and a round take memory linear in
@@ -27,12 +29,14 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dualprox.solver as solver_module
 from dualprox.functions import (
     L1,
     Box,
@@ -216,11 +220,14 @@ def result_bits(result) -> dict:
 @given(data=st.data())
 def test_solve_matches_the_reference_loop_bitwise(trace_every, trace_state, stop, data):
     """``solve`` reuses each evaluated state's maximizers and each round's
-    edge differences; the reference loop sweeps every state afresh.  A run
-    to tolerance uses ``oracles.random_instance``, which converges within
-    the round budget unless its coupling has about as many rows as the
-    agents have variables (about one draw in a hundred, skipped); a run out
-    of rounds uses the module's catalog mixes with tolerances of zero."""
+    edge differences, and evaluates queued trace rows in batches; the
+    reference loop sweeps every state afresh, one at a time.  A run to
+    tolerance uses ``oracles.random_instance``, which converges within the
+    round budget unless its coupling has about as many rows as the agents
+    have variables (about one draw in a hundred, skipped); a run out of
+    rounds uses the module's catalog mixes with tolerances of zero.  Each
+    draw is also solved with batches of two rows, so that its run crosses
+    many batches however few its rows."""
     if stop == "max_iter exhausted":
         instance = data.draw(instances())
         assume(validate(instance).ok)
@@ -238,10 +245,13 @@ def test_solve_matches_the_reference_loop_bitwise(trace_every, trace_state, stop
         )
     got = solve(instance, config)
     assume(got.reason == stop)
-    want = reference_solve(instance, config)
-    got_bits, want_bits = result_bits(got), result_bits(want)
-    for name in want_bits:
-        assert got_bits[name] == want_bits[name], name
+    with mock.patch.object(solver_module, "_BATCH_ROWS", 2):
+        in_pairs = solve(instance, config)
+    want_bits = result_bits(reference_solve(instance, config))
+    for result in (got, in_pairs):
+        got_bits = result_bits(result)
+        for name in want_bits:
+            assert got_bits[name] == want_bits[name], name
 
 
 def load_bench_inputs():
@@ -352,6 +362,27 @@ def test_kernel_matches_the_per_agent_path_at_arbitrary_duals(instance, seed):
     assert bits(got.theta) == bits(want.theta)
     assert bits(got.mu) == bits(want.mu)
     assert bits(got.xi) == bits(want.xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(1, solver_module._BATCH_ROWS), st.integers(0, 2**32 - 1))
+def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
+    """``solve`` evaluates up to the row cap of queued states in one dual
+    sweep.  At signed duals on every catalog kind, where ``L1`` and
+    ``Zero`` give infinite rows and ``CustomProx`` NaN ones, each state's
+    ``Residuals`` must be, bit for bit, those of ``residuals`` on a fresh
+    copy, and ``residuals`` must return the kept ones."""
+    rng = np.random.default_rng(seed)
+    states = [signed_duals(rng, instance) for _ in range(k)]
+    for state in states:
+        solver_module._freeze(state)
+    plan = _round_plan(instance)
+    got = solver_module._evaluate(instance, plan, states)
+    for state, res in zip(states, got):
+        want = residuals(instance, state.copy())
+        for name in ("dual_value", "consensus", "primal"):
+            assert bits(getattr(res, name)) == bits(getattr(want, name)), name
+        assert residuals(instance, state) is res
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -140,8 +140,8 @@ def test_ball_methods_keep_their_bits_and_warnings(g, v, alpha):
 
 @st.composite
 def quadratics_and_points(draw):
-    """A quadratic, one or stacked, and a point of its shape or of a shape
-    ``_as_vector`` rejects."""
+    """A quadratic, one or stacked, and a point of its shape, with a leading
+    axis when stacked, or of a shape ``_as_vector`` rejects."""
     m = draw(st.integers(1, 3))
     rows = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
     diag = draw(arrays(float, (*rows, m), elements=st.floats(0.5, 4.0)))
@@ -151,7 +151,10 @@ def quadratics_and_points(draw):
     r = draw(arrays(float, rows, elements=finite))
     f = Quadratic(p, q, r if rows else float(r))
     good = (*rows, m)
-    shape = draw(st.sampled_from([good, (), (1,), (m + 1,), (*rows, m, 1), (*rows, m + 1)]))
+    leading = [(2, *rows, m), (2, *rows, m + 1)] if rows else []
+    shape = draw(st.sampled_from(
+        [good, (), (1,), (m + 1,), (*rows, m, 1), (*rows, m + 1), *leading]
+    ))
     return f, draw(arrays(float, shape, elements=finite))
 
 

@@ -3,8 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualprox.functions import Box, CustomProx, L1, Quadratic, Zero
+from dualprox.functions import (
+    L1,
+    Box,
+    CustomProx,
+    CustomStronglyConvex,
+    InnerLoopError,
+    Quadratic,
+    Zero,
+)
 from dualprox.oracle import centralized_oracle, primal_objective, saddle_point
 from dualprox.problems import AgentProblem, ProblemInstance, build_market
 from dualprox.solver import (
@@ -169,6 +179,26 @@ class TestStepSizes:
         for args in [(bad, 1.0), (0.1, bad)]:
             with pytest.raises(StepSizeError):
                 StepSizes(*args)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        st.floats(1e-6, 1e12),
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e12)),
+        st.floats(1e-6, 1e6),
+    )
+    def test_every_suggestion_passes_the_check(self, h, tau, gamma):
+        """The boundary step passes its own check at any size of ``h +
+        gamma*tau``, where an absolute slack of 1e-12 is below an ulp."""
+        steps = suggest_step_sizes(h, tau, gamma)
+        validate_step_sizes(h, tau, steps.c, steps.gamma)
+
+    @pytest.mark.parametrize("required", [1.0, 6.0, 2.4e4, 1e8])
+    def test_a_step_just_past_the_slack_is_rejected(self, required):
+        """The slack is a few ulps of ``h + gamma*tau``, so a step that
+        criterion 6 rejects, 1e-6 past the boundary, still fails at 1e8."""
+        h, tau = 0.5 * required, 0.5 * required
+        with pytest.raises(StepSizeError):
+            validate_step_sizes(h, tau, 1.0 / (h + tau - 1e-6), 1.0)
 
     def test_overflowing_suggestion_is_rejected(self):
         with pytest.raises(StepSizeError):
@@ -647,8 +677,9 @@ def change_state(state: SolverState, name: str, how: str) -> None:
 class TestSweepReuse:
     """``iterate`` returns a read-only state that keeps its round's edge
     differences, and ``residuals`` keeps the maximizers of a read-only state
-    for the next round.  Whatever is done to a state between the calls, a
-    result must equal that of a fresh copy, or the change must raise."""
+    for the next round, and the residuals for a second call.  Whatever is
+    done to a state between the calls, a result must equal that of a fresh
+    copy, or the change must raise."""
 
     def evaluated(self):
         instance = build_market()
@@ -681,6 +712,17 @@ class TestSweepReuse:
         change_state(new, name, how)
         want = residuals(instance, new.copy())
         assert residual_bits(residuals(instance, new)) == residual_bits(want)
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    @pytest.mark.parametrize("name", ["theta", "mu"])
+    def test_a_change_after_residuals_is_seen_by_residuals(self, name, how):
+        instance, steps, state = self.evaluated()
+        kept = residuals(instance, state)
+        assert residuals(instance, state) is kept
+        change_state(state, name, how)
+        want = residuals(instance, state.copy())
+        assert residual_bits(want) != residual_bits(kept)
+        assert residual_bits(residuals(instance, state)) == residual_bits(want)
 
     def test_a_writeable_state_keeps_nothing(self):
         # init_state's arrays stay writeable: residuals may not keep the
@@ -765,6 +807,71 @@ class TestOneSweepPerEvaluatedState:
         assert counts["iterate"] == rounds
         assert counts["residuals"] == rounds + 1 == len(result.trace)
         assert counts["conjugate_gradient"] == rounds + 1
+
+
+class ClosedFormProx(CustomStronglyConvex):
+    """A strongly convex part whose prox is in closed form, so that only its
+    conjugate value runs the inner loop."""
+
+    def _prox(self, alpha, v):
+        return v / (1.0 + alpha)
+
+
+class TestQueuedRows:
+    def test_an_error_in_a_queued_row_propagates_and_the_row_is_not_recorded(
+        self, monkeypatch
+    ):
+        """The conjugate value of ``u @ u / 2`` with a one-step inner loop
+        that never meets its tolerance reaches the loop's cap at every
+        nonzero mu, so round 0 (mu = 0) is evaluated and every later row
+        raises.  Those rows cannot stop the run, so they are queued: with
+        four rows to a batch, ``solve`` must raise after round 4, and
+        record no row but round 0."""
+        import dualprox.solver as solver_module
+
+        g = ClosedFormProx(lambda x: 0.5 * float(x @ x), lambda x: x, sigma=1.0,
+                           inner_tol=0.0, inner_max_iter=1)
+        instance = scalar_path(g)
+        recorded, rounds = [], []
+        record, round_ = solver_module.Trace.record, solver_module.iterate
+
+        def spy_record(trace, iteration, *args, **kwargs):
+            recorded.append(iteration)
+            return record(trace, iteration, *args, **kwargs)
+
+        def spy_round(*args, **kwargs):
+            rounds.append(1)
+            return round_(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module.Trace, "record", spy_record)
+        monkeypatch.setattr(solver_module, "iterate", spy_round)
+        monkeypatch.setattr(solver_module, "_BATCH_ROWS", 4)
+        with pytest.raises(InnerLoopError):
+            solve(instance, SolverConfig(trace_every=1, max_iter=50))
+        assert recorded == [0]
+        assert len(rounds) == 4
+
+    def test_queued_rows_come_in_round_order_with_their_own_residuals(self, monkeypatch):
+        """Hooks on ``residuals`` see round 0 first and then every row in
+        round order, each call on the state of its row, also when the queue
+        is evaluated in batches of three."""
+        import dualprox.solver as solver_module
+
+        seen = []
+        original = solver_module.residuals
+
+        def spy(instance, state, *args, **kwargs):
+            res = original(instance, state, *args, **kwargs)
+            seen.append((state.t, res))
+            return res
+
+        monkeypatch.setattr(solver_module, "residuals", spy)
+        monkeypatch.setattr(solver_module, "_BATCH_ROWS", 3)
+        result = solve(build_market(), SolverConfig(trace_every=5, max_iter=41))
+        assert [t for t, _ in seen] == [row[0] for row in result.trace.rows]
+        assert [row[0] for row in result.trace.rows] == [0, *range(5, 41, 5), 41]
+        for (_, res), row in zip(seen, result.trace.rows):
+            assert (res.dual_value, res.consensus, res.primal) == row[1:4]
 
 
 def scalar_path(g, q=(-1.0, 0.5, 2.0, -0.3, 0.8, -1.2), b=0.5) -> ProblemInstance:
