@@ -72,7 +72,8 @@ def minimize_strongly_convex(
     """Gradient descent with backtracking on a strongly convex objective.
 
     Stops when the gradient norm drops below ``tol``; raises
-    :class:`InnerLoopError` at the iteration cap.
+    :class:`InnerLoopError` when the point its last allowed step reached
+    is not there either.
     """
     x = np.array(x0, dtype=float)
     fx = value(x)
@@ -102,7 +103,10 @@ def minimize_strongly_convex(
             step *= 0.5
         x, fx = cand, fc
         g = g_next if g_next is not None else grad(x)
-    raise InnerLoopError(float(np.linalg.norm(g)), max_iter)
+    gnorm = float(np.linalg.norm(g))
+    if gnorm <= tol:
+        return x
+    raise InnerLoopError(gnorm, max_iter)
 
 
 def _norm(v: Array) -> float:

@@ -26,11 +26,13 @@ unbuffered and adds the entries for a repeated target in index order.  The
 ends of each agent come in :func:`lambda_update`'s order, so each sum is
 bit-identical to the per-agent update, and a round costs O(N + E) whatever
 the degrees.  Sums over agents run in agent order.  A batched round has no
-processing order.  A state's primal maximizers and edge differences are
-computed once and shared by the round and the residuals that read them
-(see :class:`SolverState`).  The dual sweep also takes a leading axis of
-states: :func:`solve` evaluates the trace rows that cannot stop its run in
-batches, each row bit-identical to its own sweep.
+processing order.  A state's primal maximizers are computed once and
+shared by the round and the residuals that read them (see
+:class:`SolverState`); edge differences are taken from the plan's edge
+ends, by the round and by each evaluation alike.  The dual sweep also
+takes a leading axis of states: :func:`solve` evaluates the trace rows
+that cannot stop its run in batches, and records each row from its
+batch's sweep, bit-identical to its own sweep.
 """
 
 from __future__ import annotations
@@ -448,17 +450,15 @@ def _round_plan(instance: ProblemInstance) -> _RoundPlan:
 class SolverState:
     """Stacked dual state: one row per agent, one xi row per canonical edge.
 
-    A state that :func:`iterate` returns has read-only ``theta`` and ``mu``,
-    and carries by-products of the sweeps over them: the edge differences
-    of the round that made it; once :func:`residuals` has evaluated it, or
-    :func:`solve` has queued its trace row, the agents' primal maximizers,
-    which the next round, the row's evaluation and :func:`solve`'s recovery
-    reuse; and its :class:`Residuals`, once evaluated, which
-    :func:`residuals` then returns.  They are not fields, so ``copy()``,
-    ``==`` and ``repr`` ignore them, and they are used only while ``theta``
-    and ``mu`` are still the read-only arrays, owning their data, that they
-    came from: putting other arrays in their place, or making them
-    writeable again, drops them.
+    A state that :func:`iterate` returns has read-only ``theta`` and ``mu``.
+    Once :func:`residuals` has evaluated it, or :func:`solve` has queued its
+    trace row, it carries one by-product of the sweep over them, the
+    agents' primal maximizers, which the next round, the row's evaluation
+    and :func:`solve`'s recovery reuse.  It is not a field, so ``copy()``,
+    ``==`` and ``repr`` ignore it, and it is used only while ``theta`` and
+    ``mu`` are still the read-only arrays, owning their data, that it came
+    from: putting other arrays in their place, or making them writeable
+    again, drops it.
     """
 
     theta: Array  # (N, B)
@@ -466,10 +466,8 @@ class SolverState:
     xi: Array  # (|E|, B)
     t: int = 0
 
-    # (plan, theta, mu, by-product), see _kept
+    # (plan, theta, mu, maximizers), see _kept
     _maximizers = None
-    _edge_diff = None
-    _residuals = None
 
     def copy(self) -> "SolverState":
         return SolverState(self.theta.copy(), self.mu.copy(), self.xi.copy(), self.t)
@@ -495,9 +493,10 @@ def _frozen(state: SolverState) -> bool:
     )
 
 
-def _kept(slot, plan: _RoundPlan, state: SolverState):
-    """The by-product in ``slot`` if ``plan`` computed it from the state's
+def _kept(plan: _RoundPlan, state: SolverState):
+    """The state's kept maximizers if ``plan`` computed them from its
     current theta and mu, and both have stayed frozen; else None."""
+    slot = state._maximizers
     if (
         slot is not None
         and slot[0] is plan
@@ -511,7 +510,7 @@ def _kept(slot, plan: _RoundPlan, state: SolverState):
 
 def _state_maximizers(plan: _RoundPlan, state: SolverState) -> tuple[Array, Array]:
     """``plan.maximizers`` at the state's duals, kept on a frozen state."""
-    found = _kept(state._maximizers, plan, state)
+    found = _kept(plan, state)
     if found is None:
         theta, mu = state.theta, state.mu
         found = plan.maximizers(np.asarray(theta, dtype=float), np.asarray(mu, dtype=float))
@@ -551,8 +550,7 @@ def iterate(
     kernel over the instance's compiled plan, bit-identical to calling
     :func:`lambda_update` per agent and :func:`xi_update` per edge.  It
     reuses the primal maximizers kept on the state, and returns a new state
-    with read-only theta and mu that keeps the round's edge differences
-    for :func:`residuals`.
+    with read-only theta and mu.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
@@ -560,7 +558,7 @@ def iterate(
 
     # only an evaluated or queued state keeps its maximizers: for any other
     # state its round is its last sweep
-    kept = _kept(state._maximizers, plan, state)
+    kept = _kept(plan, state)
     _, x_hat = plan.maximizers(theta, mu) if kept is None else kept
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
     # of a repeated target one by one in index order, so every agent's sum
@@ -581,7 +579,6 @@ def iterate(
     edge_diff = theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
     new = SolverState(theta_new, mu_new, xi + gamma * edge_diff, state.t + 1)
     _freeze(new)
-    new._edge_diff = (plan, theta_new, mu_new, edge_diff)
     return new
 
 
@@ -647,28 +644,24 @@ def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residu
     Consensus is the norm of all per-edge theta differences; primal is the
     coupling-constraint violation of the recovered primal point.  The dual
     objective is evaluated from the same primal maximizers, so each agent
-    costs a single conjugate-gradient solve.  A state that :func:`iterate`
-    returned brings its edge differences, and keeps the maximizers and the
-    residuals; a state whose residuals were kept, as :func:`solve` keeps
-    them on the rows it evaluates in a batch, costs no sweep.  ``inc``,
-    instance.graph's consensus operator, is needed only for other states
-    and is built when not given.
+    costs a single conjugate-gradient solve.  A frozen state, as
+    :func:`iterate` returns them, keeps the maximizers for the next round
+    (see :class:`SolverState`).  ``inc`` is accepted for compatibility and
+    has no effect: the edge differences are taken at the edge ends of the
+    instance's compiled plan.
     """
-    plan = _round_plan(instance)
-    kept = _kept(state._residuals, plan, state)
-    return _evaluate(instance, plan, [state], inc)[0] if kept is None else kept
+    return _evaluate(instance, _round_plan(instance), [state])[0]
 
 
-def _evaluate(
-    instance: ProblemInstance, plan: _RoundPlan, states: list, inc=None
-) -> list[Residuals]:
+def _evaluate(instance: ProblemInstance, plan: _RoundPlan, states: list) -> list[Residuals]:
     """The :class:`Residuals` of ``states`` from one dual sweep over all of
-    them, each kept on its state when frozen.
+    them.
 
     One state is swept in place, on its own arrays; several are stacked
-    along a leading axis first.  The consensus and primal norms are one
-    ``_norm`` per state, so every value is bit-identical to that state's
-    sweep alone.
+    along a leading axis first.  The consensus reads the swept theta, with
+    the edge differences that :func:`iterate` takes.  The consensus and
+    primal norms are one ``_norm`` per state, so every value is
+    bit-identical to that state's sweep alone.
     """
     if len(states) == 1:
         (state,) = states
@@ -677,20 +670,13 @@ def _evaluate(
     else:
         per_state = [(s.theta, s.mu, *_state_maximizers(plan, s)) for s in states]
         arrays = [np.stack(column) for column in zip(*per_state)]
+    theta = arrays[0]
     phis, ax = _dual_sweep(plan, *arrays)
     ax -= instance.b
-    out = []
-    rows = zip(states, phis.reshape(-1).tolist(), ax.reshape(len(states), -1))
-    for state, phi, ax_k in rows:
-        edge_diff = _kept(state._edge_diff, plan, state)
-        if edge_diff is None:
-            inc = inc or instance.graph.incidence(instance.b_dim)
-            edge_diff = inc.apply_m(state.theta)
-        res = Residuals(_norm(edge_diff), _norm(ax_k), phi)
-        if _frozen(state):
-            state._residuals = (plan, state.theta, state.mu, res)
-        out.append(res)
-    return out
+    edge_diff = theta.take(plan.edge_owner, axis=-2) - theta.take(plan.edge_peer, axis=-2)
+    k = len(states)
+    rows = zip(edge_diff.reshape(k, -1), ax.reshape(k, -1), phis.reshape(-1).tolist())
+    return [Residuals(_norm(diff), _norm(ax_k), phi) for diff, ax_k, phi in rows]
 
 
 class RunningAverage:
@@ -748,12 +734,13 @@ def gap_bound_constant(
     Combines the weighted squared distance from the initialization to the
     saddle duals with scaled squared norms of the saddle and initial edge
     multipliers.  Requires the weighting matrix to be positive
-    semidefinite, which holds whenever the step-size rule does; violated
-    steps raise :class:`StepSizeError`.
+    semidefinite, which holds whenever the step-size rule does; steps that
+    violate it by more than :func:`validate_step_sizes`' slack raise
+    :class:`StepSizeError`.
     """
     b_dim = theta0.shape[1]
     tau = laplacian_spectral_radius(graph).value
-    if 1.0 / c < gamma * tau - 1e-12:
+    if 1.0 / c < gamma * tau - max(1e-12, _STEP_RULE_SLACK * gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
             "the distance weighting is not positive semidefinite"
@@ -958,15 +945,15 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     ``solve``, at most one batch after that row's round, and the rows of
     its batch are not recorded.
 
-    The rounds call :func:`residuals` and :func:`iterate` through this
-    module's namespace, so that a replacement installed there (a benchmark
-    hook or a tracer) sees every call: round 0's :func:`residuals` comes
-    first, and a queued row's comes when its batch has been evaluated, in
-    round order, and only reads the residuals kept on its state.  Each
-    evaluated state costs one sweep of primal maximizers: :func:`residuals`,
-    or the queueing of its row, keeps it on the state, and the next round,
-    the row's batch, or the recovery of ``x`` after the last round, reuses
-    it.
+    Round 0 and the rows that can stop the run are evaluated by
+    :func:`residuals`, and every round by :func:`iterate`, called through
+    this module's namespace, so that a replacement installed there (a
+    benchmark hook or a tracer) sees those calls, round 0's
+    :func:`residuals` first.  A queued row is recorded from its batch's
+    sweep and calls neither.  Each evaluated state costs one sweep of
+    primal maximizers: :func:`residuals`, or the queueing of its row, keeps
+    it on the state, and the next round, the row's batch, or the recovery
+    of ``x`` after the last round, reuses it.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -1005,9 +992,8 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
     def record_queue():
         if queue:
-            _evaluate(instance, plan, [row[0] for row in queue])
-            for row_state, row_step, wall in queue:
-                row = residuals(instance, row_state)
+            evaluated = _evaluate(instance, plan, [row[0] for row in queue])
+            for (row_state, row_step, wall), row in zip(queue, evaluated):
                 trace.record(row_state.t, row.dual_value, row.consensus, row.primal,
                              row_step, wall, row_state)
             queue.clear()

@@ -242,6 +242,13 @@ class TestSupportValue:
         mu = np.array([1.0, -2.0])
         assert psi.support_value(mu) == pytest.approx(quad.conjugate_value(mu), abs=1e-8)
 
+    def test_a_last_step_that_converges_is_accepted(self):
+        # the one allowed step of the inner loop lands on the maximizer
+        # x = mu exactly, so the loop must return it, not raise at its cap
+        psi = CustomStronglyConvex(lambda x: 0.5 * float(x @ x), lambda x: x, sigma=1.0,
+                                   inner_tol=0.0, inner_max_iter=1)
+        assert psi.support_value(np.array([0.7])) == pytest.approx(0.245, rel=1e-15)
+
     def test_custom_prox_has_no_conjugate_value(self):
         psi = CustomProx(lambda a, v: np.clip(v, 0, 1))
         with pytest.raises(ValueError):

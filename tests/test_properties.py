@@ -9,11 +9,12 @@ evaluated one row at a time.  Over 20 rounds the message-passing engine
 must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
 bit, and ``solve`` must recover the same x as the per-agent
-``primal_recovery``.  ``solve``, which reuses each state's maximizers and
-edge differences, must match ``oracles.reference_solve``, which sweeps
-every state afresh, in every output but the wall times, also with its
-queued trace rows evaluated two at a time, and a batch of up to 64 states
-swept at once must give each state its own residuals bit for bit.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+``primal_recovery``.  ``solve``, which reuses each state's maximizers,
+must match ``oracles.reference_solve``, which sweeps every state afresh,
+in every output but the wall times, also with its queued trace rows
+evaluated two at a time, and a batch of up to 64 states swept at once
+must give each state its own residuals bit for bit, on a single agent
+without edges too.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale; stars with the hub
 first and last, preferential-attachment trees, paths and a single agent
 check it at signed duals, mostly zeros; and a 3000-agent star checks that the plan and a round take memory linear in
@@ -45,6 +46,7 @@ from dualprox.functions import (
     NormPenalty,
     Quadratic,
     Zero,
+    _norm,
 )
 from dualprox.netsim import Engine
 from dualprox.problems import (
@@ -121,8 +123,8 @@ def smooth(custom: bool, rng: np.random.Generator, dim: int):
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(2, 12))
+def instances(draw, n_agents=None):
+    n = draw(st.integers(2, 12)) if n_agents is None else n_agents
     m = draw(st.sampled_from([1, 2, 3]))
     b_dim = draw(st.sampled_from([1, 2, 3]))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
@@ -219,15 +221,15 @@ def result_bits(result) -> dict:
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_solve_matches_the_reference_loop_bitwise(trace_every, trace_state, stop, data):
-    """``solve`` reuses each evaluated state's maximizers and each round's
-    edge differences, and evaluates queued trace rows in batches; the
-    reference loop sweeps every state afresh, one at a time.  A run to
-    tolerance uses ``oracles.random_instance``, which converges within the
-    round budget unless its coupling has about as many rows as the agents
-    have variables (about one draw in a hundred, skipped); a run out of
-    rounds uses the module's catalog mixes with tolerances of zero.  Each
-    draw is also solved with batches of two rows, so that its run crosses
-    many batches however few its rows."""
+    """``solve`` reuses each evaluated state's maximizers, and evaluates
+    queued trace rows in batches; the reference loop sweeps every state
+    afresh, one at a time.  A run to tolerance uses
+    ``oracles.random_instance``, which converges within the round budget
+    unless its coupling has about as many rows as the agents have
+    variables (about one draw in a hundred, skipped); a run out of rounds
+    uses the module's catalog mixes with tolerances of zero.  Each draw is
+    also solved with batches of two rows, so that its run crosses many
+    batches however few its rows."""
     if stop == "max_iter exhausted":
         instance = data.draw(instances())
         assume(validate(instance).ok)
@@ -364,14 +366,20 @@ def test_kernel_matches_the_per_agent_path_at_arbitrary_duals(instance, seed):
     assert bits(got.xi) == bits(want.xi)
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances(), st.integers(1, solver_module._BATCH_ROWS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(instances(), instances(n_agents=1)),
+    st.integers(1, solver_module._BATCH_ROWS),
+    st.integers(0, 2**32 - 1),
+)
 def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
     """``solve`` evaluates up to the row cap of queued states in one dual
     sweep.  At signed duals on every catalog kind, where ``L1`` and
     ``Zero`` give infinite rows and ``CustomProx`` NaN ones, each state's
     ``Residuals`` must be, bit for bit, those of ``residuals`` on a fresh
-    copy, and ``residuals`` must return the kept ones."""
+    copy, also after ``residuals`` kept the state's maximizers, and its
+    consensus the norm of the graph's consensus operator at its theta.  A
+    single agent has no edges and a zero consensus."""
     rng = np.random.default_rng(seed)
     states = [signed_duals(rng, instance) for _ in range(k)]
     for state in states:
@@ -382,7 +390,11 @@ def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
         want = residuals(instance, state.copy())
         for name in ("dual_value", "consensus", "primal"):
             assert bits(getattr(res, name)) == bits(getattr(want, name)), name
-        assert residuals(instance, state) is res
+        again = residuals(instance, state)
+        for name in ("dual_value", "consensus", "primal"):
+            assert bits(getattr(again, name)) == bits(getattr(res, name)), name
+        edge_diff = instance.graph.incidence(instance.b_dim).apply_m(state.theta)
+        assert bits(res.consensus) == bits(_norm(edge_diff))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -26,6 +26,7 @@ from dualprox.solver import (
     StepSizes,
     ergodic_gap_bound,
     eval_dual_objective,
+    gap_bound_constant,
     grad_p,
     init_state,
     iterate,
@@ -454,6 +455,19 @@ class TestGapBound:
                 state.theta, state.mu, state.xi, theta, mu, xi, T=10,
             )
 
+    def test_every_accepted_suggestion_has_a_bound(self):
+        # the suggested 1/c can round an ulp below gamma*tau, inside the
+        # step rule's slack: at gamma = k*1e8 on the market graph it does
+        # for k = 1, 2, 4, 8, 16, 29, 32 and 58
+        graph = build_market().graph
+        tau = laplacian_spectral_radius(graph).value
+        zeros, xi = np.zeros((5, 1)), np.zeros((graph.n_edges, 1))
+        h = 1e-9
+        for gamma in [k * 1e8 for k in range(1, 60)]:
+            c = suggest_step_sizes(h, tau, gamma).c
+            validate_step_sizes(h, tau, c, gamma)
+            assert gap_bound_constant(graph, c, gamma, zeros, zeros, xi, zeros, zeros, xi) == 0.0
+
 
 class TestFixedPointIsSaddle:
     def test_iterate_from_saddle_stays(self):
@@ -675,11 +689,10 @@ def change_state(state: SolverState, name: str, how: str) -> None:
 
 
 class TestSweepReuse:
-    """``iterate`` returns a read-only state that keeps its round's edge
-    differences, and ``residuals`` keeps the maximizers of a read-only state
-    for the next round, and the residuals for a second call.  Whatever is
-    done to a state between the calls, a result must equal that of a fresh
-    copy, or the change must raise."""
+    """``iterate`` returns a read-only state, and ``residuals`` keeps the
+    maximizers of a read-only state for the next round and for a second
+    call.  Whatever is done to a state between the calls, a result must
+    equal that of a fresh copy, or the change must raise."""
 
     def evaluated(self):
         instance = build_market()
@@ -718,7 +731,7 @@ class TestSweepReuse:
     def test_a_change_after_residuals_is_seen_by_residuals(self, name, how):
         instance, steps, state = self.evaluated()
         kept = residuals(instance, state)
-        assert residuals(instance, state) is kept
+        assert residual_bits(residuals(instance, state)) == residual_bits(kept)
         change_state(state, name, how)
         want = residuals(instance, state.copy())
         assert residual_bits(want) != residual_bits(kept)
@@ -780,7 +793,8 @@ class TestOneSweepPerEvaluatedState:
     def test_market_traced_every_round(self, monkeypatch):
         """At ``trace_every=1`` every state is evaluated: one maximizer sweep
         each, one call per catalog group, and none for the recovery of x.
-        ``solve`` must call ``residuals`` and ``iterate`` through the module,
+        ``solve`` must call ``iterate`` every round, and ``residuals`` for
+        round 0 and each row that can stop the run, through the module,
         where the benchmark's hooks replace them."""
         import dualprox.solver as solver_module
 
@@ -805,23 +819,42 @@ class TestOneSweepPerEvaluatedState:
         assert result.converged and rounds > 1000
         assert len(solver_module._round_plan(instance).f_groups) == 1
         assert counts["iterate"] == rounds
-        assert counts["residuals"] == rounds + 1 == len(result.trace)
+        assert len(result.trace) == rounds + 1
+        small_steps = result.trace.column("step_norm")[1:] <= SolverConfig().tol_step
+        assert counts["residuals"] == 1 + np.count_nonzero(small_steps) < rounds
         assert counts["conjugate_gradient"] == rounds + 1
+
+    def test_solve_and_residuals_build_no_incidence_operator(self, monkeypatch):
+        """Edge differences are taken at the round plan's edge ends, for
+        round 0, queued rows, rows that can stop the run, and states that
+        ``iterate`` did not make."""
+        from dualprox.topology import IncidenceOperator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an incidence operator was built")
+
+        monkeypatch.setattr(IncidenceOperator, "__init__", refuse)
+        instance = build_market()
+        result = solve(instance, SolverConfig(trace_every=1))
+        assert result.converged
+        final = SolverState(result.theta, result.mu, result.xi, result.iterations)
+        assert residuals(instance, final).consensus == result.trace.rows[-1][2]
+        assert residuals(instance, init_state(instance)).consensus == 0.0
 
 
 class ClosedFormProx(CustomStronglyConvex):
-    """A strongly convex part whose prox is in closed form, so that only its
-    conjugate value runs the inner loop."""
+    """The strongly convex part ``sigma/2 * u @ u``, whose prox is in closed
+    form, so that only its conjugate value runs the inner loop."""
 
     def _prox(self, alpha, v):
-        return v / (1.0 + alpha)
+        return v / (1.0 + self.sigma * alpha)
 
 
 class TestQueuedRows:
     def test_an_error_in_a_queued_row_propagates_and_the_row_is_not_recorded(
         self, monkeypatch
     ):
-        """The conjugate value of ``u @ u / 2`` with a one-step inner loop
+        """The conjugate value of ``1.5 * u @ u`` with a one-step inner loop
         that never meets its tolerance reaches the loop's cap at every
         nonzero mu, so round 0 (mu = 0) is evaluated and every later row
         raises.  Those rows cannot stop the run, so they are queued: with
@@ -829,7 +862,7 @@ class TestQueuedRows:
         record no row but round 0."""
         import dualprox.solver as solver_module
 
-        g = ClosedFormProx(lambda x: 0.5 * float(x @ x), lambda x: x, sigma=1.0,
+        g = ClosedFormProx(lambda x: 1.5 * float(x @ x), lambda x: 3.0 * x, sigma=3.0,
                            inner_tol=0.0, inner_max_iter=1)
         instance = scalar_path(g)
         recorded, rounds = [], []
@@ -852,26 +885,29 @@ class TestQueuedRows:
         assert len(rounds) == 4
 
     def test_queued_rows_come_in_round_order_with_their_own_residuals(self, monkeypatch):
-        """Hooks on ``residuals`` see round 0 first and then every row in
-        round order, each call on the state of its row, also when the queue
-        is evaluated in batches of three."""
+        """Queued rows are recorded from their batch's sweep, in round order,
+        each with the residuals of its own state, also when the queue is
+        evaluated in batches of three.  Hooks on ``residuals`` see round 0,
+        the only row here that can stop the run."""
         import dualprox.solver as solver_module
 
         seen = []
         original = solver_module.residuals
 
         def spy(instance, state, *args, **kwargs):
-            res = original(instance, state, *args, **kwargs)
-            seen.append((state.t, res))
-            return res
+            seen.append(state.t)
+            return original(instance, state, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "residuals", spy)
         monkeypatch.setattr(solver_module, "_BATCH_ROWS", 3)
-        result = solve(build_market(), SolverConfig(trace_every=5, max_iter=41))
-        assert [t for t, _ in seen] == [row[0] for row in result.trace.rows]
+        instance = build_market()
+        result = solve(instance, SolverConfig(trace_every=5, max_iter=41, trace_state=True))
+        assert seen == [0]
         assert [row[0] for row in result.trace.rows] == [0, *range(5, 41, 5), 41]
-        for (_, res), row in zip(seen, result.trace.rows):
-            assert (res.dual_value, res.consensus, res.primal) == row[1:4]
+        for row, (theta, mu, xi) in zip(result.trace.rows, result.trace.state_rows):
+            res = original(instance, SolverState(theta.copy(), mu.copy(), xi.copy(), row[0]))
+            want = np.array([res.dual_value, res.consensus, res.primal])
+            assert np.array(row[1:4]).tobytes() == want.tobytes()
 
 
 def scalar_path(g, q=(-1.0, 0.5, 2.0, -0.3, 0.8, -1.2), b=0.5) -> ProblemInstance:
