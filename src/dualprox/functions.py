@@ -382,8 +382,8 @@ class L1(NonsmoothFunction):
     """
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ValueError(f"l1 weight must be nonnegative, got {weight}")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {weight}")
         self.weight = float(weight)
 
     def _prox(self, alpha: float, v: Array) -> Array:
@@ -427,8 +427,8 @@ class Box(NonsmoothFunction):
             raise ValueError(
                 f"bound shapes differ: {self.lo.shape} vs {self.hi.shape}"
             )
-        if np.any(self.lo > self.hi):
-            raise ValueError("box requires lo <= hi componentwise")
+        if not (self.lo <= self.hi).all():  # false for a NaN bound too
+            raise ValueError("box requires lo <= hi componentwise, with no NaN bound")
 
     @classmethod
     def stack(cls, members: list["Box"]) -> "Box":

@@ -2,7 +2,8 @@
 
 An instance couples N agents through one affine equality constraint
 ``A x = b`` (A split into per-agent column blocks) over a communication
-graph.  This module also ships the five-agent electricity-market benchmark
+graph; its stacked view makes every catalog call across agents.  This
+module also ships the five-agent electricity-market benchmark
 (two generating companies minimizing quadratic cost, three users
 maximizing quadratic-branch utility, supply equal to demand) and a plain
 text file format for instances.
@@ -10,6 +11,7 @@ text file format for instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -18,6 +20,7 @@ import numpy as np
 
 from .functions import (
     Box,
+    ConjugateUnavailable,
     L1,
     NonsmoothFunction,
     NormPenalty,
@@ -72,6 +75,8 @@ class AgentProblem:
             raise ValueError(
                 f"coupling block has {a.shape[1]} columns but f lives on R^{f.dim}"
             )
+        if not np.isfinite(a).all():
+            raise ValueError(f"coupling block must be finite, got {a.tolist()}")
         self.a_block = a
         if isinstance(g, Box) and (g.lo.ndim != 1 or g.lo.size not in (1, f.dim)):
             raise ValueError(
@@ -117,7 +122,6 @@ def _groups(parts: list, kind: type) -> list[tuple]:
     return stacked + [(i, part) for i, part in enumerate(parts) if not exact[i]]
 
 
-@dataclass(frozen=True, eq=False)
 class StackedAgents:
     """An instance's agents as stacked arrays and groups of catalog functions.
 
@@ -127,12 +131,19 @@ class StackedAgents:
     :class:`Quadratic` (or :class:`Box`) form one stacked function, indexed
     by an array of agent rows or by ``slice(None)`` when it covers every
     agent, and any other part sits on its own integer row.
+
+    No code outside this module reads the groups.  The view's catalog calls
+    take (N, M) points, or (..., N, M) with leading batch axes, and give
+    agent i's own function's result at ``[..., i, :]``, bit for bit.
     """
 
-    a: np.ndarray
-    kappa: np.ndarray
-    f_groups: list
-    g_groups: list
+    def __init__(self, a: np.ndarray, kappa: np.ndarray, f_groups: list, g_groups: list):
+        self.a, self.kappa, self.f_groups, self.g_groups = a, kappa, f_groups, g_groups
+        # a group on slice(None) is the only one: it takes the whole array
+        self._f_whole, self._g_whole = (
+            groups[0][1] if isinstance(groups[0][0], slice) else None
+            for groups in (f_groups, g_groups)
+        )
 
     def sigma(self) -> np.ndarray:
         """Entry i is agent i's strong convexity modulus, 0.0 where its
@@ -142,15 +153,58 @@ class StackedAgents:
             out[rows] = getattr(f, "sigma", 0.0)
         return out
 
+    def conjugate_gradient(self, v: np.ndarray) -> np.ndarray:
+        """Every agent's primal maximizer, the conjugate gradient of ``f_i``."""
+        return _each(self.f_groups, self._f_whole, "conjugate_gradient", v, v.shape)
+
+    def conjugate_prox(self, c: float, w: np.ndarray) -> np.ndarray:
+        """Every agent's prox step on the conjugate of ``g_i``."""
+        return _each(self.g_groups, self._g_whole, "conjugate_prox", w, w.shape, c)
+
+    def f_values(self, x: np.ndarray) -> np.ndarray:
+        """Entry ``[..., i]`` is ``f_i(x[..., i, :])``."""
+        return _each(self.f_groups, self._f_whole, "value", x, x.shape[:-1])
+
+    def support_values(self, mu: np.ndarray) -> np.ndarray:
+        """Entry ``[..., i]`` is the conjugate of ``g_i`` at ``mu[..., i, :]``,
+        NaN where it is unavailable."""
+        return _each(self.g_groups, self._g_whole, "support_value", mu, mu.shape[:-1])
+
+
+def _each(groups: list, whole, method: str, points: np.ndarray, shape: tuple, *args):
+    """The one loop over the groups: each agent's ``method(*args, point)``
+    at its rows of ``points``, into an array of ``shape``.  The function
+    ``whole`` takes the whole array, a stacked one its rows, and a part of
+    its own one point at a time, NaN where it raises ConjugateUnavailable."""
+    if whole is not None:
+        return getattr(whole, method)(*args, points)
+    out = np.empty(shape)
+    lead = (slice(None),) * (points.ndim - 2)  # the batch axes
+    for rows, function in groups:
+        call = getattr(function, method)
+        if isinstance(rows, int):
+            for k in np.ndindex(points.shape[:-2]):
+                at = k + (rows,)
+                try:
+                    out[at] = call(*args, points[at])
+                except ConjugateUnavailable:
+                    out[at] = math.nan
+        else:
+            out[lead + (rows,)] = call(*args, points[lead + (rows,)])
+    return out
+
 
 def _offset(b) -> np.ndarray:
-    """The constraint offset as a float vector; an empty one is rejected."""
+    """The constraint offset as a float vector; an empty or non-finite one is
+    rejected."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.size == 0:
         raise ValueError(
             "coupling constraint is empty (no multiplier to agree on); "
             "solve the agents independently instead"
         )
+    if not np.isfinite(b).all():
+        raise ValueError(f"constraint offset b must be finite, got {b.tolist()}")
     return b
 
 
@@ -204,6 +258,8 @@ class ProblemInstance:
         n, b_dim, m = a.shape
         if m != f.dim:
             raise ValueError(f"coupling block has {m} columns but f lives on R^{f.dim}")
+        if not np.isfinite(a).all():
+            raise ValueError("coupling blocks must be finite")
         if g.lo.shape[1] not in (1, f.dim):
             raise ValueError(
                 f"box bounds have shape {g.lo.shape[1:]}, expected 1 or {f.dim} entries"
@@ -506,8 +562,20 @@ def _parse_number(kind, text: str, where: str):
         raise ParseError(f"{where}: bad number {text!r}") from exc
 
 
-def _parse_vector(text: str, where: str) -> np.ndarray:
-    return _parse_number(lambda t: np.array([float(tok) for tok in t.split()]), text, where)
+def _parse_float(text: str, where: str) -> float:
+    """A finite number; NaN and infinities are ParseErrors that name ``where``."""
+    value = _parse_number(float, text, where)
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: {text!r} is not a finite number")
+    return value
+
+
+def _parse_vector(text: str, where: str, bounds: bool = False) -> np.ndarray:
+    """The numbers in ``text``, all finite, or, for box ``bounds``, none NaN."""
+    values = _parse_number(lambda t: np.array([float(tok) for tok in t.split()]), text, where)
+    if not (~np.isnan(values) if bounds else np.isfinite(values)).all():
+        raise ParseError(f"{where}: {text!r} holds {'NaN' if bounds else 'a non-finite number'}")
+    return values
 
 
 def _parse_matrix(text: str, where: str) -> np.ndarray:
@@ -652,13 +720,13 @@ def load_instance(path) -> ProblemInstance:
         a_block = _parse_matrix(_require(amap, "a_block", name), f"[{name}] a_block")
         kappa = 1.0 / len(agent_names)
         if "kappa" in amap:
-            kappa = _parse_number(float, amap["kappa"], f"[{name}] kappa")
+            kappa = _parse_float(amap["kappa"], f"[{name}] kappa")
 
         fkind = _require(amap, "f", name)
         if fkind == "quadratic":
             p = _parse_matrix(_require(amap, "f.p", name), f"[{name}] f.p")
             q = _parse_vector(_require(amap, "f.q", name), f"[{name}] f.q")
-            r = _parse_number(float, amap.get("f.r", "0.0"), f"[{name}] f.r")
+            r = _parse_float(amap.get("f.r", "0.0"), f"[{name}] f.r")
             try:
                 f: SmoothFunction = Quadratic(p, q, r)
             except ValueError as exc:
@@ -671,11 +739,11 @@ def load_instance(path) -> ProblemInstance:
             if gkind == "zero":
                 g: NonsmoothFunction = Zero()
             elif gkind == "l1":
-                g = L1(float(_require(amap, "g.w", name)))
+                g = L1(_parse_float(_require(amap, "g.w", name), f"[{name}] g.w"))
             elif gkind == "box":
                 g = Box(
-                    _parse_vector(_require(amap, "g.lo", name), f"[{name}] g.lo"),
-                    _parse_vector(_require(amap, "g.hi", name), f"[{name}] g.hi"),
+                    _parse_vector(_require(amap, "g.lo", name), f"[{name}] g.lo", bounds=True),
+                    _parse_vector(_require(amap, "g.hi", name), f"[{name}] g.hi", bounds=True),
                 )
             elif gkind == "norm_ball":
                 g = NormPenalty(int(_require(amap, "g.e", name)))

@@ -16,10 +16,10 @@ runs a round, the dual sweep behind :func:`residuals` and
 :func:`eval_dual_objective`, and the primal recovery at the end of
 :func:`solve` as one batched kernel instead.  Each instance is compiled
 once, in :func:`solve`'s set-up or on first use, into a plan of flat
-edge-end index arrays, stacked coupling blocks and groups of catalog
-functions: all Quadratic smooth parts form one stacked ``Quadratic`` and
-all Box parts one stacked ``Box``, and any other kind is called on its
-agent's row.  A round gathers every agent's neighbour terms in one call per
+edge-end index arrays and stacked coupling blocks.  The catalog calls go
+through the instance's stacked view,
+:class:`~dualprox.problems.StackedAgents`, the one reader of the catalog
+groups.  A round gathers every agent's neighbour terms in one call per
 kind (edge multipliers, neighbour estimates), one entry per edge end and
 component, and scatters them into the pressure with ``np.add.at``, which is
 unbuffered and adds the entries for a repeated target in index order.  The
@@ -44,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .functions import ConjugateUnavailable, _norm
+from .functions import _norm
 from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
@@ -173,6 +173,11 @@ def _spectral_norms(a: Array) -> Array:
 _STEP_RULE_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
+def _short_of(c: float, required: float) -> bool:
+    """1/c is below ``required`` by more than the step rule's slack."""
+    return 1.0 / c < required - max(1e-12, _STEP_RULE_SLACK * required)
+
+
 def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> None:
     """Accept step sizes iff 1/c >= h + gamma * tau_bar (boundary included).
 
@@ -190,7 +195,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
             f"an edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
         )
     required = h + gamma * tau_bar
-    if 1.0 / c < required - max(1e-12, _STEP_RULE_SLACK * required):
+    if _short_of(c, required):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} is below the required h + gamma*tau = {required:.6g}"
         )
@@ -336,15 +341,13 @@ class _RoundPlan:
     agent owns (``xi``, by ascending peer), then those its smaller
     neighbours own (``-xi``, by ascending owner).  ``nbr_source`` indexes
     the flattened theta at the agent's neighbours, ascending.  The coupling
-    blocks ``a``, the shares ``kappa`` and the ``(rows, function)`` groups
-    ``f_groups`` and ``g_groups`` are those of the instance's stacked view;
-    ``f_whole`` and ``g_whole`` are the function of a group that covers
-    every row, which is called on the whole array, or None.  ``b_rows`` is
-    ``b`` broadcast to one row per agent.
+    blocks ``a`` and the shares ``kappa`` are those of the instance's
+    stacked view, ``stacked``, which makes every catalog call of the round
+    and the sweep; ``b_rows`` is ``b`` broadcast to one row per agent.
 
-    The methods run every round, so they call ufuncs, ndarray methods and
-    the catalog's public methods, one call per group, and leave NumPy's
-    Python-level wrappers and the checks of set-up to set-up.
+    The methods run every round, so they call ufuncs and ndarray methods,
+    and leave NumPy's Python-level wrappers and the checks of set-up to
+    set-up.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -363,75 +366,21 @@ class _RoundPlan:
             for rows in (agent, xi_rows, graph.nbr - 1)
         )
 
-        stacked = instance.stacked
-        self.a, self.kappa = stacked.a, stacked.kappa
+        self.stacked = instance.stacked
+        self.a, self.kappa = self.stacked.a, self.stacked.kappa
         self.a_t = self.a.transpose(0, 2, 1)
         self.b_rows = np.broadcast_to(instance.b, (n, b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
-        self.f_groups, self.g_groups = stacked.f_groups, stacked.g_groups
-        self.f_whole, self.g_whole = _whole(self.f_groups), _whole(self.g_groups)
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
         ``x_hat_i``, the gradient of the conjugate of ``f_i`` at ``v_i``."""
         v = -_stacked_matvec(self.a_t, theta) - mu
-        if self.f_whole is not None:
-            return v, self.f_whole.conjugate_gradient(v)
-        x_hat = np.empty_like(v)
-        for rows, f in self.f_groups:
-            x_hat[rows] = f.conjugate_gradient(v[rows])
-        return v, x_hat
+        return v, self.stacked.conjugate_gradient(v)
 
     def coupling_terms(self, x: Array) -> Array:
         """Row i is ``A_i @ x_i``."""
         return _stacked_matvec(self.a, x)
-
-    def conjugate_prox(self, c: float, w: Array) -> Array:
-        """Every agent's prox step on the conjugate of its nonsmooth part."""
-        if self.g_whole is not None:
-            return self.g_whole.conjugate_prox(c, w)
-        out = np.empty_like(w)
-        for rows, g in self.g_groups:
-            out[rows] = g.conjugate_prox(c, w[rows])
-        return out
-
-    def f_values(self, x: Array) -> Array:
-        """Entry ``[..., i]`` is ``f_i(x[..., i, :])``: (N, M) points, or
-        (K, N, M) for a batch of K states."""
-        if self.f_whole is not None:
-            return self.f_whole.value(x)
-        out = np.empty(x.shape[:-1])
-        for rows, f in self.f_groups:
-            if isinstance(rows, int):  # a part of its own takes one point
-                for k in np.ndindex(x.shape[:-2]):
-                    out[k + (rows,)] = f.value(x[k + (rows,)])
-            else:
-                out[..., rows] = f.value(x[..., rows, :])
-        return out
-
-    def support_values(self, mu: Array) -> Array:
-        """Entry ``[..., i]`` is the conjugate of ``g_i`` at ``mu[..., i, :]``,
-        NaN where it is unavailable, for (N, M) or (K, N, M) duals."""
-        if self.g_whole is not None:
-            return self.g_whole.support_value(mu)
-        out = np.empty(mu.shape[:-1])
-        for rows, g in self.g_groups:
-            if isinstance(rows, int):  # a part of its own takes one point
-                for k in np.ndindex(mu.shape[:-2]):
-                    try:
-                        out[k + (rows,)] = g.support_value(mu[k + (rows,)])
-                    except ConjugateUnavailable:
-                        out[k + (rows,)] = math.nan
-            else:
-                out[..., rows] = g.support_value(mu[..., rows, :])
-        return out
-
-
-def _whole(groups: list):
-    """The function of the one group that covers every row, else None."""
-    if len(groups) == 1 and isinstance(groups[0][0], slice):
-        return groups[0][1]
-    return None
 
 
 def _round_plan(instance: ProblemInstance) -> _RoundPlan:
@@ -575,7 +524,7 @@ def iterate(
     np.add.at(flat, plan.end_target, nbr_terms)
     theta_new = theta - c * pressure
     grad_mu = -x_hat
-    mu_new = plan.conjugate_prox(c, mu - c * grad_mu)
+    mu_new = plan.stacked.conjugate_prox(c, mu - c * grad_mu)
     edge_diff = theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
     new = SolverState(theta_new, mu_new, xi + gamma * edge_diff, state.t + 1)
     _freeze(new)
@@ -611,8 +560,9 @@ def _dual_sweep(
     n, b_dim = theta.shape[-2:]
     terms = np.empty((n + 1, *theta.shape[:-2], 1 + b_dim))
     terms[0] = 0.0
-    smooth = _rowdot(v, x_hat) - plan.f_values(x_hat) + plan.kappa * _rowdot(plan.b_rows, theta)
-    smooth += plan.support_values(mu)
+    smooth = _rowdot(v, x_hat) - plan.stacked.f_values(x_hat)
+    smooth += plan.kappa * _rowdot(plan.b_rows, theta)
+    smooth += plan.stacked.support_values(mu)
     # agents first: (K, N) -> (N, K) and (K, N, B) -> (N, K, B)
     terms[1:, ..., 0] = smooth.T
     terms[1:, ..., 1:] = plan.coupling_terms(x_hat).swapaxes(0, -2)
@@ -740,7 +690,7 @@ def gap_bound_constant(
     """
     b_dim = theta0.shape[1]
     tau = laplacian_spectral_radius(graph).value
-    if 1.0 / c < gamma * tau - max(1e-12, _STEP_RULE_SLACK * gamma * tau):
+    if _short_of(c, gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
             "the distance weighting is not positive semidefinite"
@@ -862,14 +812,13 @@ class Trace:
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
 
-    def write_csv(self, path, include_wall_time: bool = False) -> None:
+    def write_csv(self, path) -> None:
         """Write the trace as comma-separated text with one header row.
 
-        Wall time is reproducible-run poison, so it stays out of the file
-        unless explicitly requested; all other columns are deterministic
-        for a given configuration.
+        Wall time is reproducible-run poison, so it stays out of the file;
+        all other columns are deterministic for a given configuration.
         """
-        cols = self.columns if include_wall_time else self.columns[:-1]  # wall time is last
+        cols = self.columns[:-1]  # wall time is last
         header = list(cols)
         if self.with_state and self.state_rows:
             theta, mu, xi = self.state_rows[0]

@@ -404,11 +404,10 @@ def reference_validate(instance: ProblemInstance) -> ValidationReport:
 # --- row-by-row trace writer --------------------------------------------------
 
 
-def reference_write_csv(trace: Trace, path, include_wall_time: bool = False) -> None:
+def reference_write_csv(trace: Trace, path) -> None:
     """``Trace.write_csv``, one named column and one state entry at a time."""
     cols = list(trace.columns)
-    if not include_wall_time:
-        cols.remove("wall_time")
+    cols.remove("wall_time")
     header = list(cols)
     if trace.with_state and trace.state_rows:
         theta, mu, xi = trace.state_rows[0]

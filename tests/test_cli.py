@@ -60,6 +60,25 @@ class TestValidateCommand:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "old, new", [("a_block = 1.0", "a_block = nan"), ("f.q = 8.71", "f.q = nan")],
+        ids=["a_block", "f.q"],
+    )
+    def test_non_finite_number_is_a_parse_error(
+        self, market_file, tmp_path, capsys, command, old, new
+    ):
+        market_file.write_text(market_file.read_text().replace(old, new, 1))
+        args = [command, "--instance", str(market_file)]
+        if command == "solve":
+            args += ["--max-iter", "3000", "--trace-out", str(tmp_path / "t.csv")]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [agent 1] ") and "nan" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_box_bounds_of_the_wrong_length_is_a_parse_error(self, tmp_path, capsys, command):
         path = tmp_path / "bad_box.txt"
         path.write_text(box_bounds_of_the_wrong_length())

@@ -455,3 +455,18 @@ class TestBoxValidation:
         psi = Box(0.0, math.inf)
         assert psi.support_value(np.array([-1.0])) == 0.0
         assert psi.support_value(np.array([1.0])) == math.inf
+
+    @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([0.0], [math.nan]),
+                                        ([0.0, math.nan], [1.0, 1.0])])
+    def test_rejects_nan_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="NaN"):
+            Box(lo, hi)
+
+    def test_accepts_infinite_bounds(self):
+        Box([-math.inf, 0.0], [math.inf, math.inf])
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+def test_l1_rejects_a_weight_outside_zero_to_infinity(weight):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        L1(weight)

@@ -231,6 +231,21 @@ class TestInstanceConstruction:
                 Graph(2, [(1, 2)]),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coupling_blocks_and_offsets(self, value):
+        with pytest.raises(ValueError, match="coupling block must be finite"):
+            AgentProblem(Quadratic(np.eye(2)), Zero(), [[1.0, value]], 1.0)
+        agent = AgentProblem(Quadratic(1.0), Zero(), [[1.0]], 1.0)
+        with pytest.raises(ValueError, match="offset b must be finite"):
+            ProblemInstance([agent], [value], Graph(1, []))
+        f, g = Quadratic(np.ones((2, 1, 1))), Box(np.zeros((2, 1)), np.ones((2, 1)))
+        a, kappa = np.array([1.0, value]).reshape(2, 1, 1), np.full(2, 0.5)
+        with pytest.raises(ValueError, match="coupling blocks must be finite"):
+            ProblemInstance._from_stacked(f, g, a, kappa, [0.0], Graph(2, [(1, 2)]))
+        with pytest.raises(ValueError, match="offset b must be finite"):
+            ProblemInstance._from_stacked(f, g, np.ones((2, 1, 1)), kappa, [value],
+                                          Graph(2, [(1, 2)]))
+
 
 class TestBuildMarket:
     def test_company2_row(self):
@@ -419,6 +434,47 @@ class TestInstanceFiles:
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(ParseError, match=where):
             load_instance(path)
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("values = 0.0", "values = nan", r"\[b\] values"),
+            ("a_block = 1.0", "a_block = nan", r"\[agent 1\] a_block"),
+            ("a_block = 1.0", "a_block = inf", r"\[agent 1\] a_block"),
+            ("kappa = 0.2", "kappa = nan", r"\[agent 1\] kappa"),
+            ("f.p = 0.0031", "f.p = -inf", r"\[agent 1\] f.p"),
+            ("f.q = 8.71", "f.q = nan", r"\[agent 1\] f.q"),
+            ("f.r = 0.0", "f.r = inf", r"\[agent 1\] f.r"),
+            ("g.lo = 0.0", "g.lo = nan", r"\[agent 1\] g.lo"),
+            ("g.hi = 150.0", "g.hi = nan", r"\[agent 1\] g.hi"),
+        ],
+        ids=["b", "a_block-nan", "a_block-inf", "kappa", "f.p", "f.q", "f.r", "g.lo", "g.hi"],
+    )
+    def test_non_finite_number_is_parse_error(self, tmp_path, old, new, where):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError, match=where):
+            load_instance(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_l1_weight_is_parse_error(self, tmp_path, weight):
+        path = tmp_path / "inst.txt"
+        agent = AgentProblem(Quadratic(1.0), L1(1.0), [[1.0]], 1.0)
+        save_instance(ProblemInstance([agent], [0.0], Graph(1, [])), path)
+        path.write_text(path.read_text().replace("g.w = 1.0", f"g.w = {weight}"))
+        with pytest.raises(ParseError, match=r"\[agent 1\] g.w"):
+            load_instance(path)
+
+    def test_infinite_box_bounds_load(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        text = path.read_text().replace("g.lo = 0.0", "g.lo = -inf", 1)
+        path.write_text(text.replace("g.hi = 150.0", "g.hi = inf", 1))
+        g = load_instance(path).agents[0].g
+        assert (g.lo.tolist(), g.hi.tolist()) == ([-np.inf], [np.inf])
 
     def test_missing_section_reported(self, tmp_path):
         path = tmp_path / "inst.txt"

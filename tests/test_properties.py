@@ -14,7 +14,9 @@ must match ``oracles.reference_solve``, which sweeps every state afresh,
 in every output but the wall times, also with its queued trace rows
 evaluated two at a time, and a batch of up to 64 states swept at once
 must give each state its own residuals bit for bit, on a single agent
-without edges too.  A 1000-agent market on the benchmark's ring-plus-chord graph checks
+without edges too.  The stacked view's four catalog calls must give each
+agent's own call bit for bit, with and without leading batch axes.  A
+1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale; stars with the hub
 first and last, preferential-attachment trees, paths and a single agent
 check it at signed duals, mostly zeros; and a 3000-agent star checks that the plan and a round take memory linear in
@@ -41,6 +43,7 @@ import dualprox.solver as solver_module
 from dualprox.functions import (
     L1,
     Box,
+    ConjugateUnavailable,
     CustomProx,
     CustomSmooth,
     NormPenalty,
@@ -278,12 +281,13 @@ def scaled_market(edges=None, n=1000):
     )
 
 
-def plan_arrays(plan) -> dict:
-    """Every array of a round plan, its catalog groups' included, by name."""
-    out = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+def plan_arrays(instance) -> dict:
+    """Every array of an instance's round plan and of its stacked view's
+    catalog groups, by name."""
+    out = {k: v for k, v in vars(_round_plan(instance)).items() if isinstance(v, np.ndarray)}
     for name in ("f_groups", "g_groups"):
-        for k, (rows, fn) in enumerate(getattr(plan, name)):
-            out[f"{name}[{k}].rows"] = np.arange(len(plan.a))[rows]
+        for k, (rows, fn) in enumerate(getattr(instance.stacked, name)):
+            out[f"{name}[{k}].rows"] = np.arange(instance.n_agents)[rows]
             out[f"{name}[{k}].type"] = np.array(type(fn).__name__)
             for attr, value in vars(fn).items():
                 if isinstance(value, np.ndarray):
@@ -300,7 +304,7 @@ def test_stacked_and_agent_built_markets_give_one_plan(build, tmp_path):
     solve to the same bits."""
     stacked = build()
     agent_built = ProblemInstance(build().agents, [0.0], stacked.graph)
-    got, want = plan_arrays(_round_plan(stacked)), plan_arrays(_round_plan(agent_built))
+    got, want = plan_arrays(stacked), plan_arrays(agent_built)
     assert got.keys() == want.keys()
     for name in got:
         assert (got[name].dtype, got[name].shape) == (want[name].dtype, want[name].shape), name
@@ -620,7 +624,60 @@ def test_stacked_box_support_matches_each_box(m):
     mu *= rng.uniform(0.5, 1.5, size=(n, m))
     with np.errstate(invalid="ignore"):  # +inf and -inf terms add up to NaN
         want = [a.g.support_value(mu[i]) for i, a in enumerate(agents)]
-        assert bits(_round_plan(instance).support_values(mu)) == bits(want)
+        assert bits(instance.stacked.support_values(mu)) == bits(want)
+
+
+@st.composite
+def whole_group_instances(draw):
+    """Quadratic and Box agents only, so that each group covers every agent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, b_dim = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return random_instance(rng, n, m, b_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(instances(), instances(n_agents=1), whole_group_instances()),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_catalog_calls_match_each_agent(instance, batch, seed):
+    """The stacked view's four catalog calls, on (N, M) points or with
+    leading batch axes, must give every point each agent's own function's
+    result bit for bit, signed zeros included, and NaN for the support
+    value that ``CustomProx`` cannot give.  The draws mix stacked Quadratic
+    and Box rows with ``CustomSmooth``, ``CustomProx``, ``L1``, ``Zero``
+    and ``NormPenalty`` rows, or have one group per part that covers every
+    agent."""
+    rng = np.random.default_rng(seed)
+    shape = (*batch, instance.n_agents, instance.m)
+    values = rng.normal(size=shape) * rng.choice([0.1, 1.0, 10.0], size=shape)
+    zeros = rng.choice([-0.0, 0.0], size=shape)
+    points = np.where(rng.uniform(size=shape) < 1 / 3, zeros, values)
+    c = float(rng.choice([0.05, 1.0, 3.0]))
+
+    def support_value(g, mu):
+        try:
+            return g.support_value(mu)
+        except ConjugateUnavailable:
+            return math.nan
+
+    stacked = instance.stacked
+    calls = [
+        (stacked.conjugate_gradient, lambda agent, x: agent.f.conjugate_gradient(x), shape),
+        (lambda x: stacked.conjugate_prox(c, x), lambda agent, x: agent.g.conjugate_prox(c, x),
+         shape),
+        (stacked.f_values, lambda agent, x: agent.f.value(x), shape[:-1]),
+        (stacked.support_values, lambda agent, x: support_value(agent.g, x), shape[:-1]),
+    ]
+    for batched, each, out_shape in calls:
+        got = batched(points)
+        assert got.shape == out_shape
+        want = np.empty(out_shape)
+        for k in np.ndindex(batch):
+            for i, agent in enumerate(instance.agents):
+                want[k + (i,)] = each(agent, points[k + (i,)])
+        assert bits(got) == bits(want)
 
 
 def assert_step_rule_holds(instance, gamma=1.0):
