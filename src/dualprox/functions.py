@@ -456,6 +456,10 @@ class Box(NonsmoothFunction):
     def _prox(self, alpha: float, v: Array) -> Array:
         return v.clip(self.lo, self.hi)
 
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
+        # the Moreau decomposition with the clamp inline
+        return v - alpha * (v / alpha).clip(self.lo, self.hi)
+
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
         # piecewise, so that a zero multiplier kills an infinite bound: the

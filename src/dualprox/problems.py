@@ -12,9 +12,10 @@ text file format for instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,7 +135,10 @@ class StackedAgents:
 
     No code outside this module reads the groups.  The view's catalog calls
     take (N, M) points, or (..., N, M) with leading batch axes, and give
-    agent i's own function's result at ``[..., i, :]``, bit for bit.
+    agent i's own function's result at ``[..., i, :]``, bit for bit.  When
+    one group covers every agent, each call is that function's own public
+    method, looked up when called, so a method patched on its class later
+    is the one that runs.
     """
 
     def __init__(self, a: np.ndarray, kappa: np.ndarray, f_groups: list, g_groups: list):
@@ -155,29 +159,35 @@ class StackedAgents:
 
     def conjugate_gradient(self, v: np.ndarray) -> np.ndarray:
         """Every agent's primal maximizer, the conjugate gradient of ``f_i``."""
-        return _each(self.f_groups, self._f_whole, "conjugate_gradient", v, v.shape)
+        if self._f_whole is not None:
+            return self._f_whole.conjugate_gradient(v)
+        return _each(self.f_groups, "conjugate_gradient", v, v.shape)
 
     def conjugate_prox(self, c: float, w: np.ndarray) -> np.ndarray:
         """Every agent's prox step on the conjugate of ``g_i``."""
-        return _each(self.g_groups, self._g_whole, "conjugate_prox", w, w.shape, c)
+        if self._g_whole is not None:
+            return self._g_whole.conjugate_prox(c, w)
+        return _each(self.g_groups, "conjugate_prox", w, w.shape, c)
 
     def f_values(self, x: np.ndarray) -> np.ndarray:
         """Entry ``[..., i]`` is ``f_i(x[..., i, :])``."""
-        return _each(self.f_groups, self._f_whole, "value", x, x.shape[:-1])
+        if self._f_whole is not None:
+            return self._f_whole.value(x)
+        return _each(self.f_groups, "value", x, x.shape[:-1])
 
     def support_values(self, mu: np.ndarray) -> np.ndarray:
         """Entry ``[..., i]`` is the conjugate of ``g_i`` at ``mu[..., i, :]``,
         NaN where it is unavailable."""
-        return _each(self.g_groups, self._g_whole, "support_value", mu, mu.shape[:-1])
+        if self._g_whole is not None:
+            return self._g_whole.support_value(mu)
+        return _each(self.g_groups, "support_value", mu, mu.shape[:-1])
 
 
-def _each(groups: list, whole, method: str, points: np.ndarray, shape: tuple, *args):
+def _each(groups: list, method: str, points: np.ndarray, shape: tuple, *args):
     """The one loop over the groups: each agent's ``method(*args, point)``
-    at its rows of ``points``, into an array of ``shape``.  The function
-    ``whole`` takes the whole array, a stacked one its rows, and a part of
-    its own one point at a time, NaN where it raises ConjugateUnavailable."""
-    if whole is not None:
-        return getattr(whole, method)(*args, points)
+    at its rows of ``points``, into an array of ``shape``.  A stacked
+    function takes its rows, and a part of its own one point at a time, NaN
+    where it raises ConjugateUnavailable."""
     out = np.empty(shape)
     lead = (slice(None),) * (points.ndim - 2)  # the batch axes
     for rows, function in groups:
@@ -359,11 +369,11 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     """Check an instance against the solvability assumptions.
 
     Verifies graph connectivity, strong convexity of every smooth part,
-    dimension consistency, and that the kappa shares sum to one.  When all
-    feasible sets are boxes and M = B = 1, also checks that the coupling
-    interval contains b strictly (a computable stand-in for a strictly
-    feasible interior point); otherwise that condition is reported as not
-    checked.
+    finite coefficients in every quadratic one, dimension consistency, and
+    that the kappa shares sum to one.  When all feasible sets are boxes and
+    M = B = 1, also checks that the coupling interval contains b strictly (a
+    computable stand-in for a strictly feasible interior point); otherwise
+    that condition is reported as not checked.
 
     The checks read the instance's stacked view, not its agents.  The
     coupling interval sums Python's ``min`` and ``max`` of each agent's two
@@ -390,6 +400,25 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             "all agents have sigma > 0"
             if not bad_sigma
             else f"agents {bad_sigma} have nonpositive modulus",
+        )
+    )
+
+    finite = np.ones(len(stacked.kappa), dtype=bool)
+    for rows, f in stacked.f_groups:
+        if isinstance(f, Quadratic):
+            finite[rows] = (
+                np.isfinite(f.p).all(axis=(-2, -1))
+                & np.isfinite(f.q).all(axis=-1)
+                & np.isfinite(f.r)
+            )
+    bad_finite = (np.flatnonzero(~finite) + 1).tolist()
+    checks.append(
+        ValidationCheck(
+            "finite_smooth_parts",
+            not bad_finite,
+            "all quadratic parts are finite"
+            if not bad_finite
+            else f"agents {bad_finite} have a non-finite P, q or r",
         )
     )
 
@@ -444,8 +473,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 # --- electricity-market benchmark ---------------------------------------
 
 
-@dataclass(frozen=True)
-class UCParams:
+class UCParams(NamedTuple):
     """Generating company: cost delta*x^2 + varsigma*x + beta on [0, x_max]."""
 
     delta: float
@@ -454,8 +482,7 @@ class UCParams:
     x_max: float
 
 
-@dataclass(frozen=True)
-class UserParams:
+class UserParams(NamedTuple):
     """Energy user: utility chi*x - pi*x^2 on [0, x_max] (quadratic branch)."""
 
     chi: float
@@ -463,24 +490,55 @@ class UserParams:
     x_max: float
 
 
+# each field must be finite and exceed its floor: delta, pi and x_max are positive
+_UC_FLOOR = np.array([0.0, -np.inf, -np.inf, 0.0])
+_USER_FLOOR = np.array([-np.inf, 0.0, 0.0])
+
+
+def _table(rows: Sequence[tuple], kind: type, floor: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` as one read-only (len(rows), fields) float array, made in one
+    pass.  Every row must be a ``kind``, so that the fields line up; a row
+    with a field that is not finite or not above its ``floor`` is a
+    ValueError that names the first such row."""
+    if not all(issubclass(row_type, kind) for row_type in set(map(type, rows))):
+        row = next(row for row in rows if not isinstance(row, kind))
+        raise TypeError(f"invalid {what} row {row!r}: not a {kind.__name__}")
+    width = len(floor)
+    table = np.fromiter(chain.from_iterable(rows), float, width * len(rows))
+    table = table.reshape(len(rows), width)
+    ok = np.isfinite(table) & (table > floor)
+    if np.count_nonzero(ok) < ok.size:
+        raise ValueError(f"invalid {what} row {rows[np.argmin(ok.all(axis=1))]}")
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class MarketParams:
-    """Parameter rows for the supply-demand benchmark."""
+    """Parameter rows for the supply-demand benchmark.
+
+    The rows are checked and turned into arrays once, when the parameters
+    are made: ``uc_table`` holds the company rows, (len(uc), 4), and
+    ``user_table`` the user rows, (len(users), 3), each row's fields in
+    order.  Every field must be finite, and ``delta``, ``pi`` and ``x_max``
+    positive.
+    """
 
     uc: tuple[UCParams, ...]
     users: tuple[UserParams, ...]
+    uc_table: np.ndarray = field(init=False, repr=False, compare=False)
+    user_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for row in self.uc:
-            if row.delta <= 0 or row.x_max <= 0:
-                raise ValueError(f"invalid generating-company row {row}")
-        for row in self.users:
-            if row.pi <= 0 or row.x_max <= 0:
-                raise ValueError(f"invalid user row {row}")
+        uc = _table(self.uc, UCParams, _UC_FLOOR, "generating-company")
+        users = _table(self.users, UserParams, _USER_FLOOR, "user")
+        object.__setattr__(self, "uc_table", uc)
+        object.__setattr__(self, "user_table", users)
 
     @staticmethod
+    @cache
     def default() -> "MarketParams":
-        """Stock two-company, three-user benchmark data."""
+        """Stock two-company, three-user benchmark data, made once."""
         return MarketParams(
             uc=(
                 UCParams(0.0031, 8.71, 0.0, 150.0),
@@ -523,16 +581,20 @@ def build_market(
     ``Quadratic(pi, -chi, 0.0)``) and ``Box(0.0, x_max)``.
     """
     params = params or MarketParams.default()
-    n = len(params.uc) + len(params.users)
+    uc, users = params.uc_table, params.user_table
+    n_uc = len(uc)
+    n = n_uc + len(users)
     if topology is None:
         if n != 5:
             raise ValueError(
                 f"default topology is defined for 5 agents, got {n}; pass one explicitly"
             )
         topology = market_graph()
-    rows = [(row.delta, row.varsigma, row.beta, row.x_max, 1.0) for row in params.uc]
-    rows += [(row.pi, -row.chi, 0.0, row.x_max, -1.0) for row in params.users]
-    p, q, r, x_max, a = np.array(rows, dtype=float).T.copy()
+    p, q, r, x_max, a = columns = np.empty((5, n))
+    columns[:4, :n_uc] = uc.T  # delta, varsigma, beta, x_max
+    np.negative(users[:, 0], out=q[n_uc:])  # -chi
+    p[n_uc:], r[n_uc:], x_max[n_uc:] = users[:, 1], 0.0, users[:, 2]
+    a[:n_uc], a[n_uc:] = 1.0, -1.0
     costs = Quadratic(p.reshape(n, 1, 1), q.reshape(n, 1), r)
     caps = Box(np.zeros((n, 1)), x_max.reshape(n, 1))
     kappa = np.full(n, 1.0 / n)

@@ -366,6 +366,22 @@ def reference_validate(instance: ProblemInstance) -> ValidationReport:
         )
     )
 
+    bad_finite = [
+        idx
+        for idx, a in enumerate(instance.agents, start=1)
+        if isinstance(a.f, Quadratic)
+        and not (np.isfinite(a.f.p).all() and np.isfinite(a.f.q).all() and math.isfinite(a.f.r))
+    ]
+    checks.append(
+        ValidationCheck(
+            "finite_smooth_parts",
+            not bad_finite,
+            "all quadratic parts are finite"
+            if not bad_finite
+            else f"agents {bad_finite} have a non-finite P, q or r",
+        )
+    )
+
     n, m, b_dim = instance.dims
     checks.append(ValidationCheck("dimensions", True, f"N={n}, M={m}, B={b_dim}"))
 

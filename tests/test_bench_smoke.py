@@ -3,12 +3,13 @@
 ``bench/run.py`` wraps the program's public functions and divides by their
 call counts, so a change to the program can break it without any test
 under ``bench/`` failing.  This runs the ``market`` workload for about a
-second, untraced and traced, the other workloads traced, and ``cli``
-untraced on three seeds, as the benchmark itself runs it, each on a copy
-of the checkout (the harness writes its output next to ``bench/``), and
-checks the JSON line it ends with.  The harness exits 1 when a command has
-no successful operation or a child records no start of round 0; the hook
-that records it is also run in-process, on ``solve`` itself.
+second, untraced and traced, the other workloads traced, ``cli``
+untraced on three seeds and ``market-scaled`` untraced on one, as the
+benchmark itself runs them, each on a copy of the checkout (the harness
+writes its output next to ``bench/``), and checks the JSON line it ends
+with.  The harness exits 1 when a command has no successful operation or
+a child records no start of round 0; the hook that records it is also
+run in-process, on ``solve`` itself.
 """
 
 import importlib.util
@@ -53,6 +54,10 @@ def test_traced_workload_runs_correct_with_no_failures(tmp_path, workload):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_untraced_cli_workload_runs_correct_with_no_failures(tmp_path, seed):
     run_workload(tmp_path, "cli", trace=0, seed=seed)
+
+
+def test_untraced_market_scaled_workload_runs_correct_with_no_failures(tmp_path):
+    run_workload(tmp_path, "market-scaled", trace=0)
 
 
 def load_bench_module(name: str):

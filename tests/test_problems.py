@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dualprox.topology as topology
@@ -19,7 +19,7 @@ from dualprox.problems import (
     save_instance,
     validate,
 )
-from dualprox.solver import SolverConfig, solve
+from dualprox.solver import SetupError, SolverConfig, solve
 from dualprox.topology import Graph
 
 from oracles import (
@@ -43,6 +43,30 @@ def market_params(draw):
     users = draw(st.lists(st.builds(UserParams, finite, positive, positive),
                           min_size=0 if uc else 1, max_size=25))
     return MarketParams(uc=tuple(uc), users=tuple(users))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def broken_market_rows(draw):
+    """Valid market rows with one to six of them broken: a field NaN or
+    infinite, or ``delta``, ``pi`` or ``x_max`` zero or negative.  Returns
+    the company rows, the user rows and the message that names the first
+    broken one (companies are checked first)."""
+    params = draw(market_params())
+    uc, users = list(params.uc), list(params.users)
+    first = []
+    for what, rows, positive in (("generating-company", uc, ("delta", "x_max")),
+                                 ("user", users, ("pi", "x_max"))):
+        picks = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)) if rows else ()
+        for k in sorted(picks):
+            name = draw(st.sampled_from(rows[k]._fields))
+            bad = NON_FINITE + ([0.0, -0.0, -1.0, -5e-324] if name in positive else [])
+            rows[k] = rows[k]._replace(**{name: draw(st.sampled_from(bad))})
+            first.append(f"invalid {what} row {rows[k]}")
+    assume(first)
+    return tuple(uc), tuple(users), first[0]
 
 
 def path(n: int) -> Graph:
@@ -74,18 +98,22 @@ BOUNDS = (-np.inf, -2.0, -0.0, 0.0, 1.5, np.inf)
 def validated_instances(draw):
     """Agent-built instances for ``validate``: any graph, M and B in 1..3
     (both 1 in half the draws, where the coupling interval is checked),
-    smooth parts with and without a modulus, all boxes or mixed kinds, zero
-    or negative coefficients, infinite bounds and shares that need not sum
-    to one."""
+    smooth parts with and without a modulus, quadratics with a non-finite q
+    or r, all boxes or mixed kinds, zero or negative coefficients, infinite
+    bounds and shares that need not sum to one."""
     n = draw(st.integers(1, 7))
     scalar = draw(st.booleans())
     m, b_dim = (1 if scalar else draw(st.integers(1, 3)) for _ in range(2))
     kinds = ["box"] if draw(st.booleans()) else ["box", "interval", "l1", "zero", "norm"]
     agents = []
     for _ in range(n):
-        fkind = draw(st.sampled_from(["quadratic", "quadratic", "custom", "none"]))
+        fkind = draw(st.sampled_from(["quadratic", "quadratic", "custom", "none", "non-finite"]))
         if fkind == "quadratic":
             f = Quadratic(np.eye(m) * draw(st.floats(0.1, 10.0)))
+        elif fkind == "non-finite":
+            bad = draw(st.sampled_from(NON_FINITE))
+            q, r = (np.full(m, bad), 0.0) if draw(st.booleans()) else (None, bad)
+            f = Quadratic(np.eye(m), q, r)
         elif fkind == "custom":
             f = CustomSmooth(lambda x: 0.0, lambda x: x, sigma=0.5, dim=m)
         else:
@@ -191,6 +219,27 @@ class TestValidate:
         assert str(got) == str(want)
         assert got.ok == want.ok
 
+    @pytest.mark.parametrize("p, q, r", [(1.0, np.nan, 0.0), (1.0, -np.inf, 0.0),
+                                         (1.0, 0.0, np.nan), (1.0, 0.0, np.inf),
+                                         (np.inf, 0.0, 0.0)])
+    def test_non_finite_smooth_part_fails_before_round_0(self, p, q, r):
+        agent = AgentProblem(Quadratic(p, q, r), Box(0.0, 1.0), [[1.0]], 1.0)
+        instance = ProblemInstance([agent], [0.5], Graph(1, []))
+        report = validate(instance)
+        assert [c.name for c in report.failures()] == ["finite_smooth_parts"]
+        assert "agents [1] have a non-finite P, q or r" in str(report)
+        with pytest.raises(SetupError, match="finite_smooth_parts: FAIL"):
+            solve(instance, SolverConfig(max_iter=3))
+
+    def test_non_finite_row_of_a_stacked_smooth_part_fails(self):
+        f = Quadratic(np.ones((3, 1, 1)), [[0.0], [np.nan], [1.0]], [0.0, 0.0, np.inf])
+        g = Box(np.zeros((3, 1)), np.ones((3, 1)))
+        a = np.array([1.0, 1.0, -1.0]).reshape(3, 1, 1)
+        instance = ProblemInstance._from_stacked(f, g, a, np.full(3, 1 / 3), [0.5],
+                                                 Graph(3, [(1, 2), (2, 3)]))
+        (failure,) = validate(instance).failures()
+        assert failure.detail == "agents [2, 3] have a non-finite P, q or r"
+
 
 class TestInstanceConstruction:
     def test_rejects_empty_coupling(self):
@@ -289,6 +338,46 @@ class TestBuildMarket:
         with pytest.raises(ValueError):
             MarketParams(uc=(UCParams(0.0, 1.0, 0.0, 10.0),), users=())
 
+    @settings(max_examples=200, deadline=None)
+    @given(broken_market_rows())
+    def test_first_non_finite_or_non_positive_row_is_named(self, rows):
+        uc, users, message = rows
+        with pytest.raises(ValueError) as raised:
+            MarketParams(uc=uc, users=users)
+        assert str(raised.value) == message
+
+    def test_rejects_a_nan_company_row(self):
+        with pytest.raises(ValueError, match=r"invalid generating-company row UCParams\("
+                                             r"delta=0.0031, varsigma=nan, beta=0.0, x_max=150.0\)"):
+            MarketParams(uc=(UCParams(0.0031, np.nan, 0.0, 150.0),), users=())
+
+    @pytest.mark.parametrize("uc, users", [
+        (((0.01, 1.0, 0.0, 10.0),), ()),
+        (((0.01, 1.0, 0.0, 10.0, 5.0),), ()),
+        ((UserParams(5.0, 0.1, 20.0),), ()),
+        ((), (UCParams(0.01, 1.0, 0.0, 10.0),)),
+        ((), ((5.0, 0.1),)),
+        ((), (UserParams(5.0, 0.1, 20.0), [5.0, 0.1, 20.0])),
+        (((0.01, 1.0, 0.0, 10.0, 5.0), UserParams(5.0, 0.1, 20.0), (1.0,)), ()),
+    ], ids=["tuple", "five-tuple", "user-as-company", "company-as-user", "pair", "list",
+            "first-of-three"])
+    def test_row_of_the_wrong_type_or_length_raises(self, uc, users):
+        kind, first = ("UCParams", uc[0]) if uc else ("UserParams", users[-1])
+        with pytest.raises(TypeError) as raised:
+            MarketParams(uc=uc, users=users)
+        assert str(raised.value).endswith(f"row {first!r}: not a {kind}")
+
+    def test_rows_keep_their_record_behaviour(self):
+        row = UCParams(delta=0.0031, varsigma=8.71, beta=0.0, x_max=150.0)
+        user = UserParams(chi=17.17, pi=0.0935, x_max=91.79)
+        assert row == UCParams(0.0031, 8.71, 0.0, 150.0)
+        assert user == UserParams(17.17, 0.0935, 91.79)
+        assert repr(row) == "UCParams(delta=0.0031, varsigma=8.71, beta=0.0, x_max=150.0)"
+        assert repr(user) == "UserParams(chi=17.17, pi=0.0935, x_max=91.79)"
+        for record, name in ((row, "delta"), (row, "other"), (user, "pi")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+
     @settings(max_examples=80, deadline=None)
     @given(market_params())
     def test_agents_equal_their_per_agent_construction(self, params):
@@ -296,6 +385,13 @@ class TestBuildMarket:
         graph = path(n)
         got, want = build_market(params, graph), per_agent_market(params, graph)
         assert got == want
+        (_, f), (_, g) = got.stacked.f_groups[0], got.stacked.g_groups[0]
+        (_, f_want), (_, g_want) = want.stacked.f_groups[0], want.stacked.g_groups[0]
+        for name in ("p", "q", "r", "sigma", "_two_p"):
+            assert getattr(f, name).tobytes() == getattr(f_want, name).tobytes()
+        assert (g.lo.tobytes(), g.hi.tobytes()) == (g_want.lo.tobytes(), g_want.hi.tobytes())
+        assert got.stacked.a.tobytes() == want.stacked.a.tobytes()
+        assert got.stacked.kappa.tobytes() == want.stacked.kappa.tobytes()
         for a, b in zip(got.agents, want.agents, strict=True):
             assert (a.f.p.shape, a.f.q.shape, a.g.lo.shape, a.g.hi.shape) == (
                 b.f.p.shape, b.f.q.shape, b.g.lo.shape, b.g.hi.shape
@@ -366,6 +462,26 @@ class TestBuildMarket:
             # about 0.2 per unit, so the recomputed multiplier can be off
             # by a couple of hundredths from the reported one
             assert -slack == pytest.approx(mu_expected[i], abs=0.02)
+
+
+class TestStackedDispatch:
+    @pytest.mark.parametrize("cls, method", [(Quadratic, "conjugate_gradient"),
+                                             (Box, "conjugate_prox")])
+    def test_method_patched_on_the_class_after_the_build_runs_in_the_round(
+        self, monkeypatch, cls, method
+    ):
+        instance = build_market()
+        calls = []
+        original = getattr(cls, method)
+
+        def counted(self, *args):
+            calls.append(args[-1].shape)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+        result = solve(instance, SolverConfig(max_iter=2))
+        assert result.iterations == 2
+        assert calls and all(shape[-2:] == (5, 1) for shape in calls)
 
 
 class TestInstanceFiles:
