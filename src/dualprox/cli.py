@@ -69,9 +69,10 @@ def _load(path: str):
 
 def _solve(
     instance, args, default_trace: str, trace_state: bool = False
-) -> SolveResult | None:
-    """Solve and write the trace; ``None`` after a set-up rejection, which is
-    reported on stderr.  Errors raised during the rounds propagate."""
+) -> SolveResult | int:
+    """Solve and write the trace; an exit code after a set-up rejection or a
+    trace file that cannot be written, each reported on stderr.  Errors
+    raised during the rounds propagate."""
     config = SolverConfig(
         c=args.c,
         gamma=args.gamma,
@@ -88,9 +89,13 @@ def _solve(
         result = solve(instance, config)
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+        return EXIT_VALIDATION
     trace_path = _trace_path(args.trace_out, default_trace)
-    result.trace.write_csv(trace_path)
+    try:
+        result.trace.write_csv(trace_path)
+    except OSError as exc:
+        print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"trace: {trace_path}")
     return result
 
@@ -132,8 +137,8 @@ def cmd_solve(args) -> int:
     if instance is None:
         return EXIT_IO
     result = _solve(instance, args, "trace.csv")
-    if result is None:
-        return EXIT_VALIDATION
+    if isinstance(result, int):
+        return result
     _print_result(result)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
@@ -141,8 +146,8 @@ def cmd_solve(args) -> int:
 def cmd_market_demo(args) -> int:
     # trace_state adds the theta/mu/xi trajectory columns to the trace
     result = _solve(build_market(), args, "market_trace.csv", trace_state=True)
-    if result is None:
-        return EXIT_VALIDATION
+    if isinstance(result, int):
+        return result
     print(f"h: {result.h!r}")
     print(f"laplacian_spectral_radius: {result.tau!r}")
     _print_result(result)

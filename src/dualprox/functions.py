@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 Array = np.ndarray
+_FLOAT = np.dtype(float)
 
 # Relative slack on a ball's radius: a radial projection onto the ball, or
 # an average of points on its boundary, can land a rounding error outside it.
@@ -195,6 +196,9 @@ class Quadratic(SmoothFunction):
     def _set(self, p: Array, q: Array, r, sigma, two_p: Array | None = None) -> None:
         self.p, self.q, self.r, self.sigma = p, q, r, sigma
         self.dim = p.shape[-1]
+        # a float64 array whose last two axes have this shape is a valid
+        # point, (M,) or (..., G, M), which _points returns as it is
+        self._point_shape = p.shape[:-1]
         self._two_p = 2.0 * p if two_p is None else two_p
 
     @classmethod
@@ -246,7 +250,9 @@ class Quadratic(SmoothFunction):
         return (self._two_p @ self._points(x)[..., None])[..., 0] + self.q
 
     def conjugate_gradient(self, v: Array) -> Array:
-        shifted = self._points(v) - self.q
+        if not (type(v) is np.ndarray and v.dtype is _FLOAT and v.shape[-2:] == self._point_shape):
+            v = self._points(v)
+        shifted = v - self.q
         if self.dim == 1:
             return shifted / self._two_p[..., 0]
         return np.linalg.solve(self._two_p, shifted[..., None])[..., 0]

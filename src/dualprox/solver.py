@@ -337,13 +337,15 @@ class _RoundPlan:
     ``e*B + k`` adds to the flattened pressure at ``end_target``, which is
     ``agent*B + k``.  The ends are agent-major, so an agent's entries lie
     together, in the order that :func:`lambda_update` sums them.
-    ``xi_source`` indexes the flattened ``[xi; -xi]``: first the edges the
-    agent owns (``xi``, by ascending peer), then those its smaller
-    neighbours own (``-xi``, by ascending owner).  ``nbr_source`` indexes
-    the flattened theta at the agent's neighbours, ascending.  The coupling
-    blocks ``a`` and the shares ``kappa`` are those of the instance's
-    stacked view, ``stacked``, which makes every catalog call of the round
-    and the sweep; ``b_rows`` is ``b`` broadcast to one row per agent.
+    ``xi_source`` indexes the flattened xi, and ``xi_sign`` holds the sign
+    the entry takes: first the edges the agent owns (``+1.0``, by ascending
+    peer), then those its smaller neighbours own (``-1.0``, by ascending
+    owner).  ``nbr_source`` indexes the flattened theta at the agent's
+    neighbours, ascending.  ``edge_owner`` and ``edge_peer`` are the rows
+    of each canonical edge's two ends.  The coupling blocks ``a`` and the
+    shares ``kappa`` are those of the instance's stacked view, ``stacked``,
+    which makes every catalog call of the round and the sweep; ``b_rows``
+    is ``b`` broadcast to one row per agent.
 
     The methods run every round, so they call ufuncs and ndarray methods,
     and leave NumPy's Python-level wrappers and the checks of set-up to
@@ -359,12 +361,12 @@ class _RoundPlan:
         agent = np.arange(n).repeat(graph.degrees)
         incoming = np.arange(2 * n_edges) < graph.nbr_split[agent]
         xi_order = np.argsort(2 * agent + incoming, kind="stable")
-        xi_rows = graph.nbr_edge[xi_order] + n_edges * incoming[xi_order]
         components = np.arange(b_dim)
         self.end_target, self.xi_source, self.nbr_source = (
             (rows[:, None] * b_dim + components).ravel()
-            for rows in (agent, xi_rows, graph.nbr - 1)
+            for rows in (agent, graph.nbr_edge[xi_order], graph.nbr - 1)
         )
+        self.xi_sign = np.where(incoming[xi_order][:, None], -1.0, np.ones(b_dim)).ravel()
 
         self.stacked = instance.stacked
         self.a, self.kappa = self.stacked.a, self.stacked.kappa
@@ -497,9 +499,13 @@ def iterate(
     Every agent update reads only time-t data; every edge update reads the
     freshly computed coupling estimates.  The round runs as one batched
     kernel over the instance's compiled plan, bit-identical to calling
-    :func:`lambda_update` per agent and :func:`xi_update` per edge.  It
-    reuses the primal maximizers kept on the state, and returns a new state
-    with read-only theta and mu.
+    :func:`lambda_update` per agent and :func:`xi_update` per edge, for
+    every value but the sign of a NaN.  Its formulas are exact rewrites of
+    those updates that make fewer NumPy calls: the edge multipliers are
+    gathered from the flattened xi times a sign of +-1.0 per edge end, and
+    the new xi is summed in place into the difference of the edge ends'
+    rows.  It reuses the primal maximizers kept on the state, and returns a
+    new state with read-only theta and mu.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
@@ -512,21 +518,24 @@ def iterate(
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
     # of a repeated target one by one in index order, so every agent's sum
     # runs over its own ends in lambda_update's order.  Subtracting xi is
-    # adding -xi by the definition of IEEE subtraction.
-    pressure = -plan.coupling_terms(x_hat) + plan.kappa_b
+    # adding -xi by the definition of IEEE subtraction, and -xi is xi times
+    # -1.0; likewise kappa*b - A x_hat is -(A x_hat) + kappa*b, and
+    # mu + c*x_hat is mu - c*(-x_hat), for every value but a NaN's sign.
+    pressure = plan.kappa_b - plan.coupling_terms(x_hat)
     flat = pressure.reshape(-1)  # a view: pressure is a fresh C-ordered array
-    signed_xi = np.concatenate([xi, -xi]).reshape(-1)
-    np.add.at(flat, plan.end_target, signed_xi.take(plan.xi_source))
+    np.add.at(flat, plan.end_target, xi.reshape(-1).take(plan.xi_source) * plan.xi_sign)
     theta_flat = theta.reshape(-1)
     nbr_terms = theta_flat.take(plan.end_target)
     nbr_terms -= theta_flat.take(plan.nbr_source)
     nbr_terms *= gamma
     np.add.at(flat, plan.end_target, nbr_terms)
     theta_new = theta - c * pressure
-    grad_mu = -x_hat
-    mu_new = plan.stacked.conjugate_prox(c, mu - c * grad_mu)
-    edge_diff = theta_new.take(plan.edge_owner, axis=0) - theta_new.take(plan.edge_peer, axis=0)
-    new = SolverState(theta_new, mu_new, xi + gamma * edge_diff, state.t + 1)
+    mu_new = plan.stacked.conjugate_prox(c, mu + c * x_hat)
+    xi_new = theta_new.take(plan.edge_owner, axis=0)
+    xi_new -= theta_new.take(plan.edge_peer, axis=0)
+    xi_new *= gamma
+    xi_new += xi
+    new = SolverState(theta_new, mu_new, xi_new, state.t + 1)
     _freeze(new)
     return new
 
@@ -639,10 +648,12 @@ class RunningAverage:
 
     def update(self, theta: Array, mu: Array) -> None:
         self.count += 1
-        for mean, new in ((self.theta, theta), (self.mu, mu)):
-            step = np.subtract(new, mean)
-            step /= self.count
-            mean += step
+        step = np.subtract(theta, self.theta)
+        step /= self.count
+        self.theta += step
+        step = np.subtract(mu, self.mu)
+        step /= self.count
+        self.mu += step
 
 
 def _step_norm(new: SolverState, old: SolverState) -> float:
@@ -678,6 +689,7 @@ def gap_bound_constant(
     theta_star: Array,
     mu_star: Array,
     xi_star: Array,
+    tau: float | None = None,
 ) -> float:
     """Constant bounding (T+1) times the ergodic optimality gap.
 
@@ -686,10 +698,13 @@ def gap_bound_constant(
     multipliers.  Requires the weighting matrix to be positive
     semidefinite, which holds whenever the step-size rule does; steps that
     violate it by more than :func:`validate_step_sizes`' slack raise
-    :class:`StepSizeError`.
+    :class:`StepSizeError`.  ``tau`` is the graph's
+    :func:`~dualprox.topology.laplacian_spectral_radius`, computed here
+    when not given.
     """
     b_dim = theta0.shape[1]
-    tau = laplacian_spectral_radius(graph).value
+    if tau is None:
+        tau = laplacian_spectral_radius(graph).value
     if _short_of(c, gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
@@ -716,12 +731,14 @@ def ergodic_gap_bound(
     mu_star: Array,
     xi_star: Array,
     T: int,
+    tau: float | None = None,
 ) -> float:
-    """Right-hand side of the O(1/T) ergodic guarantees after T+1 rounds."""
+    """Right-hand side of the O(1/T) ergodic guarantees after T+1 rounds;
+    ``tau`` goes to :func:`gap_bound_constant`."""
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     const = gap_bound_constant(
-        graph, c, gamma, theta0, mu0, xi0, theta_star, mu_star, xi_star
+        graph, c, gamma, theta0, mu0, xi0, theta_star, mu_star, xi_star, tau
     )
     return const / (T + 1)
 

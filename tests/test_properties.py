@@ -31,6 +31,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -521,6 +522,36 @@ def test_scatter_over_edge_ends_matches_the_per_agent_round(kind, n, b_dim, zero
     assert bits(got.xi) == bits(want.xi)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["star_hub_first", "star_hub_last", "preferential", "path"]),
+    st.integers(2, 12),
+    st.sampled_from([1, 2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_round_is_the_per_agent_one_at_infinite_and_nan_duals(kind, n, b_dim, seed):
+    """The round's formulas are exact rewrites of the per-agent ones (xi
+    times +-1.0 for +-xi, ``kappa*b - A x`` for ``-(A x) + kappa*b``,
+    ``mu + c*x`` for ``mu - c*(-x)``): at duals among +-0, +-1, +-inf and
+    NaN, every entry must have the per-agent round's bits, except that a
+    NaN may carry either sign."""
+    rng = np.random.default_rng(seed)
+    instance = zero_data(parity_graph(kind, n, rng), b_dim)
+    special = np.array([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+    n_agents, m, _ = instance.dims
+    state = SolverState(*(rng.choice(special, size=shape) for shape in (
+        (n_agents, b_dim), (n_agents, m), (instance.graph.n_edges, b_dim))))
+    steps = steps_for(instance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf and the like
+        got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    for name in ("theta", "mu", "xi"):
+        g, w = getattr(got, name), getattr(want, name)
+        nan = np.isnan(w)
+        assert (np.isnan(g) == nan).all(), name
+        assert bits(np.where(nan, 0.0, g)) == bits(np.where(nan, 0.0, w)), name
+
+
 def test_a_star_plan_and_round_take_memory_linear_in_the_edges():
     """A 3000-agent star market: the plan and one round together allocate at
     most 16 (N + E) * B doubles (about 0.8 MB), so that the hub's degree
@@ -555,7 +586,7 @@ def test_iterate_leaves_its_inputs_and_the_plan_alone(instance, seed):
     plan = _round_plan(instance)
     before = [bits(a) for a in (state.theta, state.mu, state.xi)]
     tables = {k: v.copy() for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    assert {"kappa_b", "end_target", "xi_source", "nbr_source"} <= tables.keys()
+    assert {"kappa_b", "end_target", "xi_source", "xi_sign", "nbr_source"} <= tables.keys()
     first = iterate(instance, state, steps)
     second = iterate(instance, state, steps)
     assert [bits(a) for a in (state.theta, state.mu, state.xi)] == before

@@ -3,11 +3,13 @@
 The round, ``solve``'s bookkeeping and the residual sweep, with the catalog
 methods they reach, no longer go through NumPy's Python-level function
 wrappers (``np.sum``, ``np.clip``, ``np.where``, ``np.errstate``,
-``np.atleast_1d``, ``np.linalg.norm``), and 1x1 products multiply
-instead of calling ``np.matmul``.  The parity tests require every
-replaced formula to give the bits of its wrapper form, kept in
-``tests/oracles.py``, and to raise no warning where that form did not;
-the guard test runs rounds with the wrappers patched to raise.
+``np.atleast_1d``, ``np.linalg.norm``), 1x1 products multiply
+instead of calling ``np.matmul``, and the edge multipliers are gathered
+with a sign per edge end instead of from ``np.concatenate([xi, -xi])``.
+The parity tests require every replaced formula to give the bits of its
+wrapper form, kept in ``tests/oracles.py``, and to raise no warning where
+that form did not; the guard test runs rounds with the wrappers patched to
+raise.
 """
 
 import math
@@ -153,17 +155,30 @@ def quadratics_and_points(draw):
     good = (*rows, m)
     leading = [(2, *rows, m), (2, *rows, m + 1)] if rows else []
     shape = draw(st.sampled_from(
-        [good, (), (1,), (m + 1,), (*rows, m, 1), (*rows, m + 1), *leading]
+        [good, (), (1,), (m + 1,), (*rows, m, 1), (*rows, m + 1), (2, m), *leading]
     ))
     return f, draw(arrays(float, shape, elements=finite))
+
+
+def point_kinds(x: np.ndarray) -> list:
+    """``x`` as a float64 array, a list, ints, float32, long double, an
+    object array, a non-contiguous float64 view and a big-endian float64
+    array."""
+    wide = np.repeat(x[..., None], 2, axis=-1)
+    return [x, x.tolist(), np.trunc(x).astype(np.int64), x.astype(np.float32),
+            x.astype(np.longdouble), x.astype(object), wide[..., 0], x.astype(">f8")]
 
 
 @settings(max_examples=300, deadline=None)
 @given(quadratics_and_points())
 def test_quadratic_value_and_conjugate_gradient_keep_their_bits_and_errors(case):
+    """``conjugate_gradient`` skips the point checks for a float64 array of
+    its point shape; every kind of point must still give the checked bits
+    or the checked error."""
     f, x = case
     assert_parity(f.value, lambda x: reference_quadratic_value(f, x), x)
-    assert_parity(f.conjugate_gradient, lambda v: reference_conjugate_gradient(f, v), x)
+    for point in point_kinds(x):
+        assert_parity(f.conjugate_gradient, lambda v: reference_conjugate_gradient(f, v), point)
     for point in (x, x.tolist()):
         assert_parity(functions._as_vector, reference_as_vector, point, f.dim, f.p.shape[:-2])
 
@@ -277,7 +292,7 @@ def test_step_norm_and_running_average_keep_their_bits_and_warnings(states):
 
 WRAPPERS = [
     (np, "sum"), (np, "clip"), (np, "where"), (np, "errstate"), (np, "atleast_1d"),
-    (np.linalg, "norm"),
+    (np, "concatenate"), (np.linalg, "norm"),
 ]
 
 
