@@ -15,8 +15,10 @@ import dualprox as dp
 from dualprox.solver import eval_dual_objective, gap_bound_constant
 
 instance = dp.build_market()
-tau = dp.laplacian_spectral_radius(instance.graph).value
-steps = dp.suggest_step_sizes(dp.max_lipschitz(instance), tau)
+steps = dp.suggest_step_sizes(
+    dp.max_lipschitz(instance),
+    dp.laplacian_spectral_radius(instance.graph).value,
+)
 
 # the reference saddle point comes from the independent centralized solver
 oracle = dp.centralized_oracle(instance)
@@ -27,7 +29,7 @@ print(f"dual optimum (negated social welfare): {phi_star:.4f}")
 state = dp.init_state(instance)
 const = gap_bound_constant(
     instance.graph, steps.c, steps.gamma,
-    state.theta, state.mu, state.xi, theta_star, mu_star, xi_star, tau,
+    state.theta, state.mu, state.xi, theta_star, mu_star, xi_star,
 )
 print(f"bound constant from the zero initialization: {const:.1f}")
 print()

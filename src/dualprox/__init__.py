@@ -27,6 +27,14 @@ from .functions import (
     SmoothFunction,
     Zero,
 )
+from .netsim import Engine, InMemoryTransport, message_count, message_volume
+from .oracle import (
+    OracleError,
+    OracleResult,
+    centralized_oracle,
+    primal_objective,
+    saddle_point,
+)
 from .problems import (
     AgentProblem,
     MarketParams,
@@ -75,38 +83,3 @@ from .topology import (
     check_connected,
     laplacian_spectral_radius,
 )
-
-# The engine and the oracle load on first access (PEP 562), so that the
-# command line, which calls neither, does not import them.  A module with a
-# __getattr__ gets no specialized attribute lookup on CPython 3.11, so each
-# ``dualprox.X`` costs a few tens of ns more; hot loops should bind X with
-# ``from dualprox import X``.
-_LAZY = {
-    "netsim": "netsim",
-    "Engine": "netsim",
-    "InMemoryTransport": "netsim",
-    "message_count": "netsim",
-    "message_volume": "netsim",
-    "oracle": "oracle",
-    "OracleError": "oracle",
-    "OracleResult": "oracle",
-    "centralized_oracle": "oracle",
-    "primal_objective": "oracle",
-    "saddle_point": "oracle",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = module if name == module_name else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))

@@ -196,9 +196,7 @@ class Quadratic(SmoothFunction):
     def _set(self, p: Array, q: Array, r, sigma, two_p: Array | None = None) -> None:
         self.p, self.q, self.r, self.sigma = p, q, r, sigma
         self.dim = p.shape[-1]
-        # a float64 array whose last two axes have this shape is a valid
-        # point, (M,) or (..., G, M), which _points returns as it is
-        self._point_shape = p.shape[:-1]
+        self._point_shape = p.shape[:-1]  # (M,), or (G, M) when stacked
         self._two_p = 2.0 * p if two_p is None else two_p
 
     @classmethod
@@ -226,6 +224,10 @@ class Quadratic(SmoothFunction):
         return out
 
     def _points(self, x) -> Array:
+        # a float64 ndarray whose last two axes are the point shape, (M,) or
+        # (..., G, M), passes the checks below unchanged
+        if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape[-2:] == self._point_shape:
+            return x
         rows = self.p.shape[:-2]
         if rows:
             x = np.asarray(x, dtype=float)
@@ -250,9 +252,7 @@ class Quadratic(SmoothFunction):
         return (self._two_p @ self._points(x)[..., None])[..., 0] + self.q
 
     def conjugate_gradient(self, v: Array) -> Array:
-        if not (type(v) is np.ndarray and v.dtype is _FLOAT and v.shape[-2:] == self._point_shape):
-            v = self._points(v)
-        shifted = v - self.q
+        shifted = self._points(v) - self.q
         if self.dim == 1:
             return shifted / self._two_p[..., 0]
         return np.linalg.solve(self._two_p, shifted[..., None])[..., 0]

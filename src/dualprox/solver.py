@@ -689,7 +689,6 @@ def gap_bound_constant(
     theta_star: Array,
     mu_star: Array,
     xi_star: Array,
-    tau: float | None = None,
 ) -> float:
     """Constant bounding (T+1) times the ergodic optimality gap.
 
@@ -698,13 +697,10 @@ def gap_bound_constant(
     multipliers.  Requires the weighting matrix to be positive
     semidefinite, which holds whenever the step-size rule does; steps that
     violate it by more than :func:`validate_step_sizes`' slack raise
-    :class:`StepSizeError`.  ``tau`` is the graph's
-    :func:`~dualprox.topology.laplacian_spectral_radius`, computed here
-    when not given.
+    :class:`StepSizeError`.
     """
     b_dim = theta0.shape[1]
-    if tau is None:
-        tau = laplacian_spectral_radius(graph).value
+    tau = laplacian_spectral_radius(graph).value
     if _short_of(c, gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
@@ -731,14 +727,12 @@ def ergodic_gap_bound(
     mu_star: Array,
     xi_star: Array,
     T: int,
-    tau: float | None = None,
 ) -> float:
-    """Right-hand side of the O(1/T) ergodic guarantees after T+1 rounds;
-    ``tau`` goes to :func:`gap_bound_constant`."""
+    """Right-hand side of the O(1/T) ergodic guarantees after T+1 rounds."""
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     const = gap_bound_constant(
-        graph, c, gamma, theta0, mu0, xi0, theta_star, mu_star, xi_star, tau
+        graph, c, gamma, theta0, mu0, xi0, theta_star, mu_star, xi_star
     )
     return const / (T + 1)
 

@@ -568,6 +568,10 @@ def reference_quadratic_value(f: Quadratic, x):
     return out if f.p.ndim == 3 else float(out)
 
 
+def reference_quadratic_gradient(f: Quadratic, x) -> np.ndarray:
+    return (f._two_p @ reference_points(f, x)[..., None])[..., 0] + f.q
+
+
 def reference_conjugate_gradient(f: Quadratic, v) -> np.ndarray:
     shifted = reference_points(f, v) - f.q
     if f.dim == 1:

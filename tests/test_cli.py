@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -266,39 +261,3 @@ class TestUnwritableTrace:
         assert "trace:" not in captured.out
         assert not (tmp_path / "nonexistent").exists()
 
-
-LAZY_NAMES = {
-    "netsim": ["Engine", "InMemoryTransport", "message_count", "message_volume"],
-    "oracle": ["OracleError", "OracleResult", "centralized_oracle", "primal_objective",
-               "saddle_point"],
-}
-
-LAZY_CHECK = f"""
-import sys
-import dualprox.cli
-import dualprox as dp
-print(sorted(m for m in ("dualprox.netsim", "dualprox.oracle") if m in sys.modules))
-public = [n for n in dir(dp) if not n.startswith("_")]
-lazy = {LAZY_NAMES!r}
-assert set(lazy) | {{n for names in lazy.values() for n in names}} <= set(public), public
-for name in public:
-    getattr(dp, name)
-for module, names in lazy.items():
-    assert getattr(dp, module) is sys.modules["dualprox." + module]
-    for name in names:
-        assert getattr(dp, name) is getattr(sys.modules["dualprox." + module], name), name
-assert not hasattr(dp, "no_such_name")
-from dualprox import Engine, centralized_oracle
-import dualprox.netsim
-print("ok")
-"""
-
-
-def test_the_cli_imports_neither_the_engine_nor_the_oracle():
-    """They load on first access, and every name of the package resolves."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", LAZY_CHECK], capture_output=True, text=True,
-                         env=env, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "ok"]

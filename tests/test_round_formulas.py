@@ -44,6 +44,7 @@ from oracles import (
     reference_box_support_value,
     reference_conjugate_gradient,
     reference_norm,
+    reference_quadratic_gradient,
     reference_quadratic_value,
     reference_rowdot,
     reference_stacked_matvec,
@@ -172,12 +173,13 @@ def point_kinds(x: np.ndarray) -> list:
 @settings(max_examples=300, deadline=None)
 @given(quadratics_and_points())
 def test_quadratic_value_and_conjugate_gradient_keep_their_bits_and_errors(case):
-    """``conjugate_gradient`` skips the point checks for a float64 array of
-    its point shape; every kind of point must still give the checked bits
-    or the checked error."""
+    """``_points`` skips its checks for a float64 array of the point shape;
+    every kind of point must still give ``value``, ``gradient`` and
+    ``conjugate_gradient`` the checked bits or the checked error."""
     f, x = case
-    assert_parity(f.value, lambda x: reference_quadratic_value(f, x), x)
     for point in point_kinds(x):
+        assert_parity(f.value, lambda x: reference_quadratic_value(f, x), point)
+        assert_parity(f.gradient, lambda x: reference_quadratic_gradient(f, x), point)
         assert_parity(f.conjugate_gradient, lambda v: reference_conjugate_gradient(f, v), point)
     for point in (x, x.tolist()):
         assert_parity(functions._as_vector, reference_as_vector, point, f.dim, f.p.shape[:-2])

@@ -455,27 +455,6 @@ class TestGapBound:
                 state.theta, state.mu, state.xi, theta, mu, xi, T=10,
             )
 
-    def test_an_explicit_tau_gives_the_same_bits(self, monkeypatch):
-        """A caller that has ``tau`` passes it, and the bound does not
-        compute it again."""
-        instance = build_market()
-        theta, mu, xi = saddle_point(instance, centralized_oracle(instance))
-        steps = market_steps(instance)
-        state = init_state(instance)
-        args = (instance.graph, steps.c, steps.gamma,
-                state.theta, state.mu, state.xi, theta, mu, xi)
-        tau = laplacian_spectral_radius(instance.graph).value
-        const, bound = gap_bound_constant(*args), ergodic_gap_bound(*args, T=9)
-        import dualprox.solver as solver_module
-
-        def no_tau(graph):
-            raise AssertionError("tau computed again")
-
-        monkeypatch.setattr(solver_module, "laplacian_spectral_radius", no_tau)
-        assert const > 0.0
-        assert gap_bound_constant(*args, tau).hex() == const.hex()
-        assert ergodic_gap_bound(*args, T=9, tau=tau).hex() == bound.hex()
-
     def test_every_accepted_suggestion_has_a_bound(self):
         # the suggested 1/c can round an ulp below gamma*tau, inside the
         # step rule's slack: at gamma = k*1e8 on the market graph it does
