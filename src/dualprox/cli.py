@@ -36,22 +36,28 @@ def _trace_path(arg: str | None, default_name: str) -> Path:
     return Path(base) / default_name
 
 
+# the SolverConfig fields that the solver flags set, each from its own flag
+# (``--workers`` sets ``n_workers``)
+_CONFIG_FIELDS = ("c", "gamma", "max_iter", "tol_consensus", "tol_primal", "tol_step",
+                  "trace_every", "n_workers", "seed")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=None,
+    default = SolverConfig()
+    p.add_argument("--c", type=float, default=default.c,
                    help="dual step size (default: suggested from the step rule)")
-    p.add_argument("--gamma", type=float, default=1.0,
+    p.add_argument("--gamma", type=float, default=default.gamma,
                    help="multiplier/stabilization step size")
-    p.add_argument("--max-iter", type=int, default=1_000_000)
-    p.add_argument("--tol-consensus", type=float, default=1e-6)
-    p.add_argument("--tol-primal", type=float, default=1e-6)
-    p.add_argument("--tol-step", type=float, default=1e-8)
-    p.add_argument("--trace-every", type=int, default=100)
+    for name, kind in (("max_iter", int), ("tol_consensus", float), ("tol_primal", float),
+                       ("tol_step", float), ("trace_every", int)):
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(default, name))
     p.add_argument("--trace-out", type=str, default=None,
                    help=f"trace file path (default: ${TRACE_DIR_ENV} or cwd)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=default.seed,
                    help="accepted for compatibility; has no effect (tau is "
                    "a closed-form bound)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", dest="n_workers", metavar="WORKERS", type=int,
+                   default=default.n_workers,
                    help="accepted for compatibility; has no effect (rounds "
                    "run on one thread)")
 
@@ -73,18 +79,8 @@ def _solve(
     """Solve and write the trace; an exit code after a set-up rejection or a
     trace file that cannot be written, each reported on stderr.  Errors
     raised during the rounds propagate."""
-    config = SolverConfig(
-        c=args.c,
-        gamma=args.gamma,
-        max_iter=args.max_iter,
-        tol_consensus=args.tol_consensus,
-        tol_primal=args.tol_primal,
-        tol_step=args.tol_step,
-        trace_every=args.trace_every,
-        trace_state=trace_state,
-        n_workers=args.workers,
-        seed=args.seed,
-    )
+    config = SolverConfig(trace_state=trace_state,
+                          **{name: getattr(args, name) for name in _CONFIG_FIELDS})
     try:
         result = solve(instance, config)
     except SetupError as exc:
@@ -104,7 +100,8 @@ def _fmt_row(v) -> str:
     return " ".join(f"{float(x):.6f}" for x in np.atleast_1d(v))
 
 
-def _print_result(result: SolveResult) -> None:
+def _print_result(result: SolveResult) -> int:
+    """Print the result and return its exit code."""
     final = result.trace.rows[-1]
     print(f"converged: {str(result.converged).lower()} ({result.reason})")
     print(f"iterations: {result.iterations}")
@@ -121,6 +118,7 @@ def _print_result(result: SolveResult) -> None:
     print(f"mu_out: {_fmt_row(result.mu.ravel())}")
     print(f"xi_out: {_fmt_row(result.xi.ravel())}")
     print(f"x_out: {_fmt_row(result.x.ravel())}")
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_validate(args) -> int:
@@ -139,8 +137,7 @@ def cmd_solve(args) -> int:
     result = _solve(instance, args, "trace.csv")
     if isinstance(result, int):
         return result
-    _print_result(result)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _print_result(result)
 
 
 def cmd_market_demo(args) -> int:
@@ -150,8 +147,7 @@ def cmd_market_demo(args) -> int:
         return result
     print(f"h: {result.h!r}")
     print(f"laplacian_spectral_radius: {result.tau!r}")
-    _print_result(result)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _print_result(result)
 
 
 def build_parser() -> argparse.ArgumentParser:

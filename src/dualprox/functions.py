@@ -269,7 +269,47 @@ class Quadratic(SmoothFunction):
         return f"Quadratic(p={self.p.tolist()}, q={self.q.tolist()}, r={self.r})"
 
 
-class CustomSmooth(SmoothFunction):
+class _Oracles:
+    """Value and gradient oracles of a strongly convex function with modulus
+    ``sigma``, and the inner loop that maximizes ``v @ u - f(u)``: the one
+    core of :class:`CustomSmooth` and :class:`CustomStronglyConvex`.
+    """
+
+    def __init__(
+        self,
+        value: Callable[[Array], float],
+        gradient: Callable[[Array], Array],
+        sigma: float,
+        inner_tol: float = 1e-10,
+        inner_max_iter: int = 100_000,
+    ):
+        if sigma <= 0:
+            raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
+        self._value = value
+        self._gradient = gradient
+        self.sigma = float(sigma)
+        self.inner_tol = inner_tol
+        self.inner_max_iter = inner_max_iter
+
+    def value(self, x: Array) -> float:
+        return float(self._value(np.asarray(x, dtype=float)))
+
+    def gradient(self, x: Array) -> Array:
+        return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
+
+    def _maximizer(self, v: Array) -> Array:
+        """argmax_u v @ u - f(u) for a float array ``v``, by the inner loop
+        from u = 0."""
+        return minimize_strongly_convex(
+            lambda u: self.value(u) - float(v @ u),
+            lambda u: self.gradient(u) - v,
+            np.zeros_like(v),
+            tol=self.inner_tol,
+            max_iter=self.inner_max_iter,
+        )
+
+
+class CustomSmooth(_Oracles, SmoothFunction):
     """Smooth function given by value/gradient oracles.
 
     Conjugate quantities are computed by an inner loop minimizing
@@ -286,30 +326,11 @@ class CustomSmooth(SmoothFunction):
         inner_tol: float = 1e-10,
         inner_max_iter: int = 100_000,
     ):
-        if sigma <= 0:
-            raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
-        self._value = value
-        self._gradient = gradient
-        self.sigma = float(sigma)
+        super().__init__(value, gradient, sigma, inner_tol, inner_max_iter)
         self.dim = int(dim)
-        self.inner_tol = inner_tol
-        self.inner_max_iter = inner_max_iter
-
-    def value(self, x: Array) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
-
-    def gradient(self, x: Array) -> Array:
-        return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
 
     def conjugate_gradient(self, v: Array) -> Array:
-        v = _as_vector(v, self.dim)
-        return minimize_strongly_convex(
-            lambda u: self.value(u) - float(v @ u),
-            lambda u: self.gradient(u) - v,
-            np.zeros(self.dim),
-            tol=self.inner_tol,
-            max_iter=self.inner_max_iter,
-        )
+        return self._maximizer(_as_vector(v, self.dim))
 
 
 class NonsmoothFunction:
@@ -379,7 +400,50 @@ class Zero(NonsmoothFunction):
         return "Zero()"
 
 
-class L1(NonsmoothFunction):
+class _NormBall(NonsmoothFunction):
+    """``weight * ||x||_e``, unconstrained, e in {1, 2}: the one
+    implementation of :class:`L1` (e = 1) and :class:`NormPenalty`
+    (weight 1.0).
+
+    Prox is soft-thresholding for e = 1 and radial shrinkage for e = 2.  The
+    conjugate is the indicator of the dual-norm ball of radius ``weight``, so
+    the conjugate prox is a direct projection: a clamp to [-weight, weight]
+    for e = 1 (dual norm infinity) and radial scaling for the self-dual
+    e = 2.  Multiplying or dividing by a weight of 1.0 is exact, so
+    ``NormPenalty(1)`` and ``L1(1.0)`` agree bit for bit.
+    """
+
+    weight: float
+    e: int
+
+    def _prox(self, alpha: float, v: Array) -> Array:
+        t = alpha * self.weight
+        if self.e == 1:
+            return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        norm = float(np.linalg.norm(v))
+        if norm <= t:
+            return np.zeros_like(v)
+        return (1.0 - t / norm) * v
+
+    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
+        # projection onto the dual-norm ball; step size is irrelevant
+        if self.e == 1:
+            return v.clip(-self.weight, self.weight)
+        norm = _norm(v)
+        return v if norm <= self.weight else v / (norm / self.weight)
+
+    def support_value(self, mu: Array) -> float:
+        mu = np.asarray(mu, dtype=float)
+        dual = float(np.abs(mu).max(initial=0.0)) if self.e == 1 else _norm(mu)
+        return 0.0 if dual <= self.weight * (1.0 + _RADIUS_SLACK) else math.inf
+
+    def value(self, x: Array) -> float:
+        x = np.asarray(x, dtype=float)
+        norm = float(np.sum(np.abs(x))) if self.e == 1 else float(np.linalg.norm(x))
+        return self.weight * norm
+
+
+class L1(_NormBall):
     """Weighted l1 penalty w * ||x||_1, unconstrained.
 
     Prox is the soft-thresholding operator; the conjugate is the indicator
@@ -387,31 +451,40 @@ class L1(NonsmoothFunction):
     to [-w, w].
     """
 
+    e = 1
+
     def __init__(self, weight: float):
         if not 0 <= weight < math.inf:
             raise ValueError(f"l1 weight must be finite and nonnegative, got {weight}")
         self.weight = float(weight)
-
-    def _prox(self, alpha: float, v: Array) -> Array:
-        t = alpha * self.weight
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
-        return v.clip(-self.weight, self.weight)
-
-    def support_value(self, mu: Array) -> float:
-        mu = np.asarray(mu, dtype=float)
-        dual = float(np.abs(mu).max(initial=0.0))
-        return 0.0 if dual <= self.weight * (1.0 + _RADIUS_SLACK) else math.inf
-
-    def value(self, x: Array) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, L1) and self.weight == other.weight
 
     def __repr__(self) -> str:
         return f"L1(weight={self.weight})"
+
+
+class NormPenalty(_NormBall):
+    """Euclidean e-norm penalty ||x||_e, unconstrained, e in {1, 2}.
+
+    Its conjugate is the indicator of the dual-norm unit ball, so the
+    conjugate prox is a direct projection: a clamp to [-1, 1] for e = 1
+    (dual norm infinity) and radial scaling for the self-dual e = 2.
+    """
+
+    weight = 1.0
+
+    def __init__(self, e: int):
+        if e not in (1, 2):
+            raise ValueError(f"supported norm orders are 1 and 2, got {e}")
+        self.e = int(e)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NormPenalty) and self.e == other.e
+
+    def __repr__(self) -> str:
+        return f"NormPenalty(e={self.e})"
 
 
 class Box(NonsmoothFunction):
@@ -497,50 +570,6 @@ class Box(NonsmoothFunction):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-class NormPenalty(NonsmoothFunction):
-    """Euclidean e-norm penalty ||x||_e, unconstrained, e in {1, 2}.
-
-    Its conjugate is the indicator of the dual-norm unit ball, so the
-    conjugate prox is a direct projection: a clamp to [-1, 1] for e = 1
-    (dual norm infinity) and radial scaling for the self-dual e = 2.
-    """
-
-    def __init__(self, e: int):
-        if e not in (1, 2):
-            raise ValueError(f"supported norm orders are 1 and 2, got {e}")
-        self.e = int(e)
-
-    def _prox(self, alpha: float, v: Array) -> Array:
-        if self.e == 1:
-            return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
-        norm = float(np.linalg.norm(v))
-        if norm <= alpha:
-            return np.zeros_like(v)
-        return (1.0 - alpha / norm) * v
-
-    def _conjugate_prox(self, alpha: float, v: Array) -> Array:
-        # projection onto the dual-norm unit ball; step size is irrelevant
-        if self.e == 1:
-            return v.clip(-1.0, 1.0)
-        norm = _norm(v)
-        return v if norm <= 1.0 else v / norm
-
-    def support_value(self, mu: Array) -> float:
-        mu = np.asarray(mu, dtype=float)
-        dual = float(np.abs(mu).max(initial=0.0)) if self.e == 1 else _norm(mu)
-        return 0.0 if dual <= 1.0 + _RADIUS_SLACK else math.inf
-
-    def value(self, x: Array) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x))) if self.e == 1 else float(np.linalg.norm(x))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormPenalty) and self.e == other.e
-
-    def __repr__(self) -> str:
-        return f"NormPenalty(e={self.e})"
-
-
 class CustomProx(NonsmoothFunction):
     """Nonsmooth function defined by a user prox oracle.
 
@@ -571,7 +600,7 @@ class CustomProx(NonsmoothFunction):
         return float(self._value(np.asarray(x, dtype=float)))
 
 
-class CustomStronglyConvex(NonsmoothFunction):
+class CustomStronglyConvex(_Oracles, NonsmoothFunction):
     """Strongly convex function whose prox is found by an inner loop.
 
     Covers the case where a strongly convex component has been shifted
@@ -579,46 +608,17 @@ class CustomStronglyConvex(NonsmoothFunction):
     function is differentiable) and the modulus ``sigma``.
     """
 
-    def __init__(
-        self,
-        value: Callable[[Array], float],
-        gradient: Callable[[Array], Array],
-        sigma: float,
-        inner_tol: float = 1e-10,
-        inner_max_iter: int = 100_000,
-    ):
-        if sigma <= 0:
-            raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
-        self._value = value
-        self._gradient = gradient
-        self.sigma = float(sigma)
-        self.inner_tol = inner_tol
-        self.inner_max_iter = inner_max_iter
-
     def _prox(self, alpha: float, v: Array) -> Array:
         inv = 1.0 / alpha
         return minimize_strongly_convex(
             lambda u: self.value(u) + 0.5 * inv * float((u - v) @ (u - v)),
-            lambda u: self._grad(u) + inv * (u - v),
+            lambda u: self.gradient(u) + inv * (u - v),
             v.copy(),
             tol=self.inner_tol,
             max_iter=self.inner_max_iter,
         )
 
-    def _grad(self, x: Array) -> Array:
-        return np.asarray(self._gradient(x), dtype=float)
-
     def support_value(self, mu: Array) -> float:
         mu = np.asarray(mu, dtype=float)
-        u = minimize_strongly_convex(
-            lambda x: self.value(x) - float(mu @ x),
-            lambda x: self._grad(x) - mu,
-            np.zeros_like(mu),
-            tol=self.inner_tol,
-            max_iter=self.inner_max_iter,
-        )
+        u = self._maximizer(mu)
         return float(mu @ u - self.value(u))
-
-    def value(self, x: Array) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
-

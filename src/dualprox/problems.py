@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -648,6 +648,42 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
+class _Key(NamedTuple):
+    """One key of a catalog kind in a file: the attribute it holds, its
+    ``parse(text, where)`` and ``format(value)``, and the text it reads as
+    when absent (``None``: required)."""
+
+    attr: str
+    parse: Callable[[str, str], object]
+    format: Callable[[object], str]
+    default: str | None = None
+
+
+# The catalog kinds an instance file holds, by function slot: each kind's
+# tag, class and keys, in the class's constructor order.  save_instance and
+# load_instance both read this table.
+_KINDS: dict[str, dict[str, tuple[type, dict[str, _Key]]]] = {
+    "f": {
+        "quadratic": (Quadratic, {
+            "f.p": _Key("p", _parse_matrix, _fmt_matrix),
+            "f.q": _Key("q", _parse_vector, _fmt_vector),
+            "f.r": _Key("r", _parse_float, repr, "0.0"),
+        }),
+    },
+    "g": {
+        "zero": (Zero, {}),
+        "l1": (L1, {"g.w": _Key("weight", _parse_float, repr)}),
+        "box": (Box, {
+            "g.lo": _Key("lo", partial(_parse_vector, bounds=True), _fmt_vector),
+            "g.hi": _Key("hi", partial(_parse_vector, bounds=True), _fmt_vector),
+        }),
+        "norm_ball": (NormPenalty, {"g.e": _Key("e", partial(_parse_number, int), str)}),
+    },
+}
+_SLOT_NAMES = {"f": "smooth", "g": "nonsmooth"}
+_AGENT_KEYS = frozenset(("kappa", "a_block", *_KINDS))
+
+
 def save_instance(instance: ProblemInstance, path) -> None:
     """Write an instance to a plain key/value text file.
 
@@ -662,31 +698,15 @@ def save_instance(instance: ProblemInstance, path) -> None:
         lines.append(f"[agent {idx}]")
         lines.append(f"kappa = {agent.kappa!r}")
         lines.append(f"a_block = {_fmt_matrix(agent.a_block)}")
-        f = agent.f
-        if isinstance(f, Quadratic):
-            lines.append("f = quadratic")
-            lines.append(f"f.p = {_fmt_matrix(f.p)}")
-            lines.append(f"f.q = {_fmt_vector(f.q)}")
-            lines.append(f"f.r = {f.r!r}")
-        else:
-            raise ValueError(f"agent {idx}: smooth kind {type(f).__name__} "
-                             "has no file representation")
-        g = agent.g
-        if isinstance(g, Zero):
-            lines.append("g = zero")
-        elif isinstance(g, L1):
-            lines.append("g = l1")
-            lines.append(f"g.w = {g.weight!r}")
-        elif isinstance(g, Box):
-            lines.append("g = box")
-            lines.append(f"g.lo = {_fmt_vector(g.lo)}")
-            lines.append(f"g.hi = {_fmt_vector(g.hi)}")
-        elif isinstance(g, NormPenalty):
-            lines.append("g = norm_ball")
-            lines.append(f"g.e = {g.e}")
-        else:
-            raise ValueError(f"agent {idx}: nonsmooth kind {type(g).__name__} "
-                             "has no file representation")
+        for slot, kinds in _KINDS.items():
+            function = getattr(agent, slot)
+            tag = next((tag for tag, (cls, _) in kinds.items() if isinstance(function, cls)), None)
+            if tag is None:
+                raise ValueError(f"agent {idx}: {_SLOT_NAMES[slot]} kind "
+                                 f"{type(function).__name__} has no file representation")
+            lines.append(f"{slot} = {tag}")
+            lines += [f"{key} = {spec.format(getattr(function, spec.attr))}"
+                      for key, spec in kinds[tag][1].items()]
         lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
@@ -724,16 +744,28 @@ def _section_map(
     return out
 
 
-def _require(mapping: dict[str, str], key: str, section: str) -> str:
-    if key not in mapping:
+def _check_keys(
+    entries: list[tuple[int, str, str]], mapping: dict[str, str], allowed: set[str], section: str
+) -> None:
+    """A key of ``mapping`` outside ``allowed`` is a ParseError that names
+    its line."""
+    if not mapping.keys() <= allowed:
+        lineno, key = next((lineno, key) for lineno, key, _ in entries if key not in allowed)
+        raise ParseError(f"line {lineno}: unknown key {key!r} in [{section}]")
+
+
+def _require(mapping: dict[str, str], key: str, section: str, default: str | None = None) -> str:
+    value = mapping.get(key, default)
+    if value is None:
         raise ParseError(f"[{section}]: missing required key {key!r}")
-    return mapping[key]
+    return value
 
 
 def load_instance(path) -> ProblemInstance:
     """Read an instance file; edges are canonicalized on load.
 
-    Missing kappa entries default to a uniform 1/N split.
+    Missing kappa entries default to a uniform 1/N split.  A key that its
+    section does not use is a ParseError.
     """
     sections = _read_sections(path)
     for required in ("dims", "graph", "b"):
@@ -741,6 +773,7 @@ def load_instance(path) -> ProblemInstance:
             raise ParseError(f"missing [{required}] section")
 
     dims = _section_map(sections["dims"], "dims")
+    _check_keys(sections["dims"], dims, {"m", "b_dim"}, "dims")
     m = _parse_number(int, _require(dims, "m", "dims"), "[dims] m")
     b_dim = _parse_number(int, _require(dims, "b_dim", "dims"), "[dims] b_dim")
 
@@ -749,6 +782,8 @@ def load_instance(path) -> ProblemInstance:
     edges = []
     for lineno, key, value in graph_entries:
         if key == "n_vertices":
+            if n_vertices is not None:
+                raise ParseError(f"line {lineno}: duplicate key {key!r} in [graph]")
             n_vertices = _parse_number(int, value, f"line {lineno}: n_vertices")
         elif key == "edge":
             pair = value.split()
@@ -765,6 +800,7 @@ def load_instance(path) -> ProblemInstance:
         raise ParseError(f"[graph]: {exc}") from exc
 
     bmap = _section_map(sections["b"], "b")
+    _check_keys(sections["b"], bmap, {"values"}, "b")
     b = _parse_vector(_require(bmap, "values", "b"), "[b] values")
     if b.size != b_dim:
         raise ParseError(f"[b]: got {b.size} values, expected b_dim = {b_dim}")
@@ -784,39 +820,18 @@ def load_instance(path) -> ProblemInstance:
         if "kappa" in amap:
             kappa = _parse_float(amap["kappa"], f"[{name}] kappa")
 
-        fkind = _require(amap, "f", name)
-        if fkind == "quadratic":
-            p = _parse_matrix(_require(amap, "f.p", name), f"[{name}] f.p")
-            q = _parse_vector(_require(amap, "f.q", name), f"[{name}] f.q")
-            r = _parse_float(amap.get("f.r", "0.0"), f"[{name}] f.r")
-            try:
-                f: SmoothFunction = Quadratic(p, q, r)
-            except ValueError as exc:
-                raise ParseError(f"[{name}]: {exc}") from exc
-        else:
-            raise ParseError(f"[{name}]: unknown smooth kind {fkind!r}")
-
-        gkind = _require(amap, "g", name)
+        calls, used = [], set(_AGENT_KEYS)
+        for slot, kinds in _KINDS.items():
+            tag = _require(amap, slot, name)
+            if tag not in kinds:
+                raise ParseError(f"[{name}]: unknown {_SLOT_NAMES[slot]} kind {tag!r}")
+            cls, keys = kinds[tag]
+            used.update(keys)
+            calls.append((cls, [spec.parse(_require(amap, key, name, spec.default), f"[{name}] {key}")
+                                for key, spec in keys.items()]))
+        _check_keys(sections[name], amap, used, name)
         try:
-            if gkind == "zero":
-                g: NonsmoothFunction = Zero()
-            elif gkind == "l1":
-                g = L1(_parse_float(_require(amap, "g.w", name), f"[{name}] g.w"))
-            elif gkind == "box":
-                g = Box(
-                    _parse_vector(_require(amap, "g.lo", name), f"[{name}] g.lo", bounds=True),
-                    _parse_vector(_require(amap, "g.hi", name), f"[{name}] g.hi", bounds=True),
-                )
-            elif gkind == "norm_ball":
-                g = NormPenalty(int(_require(amap, "g.e", name)))
-            else:
-                raise ParseError(f"[{name}]: unknown nonsmooth kind {gkind!r}")
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"[{name}]: {exc}") from exc
-
-        try:
+            f, g = (cls(*args) for cls, args in calls)
             agents.append(AgentProblem(f, g, a_block, kappa))
         except ValueError as exc:
             raise ParseError(f"[{name}]: {exc}") from exc

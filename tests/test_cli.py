@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dualprox.cli as cli
 from dualprox.cli import main
 from dualprox.problems import MarketParams, ProblemInstance, build_market, market_graph, save_instance
+from dualprox.solver import SolverConfig
 from dualprox.topology import Graph
 
 from oracles import per_agent_market
@@ -76,6 +79,18 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: [agent 1] ") and "nan" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_unknown_key_is_a_parse_error(self, market_file, tmp_path, capsys, command):
+        market_file.write_text(market_file.read_text().replace("kappa = 0.2", "kapa = 0.9", 1))
+        args = [command, "--instance", str(market_file)]
+        if command == "solve":
+            args += ["--trace-out", str(tmp_path / "t.csv")]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 17: unknown key 'kapa' in [agent 1]\n"
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -200,6 +215,17 @@ class TestMarketDemoCommand:
             runs.append((code, out, trace.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "market-demo"])
+def test_every_flag_default_is_the_solver_config_default(command):
+    argv = [command] + (["--instance", "x.txt"] if command == "solve" else [])
+    args = cli.build_parser().parse_args(argv)
+    default = SolverConfig()
+    for name in cli._CONFIG_FIELDS:
+        assert getattr(args, name) == getattr(default, name), name
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields - set(cli._CONFIG_FIELDS) == {"trace_state"}
 
 
 class TestBadSolverOptions:

@@ -470,3 +470,51 @@ class TestBoxValidation:
 def test_l1_rejects_a_weight_outside_zero_to_infinity(weight):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         L1(weight)
+
+
+# the norm ball's edge cases: signed zeros, its boundary, infinities, NaN
+BALL_SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+def ball_points(seed: int, count: int):
+    """``count`` seeded (step, point) pairs: steps from 1e-3 to 1e2, points
+    of 1 to 4 entries, about a fifth of them from ``BALL_SPECIALS``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(1, 5))
+        v = rng.normal(size=size) * 10.0 ** rng.uniform(-2.0, 2.0)
+        special = rng.random(size) < 0.2
+        v[special] = rng.choice(BALL_SPECIALS, size=int(special.sum()))
+        yield 10.0 ** rng.uniform(-3.0, 2.0), v
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestSharedImplementations:
+    def test_norm_penalty_1_is_l1_1_bit_for_bit(self):
+        ball, l1 = NormPenalty(1), L1(1.0)
+        for alpha, v in ball_points(4, 2000):
+            for method in ("prox", "conjugate_prox"):
+                assert bits(getattr(ball, method)(alpha, v)) == bits(getattr(l1, method)(alpha, v))
+            for method in ("support_value", "value"):
+                assert bits(getattr(ball, method)(v)) == bits(getattr(l1, method)(v))
+
+    def test_support_value_is_the_conjugate_value_of_the_smooth_kind(self):
+        # the same oracles as a strongly convex nonsmooth part and as a smooth one
+        value = lambda u: float(np.sum(u**4)) + float(u @ u)
+        grad = lambda u: 4.0 * u**3 + 2.0 * u
+        psi = CustomStronglyConvex(value, grad, sigma=2.0)
+        f = CustomSmooth(value, grad, sigma=2.0, dim=3)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            mu = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 1.0)
+            assert bits(psi.support_value(mu)) == bits(f.conjugate_value(mu))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_both_custom_kinds_reject_a_nonpositive_modulus(self, sigma):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            CustomSmooth(lambda u: 0.0, lambda u: u, sigma=sigma, dim=1)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            CustomStronglyConvex(lambda u: 0.0, lambda u: u, sigma=sigma)

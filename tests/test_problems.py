@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from dualprox.problems import (
     ProblemInstance,
     UCParams,
     UserParams,
+    _KINDS,
     build_market,
     load_instance,
     market_graph,
@@ -624,6 +627,63 @@ class TestInstanceFiles:
         instance = ProblemInstance([agent, agent], [0.0], Graph(2, [(1, 2)]))
         with pytest.raises(ValueError, match="file representation"):
             save_instance(instance, tmp_path / "x.txt")
+
+    def test_every_tag_in_the_kind_table_round_trips(self, tmp_path):
+        parts = [Zero(), L1(0.3), Box([-1.0, -np.inf], [2.0, 0.5]), NormPenalty(1), NormPenalty(2)]
+        agents = [
+            AgentProblem(Quadratic([[2.0, 0.5], [0.5, 1.0 + k]], [0.5, -k], 0.25 * k), g,
+                         [[1.0, -0.5 * k]], 0.2)
+            for k, g in enumerate(parts)
+        ]
+        instance = ProblemInstance(agents, [0.5], Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+        path = tmp_path / "inst.txt"
+        save_instance(instance, path)
+        written = {line.split(" = ")[1] for line in path.read_text().splitlines()
+                   if line.startswith(("f = ", "g = "))}
+        assert written == {tag for kinds in _KINDS.values() for tag in kinds}
+        loaded = load_instance(path)
+        assert loaded == instance
+        assert [type(agent.g) for agent in loaded.agents] == [type(g) for g in parts]
+
+    def test_a_committed_mixed_file_is_written_back_byte_for_byte(self, tmp_path):
+        source = Path(__file__).parent / "data" / "mixed_instance.txt"
+        instance = load_instance(source)
+        kinds = [type(agent.g) for agent in instance.agents]
+        assert kinds == [L1, Zero, NormPenalty, NormPenalty, Box, Box]
+        save_instance(instance, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("kappa = 0.2", "kapa = 0.9", "line 17: unknown key 'kapa' in [agent 1]"),
+            ("f.r = 0.0", "f.rr = 5", "line 22: unknown key 'f.rr' in [agent 1]"),
+            ("g.hi = 150.0", "g.hi = 150.0\ng.w = 0.3", "line 26: unknown key 'g.w' in [agent 1]"),
+            ("b_dim = 1", "b_dim = 1\nn = 3", "line 4: unknown key 'n' in [dims]"),
+            ("values = 0.0", "values = 0.0\nvalue = 1.0", "line 15: unknown key 'value' in [b]"),
+            ("n_vertices = 5", "n_vertices = 5\nn_vertices = 6",
+             "line 7: duplicate key 'n_vertices' in [graph]"),
+        ],
+        ids=["kappa", "f.r", "key-of-another-kind", "dims", "b", "duplicate-n_vertices"],
+    )
+    def test_unknown_or_repeated_key_is_parse_error(self, tmp_path, old, new, message):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as caught:
+            load_instance(path)
+        assert str(caught.value) == message
+
+    def test_bad_norm_order_names_its_key(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        agent = AgentProblem(Quadratic(1.0), NormPenalty(1), [[1.0]], 1.0)
+        save_instance(ProblemInstance([agent], [0.0], Graph(1, [])), path)
+        path.write_text(path.read_text().replace("g.e = 1", "g.e = 1.5"))
+        with pytest.raises(ParseError) as caught:
+            load_instance(path)
+        assert str(caught.value) == "[agent 1] g.e: bad number '1.5'"
 
 
 class TestCentralizedOracle:
