@@ -682,6 +682,7 @@ _KINDS: dict[str, dict[str, tuple[type, dict[str, _Key]]]] = {
 }
 _SLOT_NAMES = {"f": "smooth", "g": "nonsmooth"}
 _AGENT_KEYS = frozenset(("kappa", "a_block", *_KINDS))
+_SECTIONS = frozenset(("dims", "graph", "b"))
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
@@ -713,6 +714,9 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
+    """Each section's ``(line, key, value)`` entries; a section other than
+    ``[dims]``, ``[graph]``, ``[b]`` and ``[agent k]`` is a ParseError that
+    names the line of its header."""
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current: str | None = None
     with open(path) as fh:
@@ -722,6 +726,8 @@ def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
+                if current not in _SECTIONS and not current.startswith("agent "):
+                    raise ParseError(f"line {lineno}: unknown section [{current}]")
                 sections.setdefault(current, [])
                 continue
             if "=" not in line:
@@ -764,8 +770,8 @@ def _require(mapping: dict[str, str], key: str, section: str, default: str | Non
 def load_instance(path) -> ProblemInstance:
     """Read an instance file; edges are canonicalized on load.
 
-    Missing kappa entries default to a uniform 1/N split.  A key that its
-    section does not use is a ParseError.
+    Missing kappa entries default to a uniform 1/N split.  A section or a
+    key that the file format does not use is a ParseError.
     """
     sections = _read_sections(path)
     for required in ("dims", "graph", "b"):

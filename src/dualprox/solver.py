@@ -26,13 +26,13 @@ unbuffered and adds the entries for a repeated target in index order.  The
 ends of each agent come in :func:`lambda_update`'s order, so each sum is
 bit-identical to the per-agent update, and a round costs O(N + E) whatever
 the degrees.  Sums over agents run in agent order.  A batched round has no
-processing order.  A state's primal maximizers are computed once and
-shared by the round and the residuals that read them (see
-:class:`SolverState`); edge differences are taken from the plan's edge
-ends, by the round and by each evaluation alike.  The dual sweep also
-takes a leading axis of states: :func:`solve` evaluates the trace rows
-that cannot stop its run in batches, and records each row from its
-batch's sweep, bit-identical to its own sweep.
+processing order.  :func:`solve` sweeps the primal maximizers of a state
+once and hands them to the state's evaluation and to its round; edge
+differences are taken from the plan's edge ends, by the round and by each
+evaluation alike.  The dual sweep also takes a leading axis of states:
+:func:`solve` evaluates the trace rows that cannot stop its run in
+batches, and records each row from its batch's sweep, bit-identical to its
+own sweep.
 """
 
 from __future__ import annotations
@@ -399,75 +399,15 @@ def _round_plan(instance: ProblemInstance) -> _RoundPlan:
 
 @dataclass
 class SolverState:
-    """Stacked dual state: one row per agent, one xi row per canonical edge.
-
-    A state that :func:`iterate` returns has read-only ``theta`` and ``mu``.
-    Once :func:`residuals` has evaluated it, or :func:`solve` has queued its
-    trace row, it carries one by-product of the sweep over them, the
-    agents' primal maximizers, which the next round, the row's evaluation
-    and :func:`solve`'s recovery reuse.  It is not a field, so ``copy()``,
-    ``==`` and ``repr`` ignore it, and it is used only while ``theta`` and
-    ``mu`` are still the read-only arrays, owning their data, that it came
-    from: putting other arrays in their place, or making them writeable
-    again, drops it.
-    """
+    """Stacked dual state: one row per agent, one xi row per canonical edge."""
 
     theta: Array  # (N, B)
     mu: Array  # (N, M)
     xi: Array  # (|E|, B)
     t: int = 0
 
-    # (plan, theta, mu, maximizers), see _kept
-    _maximizers = None
-
     def copy(self) -> "SolverState":
         return SolverState(self.theta.copy(), self.mu.copy(), self.xi.copy(), self.t)
-
-
-def _freeze(state: SolverState) -> None:
-    """Make theta and mu read-only; call it on arrays just made, before any
-    view of them exists."""
-    state.theta.setflags(write=False)
-    state.mu.setflags(write=False)
-
-
-def _frozen(state: SolverState) -> bool:
-    """Theta and mu are read-only arrays that own their data, so they can
-    change only if someone makes them writeable again."""
-    theta, mu = state.theta, state.mu
-    return (
-        isinstance(theta, np.ndarray)
-        and isinstance(mu, np.ndarray)
-        and theta.base is None
-        and mu.base is None
-        and not (theta.flags.writeable or mu.flags.writeable)
-    )
-
-
-def _kept(plan: _RoundPlan, state: SolverState):
-    """The state's kept maximizers if ``plan`` computed them from its
-    current theta and mu, and both have stayed frozen; else None."""
-    slot = state._maximizers
-    if (
-        slot is not None
-        and slot[0] is plan
-        and slot[1] is state.theta
-        and slot[2] is state.mu
-        and _frozen(state)
-    ):
-        return slot[3]
-    return None
-
-
-def _state_maximizers(plan: _RoundPlan, state: SolverState) -> tuple[Array, Array]:
-    """``plan.maximizers`` at the state's duals, kept on a frozen state."""
-    found = _kept(plan, state)
-    if found is None:
-        theta, mu = state.theta, state.mu
-        found = plan.maximizers(np.asarray(theta, dtype=float), np.asarray(mu, dtype=float))
-        if _frozen(state):
-            state._maximizers = (plan, theta, mu, found)
-    return found
 
 
 def init_state(instance: ProblemInstance) -> SolverState:
@@ -493,6 +433,8 @@ def iterate(
     instance: ProblemInstance,
     state: SolverState,
     steps: StepSizes,
+    *,
+    _maximizers=None,
 ) -> SolverState:
     """One synchronous round: all dual pairs, then all edge multipliers.
 
@@ -504,17 +446,14 @@ def iterate(
     those updates that make fewer NumPy calls: the edge multipliers are
     gathered from the flattened xi times a sign of +-1.0 per edge end, and
     the new xi is summed in place into the difference of the edge ends'
-    rows.  It reuses the primal maximizers kept on the state, and returns a
-    new state with read-only theta and mu.
+    rows.  It returns a new state.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
     theta, mu, xi = state.theta, state.mu, state.xi
 
-    # only an evaluated or queued state keeps its maximizers: for any other
-    # state its round is its last sweep
-    kept = _kept(plan, state)
-    _, x_hat = plan.maximizers(theta, mu) if kept is None else kept
+    # solve hands over the maximizers of a state it has already swept
+    _, x_hat = _maximizers or plan.maximizers(theta, mu)
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
     # of a repeated target one by one in index order, so every agent's sum
     # runs over its own ends in lambda_update's order.  Subtracting xi is
@@ -535,9 +474,7 @@ def iterate(
     xi_new -= theta_new.take(plan.edge_peer, axis=0)
     xi_new *= gamma
     xi_new += xi
-    new = SolverState(theta_new, mu_new, xi_new, state.t + 1)
-    _freeze(new)
-    return new
+    return SolverState(theta_new, mu_new, xi_new, state.t + 1)
 
 
 # --- recovery, objective, diagnostics --------------------------------------
@@ -597,45 +534,45 @@ class Residuals:
     dual_value: float
 
 
-def residuals(instance: ProblemInstance, state: SolverState, inc=None) -> Residuals:
+def residuals(
+    instance: ProblemInstance, state: SolverState, inc=None, *, _maximizers=None
+) -> Residuals:
     """Residual triple at the state's duals.
 
     Consensus is the norm of all per-edge theta differences; primal is the
     coupling-constraint violation of the recovered primal point.  The dual
     objective is evaluated from the same primal maximizers, so each agent
-    costs a single conjugate-gradient solve.  A frozen state, as
-    :func:`iterate` returns them, keeps the maximizers for the next round
-    (see :class:`SolverState`).  ``inc`` is accepted for compatibility and
-    has no effect: the edge differences are taken at the edge ends of the
-    instance's compiled plan.
+    costs a single conjugate-gradient solve.  ``inc`` is accepted for
+    compatibility and has no effect: the edge differences are taken at the
+    edge ends of the instance's compiled plan.
     """
-    return _evaluate(instance, _round_plan(instance), [state])[0]
+    # solve hands over the maximizers of a state it has already swept
+    return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0]
 
 
-def _evaluate(instance: ProblemInstance, plan: _RoundPlan, states: list) -> list[Residuals]:
-    """The :class:`Residuals` of ``states`` from one dual sweep over all of
-    them.
+def _evaluate(instance: ProblemInstance, plan: _RoundPlan, rows: list) -> list[Residuals]:
+    """The :class:`Residuals` of the states in ``rows``, ``(state,
+    maximizers)`` pairs, from one dual sweep over all of them.
 
-    One state is swept in place, on its own arrays; several are stacked
-    along a leading axis first.  The consensus reads the swept theta, with
-    the edge differences that :func:`iterate` takes.  The consensus and
-    primal norms are one ``_norm`` per state, so every value is
-    bit-identical to that state's sweep alone.
+    A state whose maximizers are None is swept here.  One state is swept in
+    place, on its own arrays; several are stacked along a leading axis
+    first.  The consensus reads the swept theta, with the edge differences
+    that :func:`iterate` takes.  The consensus and primal norms are one
+    ``_norm`` per state, so every value is bit-identical to that state's
+    sweep alone.
     """
-    if len(states) == 1:
-        (state,) = states
+    swept = []
+    for state, found in rows:
         duals = (np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float))
-        arrays = (*duals, *_state_maximizers(plan, state))
-    else:
-        per_state = [(s.theta, s.mu, *_state_maximizers(plan, s)) for s in states]
-        arrays = [np.stack(column) for column in zip(*per_state)]
+        swept.append((*duals, *(found or plan.maximizers(*duals))))
+    arrays = swept[0] if len(swept) == 1 else [np.stack(column) for column in zip(*swept)]
     theta = arrays[0]
     phis, ax = _dual_sweep(plan, *arrays)
     ax -= instance.b
     edge_diff = theta.take(plan.edge_owner, axis=-2) - theta.take(plan.edge_peer, axis=-2)
-    k = len(states)
-    rows = zip(edge_diff.reshape(k, -1), ax.reshape(k, -1), phis.reshape(-1).tolist())
-    return [Residuals(_norm(diff), _norm(ax_k), phi) for diff, ax_k, phi in rows]
+    k = len(rows)
+    per_state = zip(edge_diff.reshape(k, -1), ax.reshape(k, -1), phis.reshape(-1).tolist())
+    return [Residuals(_norm(diff), _norm(ax_k), phi) for diff, ax_k, phi in per_state]
 
 
 class RunningAverage:
@@ -911,9 +848,9 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     benchmark hook or a tracer) sees those calls, round 0's
     :func:`residuals` first.  A queued row is recorded from its batch's
     sweep and calls neither.  Each evaluated state costs one sweep of
-    primal maximizers: :func:`residuals`, or the queueing of its row, keeps
-    it on the state, and the next round, the row's batch, or the recovery
-    of ``x`` after the last round, reuses it.
+    primal maximizers: ``solve`` sweeps the state once and hands the
+    maximizers to its row's evaluation, to the next round, and after the
+    last round to the recovery of ``x``.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -935,25 +872,27 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     steps = StepSizes(c, config.gamma)
 
     state = init_state(instance)
-    _freeze(state)
     trace = Trace(with_state=config.trace_state)
     n, m, b_dim = instance.dims
     avg = RunningAverage(n, b_dim, m)
     plan = _round_plan(instance)
     t0 = time.perf_counter()
 
-    res = residuals(instance, state)
+    # the maximizers of the last evaluated state, for its next round
+    found = plan.maximizers(state.theta, state.mu)
+    res = residuals(instance, state, _maximizers=found)
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
 
-    # (state, step norm, wall time) of the due rows that cannot stop the run
+    # (state, maximizers, step norm, wall time) of the due rows that cannot
+    # stop the run
     queue = []
     batch = max(1, min(_BATCH_ROWS, _BATCH_ELEMENTS // (n * max(m, b_dim))))
 
     def record_queue():
         if queue:
-            evaluated = _evaluate(instance, plan, [row[0] for row in queue])
-            for (row_state, row_step, wall), row in zip(queue, evaluated):
+            evaluated = _evaluate(instance, plan, [row[:2] for row in queue])
+            for (row_state, _, row_step, wall), row in zip(queue, evaluated):
                 trace.record(row_state.t, row.dual_value, row.consensus, row.primal,
                              row_step, wall, row_state)
             queue.clear()
@@ -962,7 +901,8 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     reason = "max_iter exhausted"
     max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
     while state.t < max_iter:
-        new_state = iterate(instance, state, steps)
+        new_state = iterate(instance, state, steps, _maximizers=found)
+        found = None
         step_norm = _step_norm(new_state, state)
         state = new_state
         avg.update(state.theta, state.mu)
@@ -971,14 +911,14 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         # not small enough needs its residuals only for a due trace row
         if not step_norm <= tol_step:  # NaN too
             if due:
-                # swept now, the maximizers serve the next round and the row
-                _state_maximizers(plan, state)
-                queue.append((state, step_norm, time.perf_counter() - t0))
+                found = plan.maximizers(state.theta, state.mu)
+                queue.append((state, found, step_norm, time.perf_counter() - t0))
                 if len(queue) == batch:
                     record_queue()
             continue
         record_queue()
-        res = residuals(instance, state)
+        found = plan.maximizers(state.theta, state.mu)
+        res = residuals(instance, state, _maximizers=found)
         done = res.consensus <= config.tol_consensus and res.primal <= config.tol_primal
         if done or due:
             trace.record(state.t, res.dual_value, res.consensus, res.primal,
@@ -989,15 +929,12 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
             break
     record_queue()
 
-    # the last state was evaluated, so this reuses its maximizers
-    x = _state_maximizers(plan, state)[1]
-    state.theta.setflags(write=True)
-    state.mu.setflags(write=True)
+    # the last state stopped the run or is due, so x is its evaluation's
     return SolveResult(
         theta=state.theta,
         mu=state.mu,
         xi=state.xi,
-        x=x,
+        x=found[1],
         trace=trace,
         converged=converged,
         reason=reason,

@@ -62,6 +62,13 @@ class TestValidateCommand:
         assert err.startswith("error: ") and "bad number" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_unknown_section_is_a_parse_error(self, market_file, capsys):
+        market_file.write_text(market_file.read_text() + "\n[agnet 1]\nkappa = 0.9\n")
+        assert main(["validate", "--instance", str(market_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown section [agnet 1]" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize(
         "old, new", [("a_block = 1.0", "a_block = nan"), ("f.q = 8.71", "f.q = nan")],

@@ -676,6 +676,18 @@ class TestInstanceFiles:
             load_instance(path)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "section, line", [("agnet 1", "kappa = 0.9"), ("dim", "m = 7")], ids=["agnet", "dim"]
+    )
+    def test_unknown_section_is_parse_error(self, tmp_path, section, line):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, f"[{section}]", line]) + "\n")
+        with pytest.raises(ParseError) as caught:
+            load_instance(path)
+        assert str(caught.value) == f"line {len(lines) + 1}: unknown section [{section}]"
+
     def test_bad_norm_order_names_its_key(self, tmp_path):
         path = tmp_path / "inst.txt"
         agent = AgentProblem(Quadratic(1.0), NormPenalty(1), [[1.0]], 1.0)

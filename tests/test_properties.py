@@ -382,15 +382,14 @@ def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
     sweep.  At signed duals on every catalog kind, where ``L1`` and
     ``Zero`` give infinite rows and ``CustomProx`` NaN ones, each state's
     ``Residuals`` must be, bit for bit, those of ``residuals`` on a fresh
-    copy, also after ``residuals`` kept the state's maximizers, and its
-    consensus the norm of the graph's consensus operator at its theta.  A
-    single agent has no edges and a zero consensus."""
+    copy, whether the state comes with its maximizers or is swept in the
+    batch, and its consensus the norm of the graph's consensus operator at
+    its theta.  A single agent has no edges and a zero consensus."""
     rng = np.random.default_rng(seed)
     states = [signed_duals(rng, instance) for _ in range(k)]
-    for state in states:
-        solver_module._freeze(state)
     plan = _round_plan(instance)
-    got = solver_module._evaluate(instance, plan, states)
+    rows = [(s, plan.maximizers(s.theta, s.mu) if i % 2 else None) for i, s in enumerate(states)]
+    got = solver_module._evaluate(instance, plan, rows)
     for state, res in zip(states, got):
         want = residuals(instance, state.copy())
         for name in ("dual_value", "consensus", "primal"):

@@ -686,10 +686,9 @@ def change_state(state: SolverState, name: str, how: str) -> None:
 
 
 class TestSweepReuse:
-    """``iterate`` returns a read-only state, and ``residuals`` keeps the
-    maximizers of a read-only state for the next round and for a second
-    call.  Whatever is done to a state between the calls, a result must
-    equal that of a fresh copy, or the change must raise."""
+    """No result may depend on a state's object identity or on the write
+    flags of its arrays: whatever is done to a state between the calls, a
+    result must equal that of a fresh copy."""
 
     def evaluated(self):
         instance = build_market()
@@ -700,11 +699,14 @@ class TestSweepReuse:
         residuals(instance, state)
         return instance, steps, state
 
-    @pytest.mark.parametrize("name", ["theta", "mu"])
-    def test_writing_into_a_returned_state_raises(self, name):
+    def test_a_returned_state_is_writeable_and_carries_only_its_fields(self):
         instance, steps, state = self.evaluated()
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(state, name)[1] += 0.5
+        new = iterate(instance, state, steps)
+        assert new.theta.flags.writeable and new.mu.flags.writeable
+        assert vars(new).keys() == {"theta", "mu", "xi", "t"}
+        assert {name for name in vars(SolverState) if not name.startswith("__")} <= {
+            "t", "copy"
+        }
 
     @pytest.mark.parametrize("how", ["write", "replace"])
     @pytest.mark.parametrize("name", ["theta", "mu"])
@@ -787,15 +789,27 @@ class TestSweepReuse:
 
 
 class TestOneSweepPerEvaluatedState:
-    def test_market_traced_every_round(self, monkeypatch):
-        """At ``trace_every=1`` every state is evaluated: one maximizer sweep
-        each, one call per catalog group, and none for the recovery of x.
-        ``solve`` must call ``iterate`` every round, and ``residuals`` for
-        round 0 and each row that can stop the run, through the module,
-        where the benchmark's hooks replace them."""
+    @pytest.mark.parametrize(
+        "options, batch_rows",
+        [
+            pytest.param({"trace_every": 1}, None, id="every-1"),
+            pytest.param({"trace_every": 7}, None, id="every-7"),
+            pytest.param({"trace_every": 100}, None, id="every-100"),
+            pytest.param({"trace_every": 5, "max_iter": 41}, 3, id="max-iter-41"),
+        ],
+    )
+    def test_market_traced_every_round(self, monkeypatch, options, batch_rows):
+        """Every state costs one maximizer sweep, one call per catalog
+        group, whatever the trace cadence and however the run ends: an
+        evaluated state hands its sweep to its next round, or after the
+        last round to the recovery of x.  ``solve`` must call ``iterate``
+        every round, and ``residuals`` for round 0 and each row that can
+        stop the run, through the module, where the benchmark's hooks
+        replace them."""
         import dualprox.solver as solver_module
 
         counts = dict.fromkeys(("conjugate_gradient", "residuals", "iterate"), 0)
+        step_norms = []
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -808,16 +822,31 @@ class TestOneSweepPerEvaluatedState:
             Quadratic, "conjugate_gradient",
             counting("conjugate_gradient", Quadratic.conjugate_gradient),
         )
-        for name in ("residuals", "iterate"):
-            monkeypatch.setattr(solver_module, name, counting(name, getattr(solver_module, name)))
+        round_ = counting("iterate", solver_module.iterate)
+
+        def stepped(instance, state, *args, **kwargs):
+            new = round_(instance, state, *args, **kwargs)
+            step_norms.append(solver_module._step_norm(new, state))
+            return new
+
+        monkeypatch.setattr(solver_module, "iterate", stepped)
+        monkeypatch.setattr(
+            solver_module, "residuals", counting("residuals", solver_module.residuals)
+        )
+        if batch_rows is not None:
+            monkeypatch.setattr(solver_module, "_BATCH_ROWS", batch_rows)
         instance = build_market()
-        result = solve(instance, SolverConfig(trace_every=1))
-        rounds = result.iterations
-        assert result.converged and rounds > 1000
+        config = SolverConfig(**options)
+        result = solve(instance, config)
+        rounds, every = result.iterations, config.trace_every
+        if "max_iter" in options:
+            assert not result.converged and rounds == config.max_iter
+        else:
+            assert result.converged and rounds > 1000
         assert len(instance.stacked.f_groups) == 1
-        assert counts["iterate"] == rounds
-        assert len(result.trace) == rounds + 1
-        small_steps = result.trace.column("step_norm")[1:] <= SolverConfig().tol_step
+        assert counts["iterate"] == len(step_norms) == rounds
+        assert len(result.trace) == 1 + rounds // every + (rounds % every != 0)
+        small_steps = np.array(step_norms) <= config.tol_step
         assert counts["residuals"] == 1 + np.count_nonzero(small_steps) < rounds
         assert counts["conjugate_gradient"] == rounds + 1
 
