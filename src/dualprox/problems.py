@@ -715,8 +715,8 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
     """Each section's ``(line, key, value)`` entries; a section other than
-    ``[dims]``, ``[graph]``, ``[b]`` and ``[agent k]`` is a ParseError that
-    names the line of its header."""
+    ``[dims]``, ``[graph]``, ``[b]`` and ``[agent k]``, or one whose header
+    repeats, is a ParseError that names the line of its header."""
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current: str | None = None
     with open(path) as fh:
@@ -728,7 +728,9 @@ def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
                 current = line[1:-1].strip()
                 if current not in _SECTIONS and not current.startswith("agent "):
                     raise ParseError(f"line {lineno}: unknown section [{current}]")
-                sections.setdefault(current, [])
+                if current in sections:
+                    raise ParseError(f"line {lineno}: duplicate section [{current}]")
+                sections[current] = []
                 continue
             if "=" not in line:
                 raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")

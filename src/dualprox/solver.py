@@ -26,10 +26,12 @@ unbuffered and adds the entries for a repeated target in index order.  The
 ends of each agent come in :func:`lambda_update`'s order, so each sum is
 bit-identical to the per-agent update, and a round costs O(N + E) whatever
 the degrees.  Sums over agents run in agent order.  A batched round has no
-processing order.  :func:`solve` sweeps the primal maximizers of a state
-once and hands them to the state's evaluation and to its round; edge
-differences are taken from the plan's edge ends, by the round and by each
-evaluation alike.  The dual sweep also takes a leading axis of states:
+processing order.  When every coupling block is 1x1, the plan keeps them
+as one column and multiplies it into the rows.  :func:`solve` sweeps the
+primal maximizers of a state once and hands them to the state's evaluation
+and to its round, and computes a round's exact step norm only where a
+certified bound cannot settle its stop test.  Edge differences are taken
+from the plan's edge ends, by the round and by each evaluation alike.  The dual sweep also takes a leading axis of states:
 :func:`solve` evaluates the trace rows that cannot stop its run in
 batches, and records each row from its batch's sweep, bit-identical to its
 own sweep.
@@ -308,24 +310,28 @@ def _stacked_matvec(mats: Array, vecs: Array) -> Array:
 
     Stacked ``np.matmul`` makes the same BLAS call per row as a single
     matrix-vector ``@``; ``np.einsum`` and explicit sums round differently.
-    A 1x1 product is ``0 + a*x`` there, so 1x1 blocks take ``a * x + 0.0``,
+    """
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _column_product(column: Array, vecs: Array) -> Array:
+    """Row i is ``[[column[i, 0]]] @ vecs[..., i, :]``, the product of a 1x1
+    block, bit-identical to that product; ``vecs`` may carry leading axes.
+
+    A 1x1 matrix product is ``0 + a*x``, so this takes ``a * x + 0.0``,
     which gives the same double (a ``-0.0`` product becomes ``+0.0``).
     """
-    if mats.shape[1:] == (1, 1):
-        out = mats[:, :, 0] * vecs
-        out += 0.0
-        return out
-    return np.matmul(mats, vecs[..., None])[..., 0]
+    out = column * vecs
+    out += 0.0
+    return out
 
 
 def _rowdot(a: Array, b: Array) -> Array:
     """Entry ``[..., i]`` is ``a[..., i, :] @ b[..., i, :]``, bit-identical to
     that dot product, with leading axes broadcast; rows of one entry take
-    ``a * b + 0.0``, as :func:`_stacked_matvec` does."""
+    ``a * b + 0.0``, as a 1x1 block's product does."""
     if a.shape[-1] == 1:
-        out = a[..., 0] * b[..., 0]
-        out += 0.0
-        return out
+        return _column_product(a[..., 0], b[..., 0])
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -385,12 +391,32 @@ class _RoundPlan:
         return _stacked_matvec(self.a, x)
 
 
+class _ColumnPlan(_RoundPlan):
+    """The plan of an instance whose coupling blocks are all 1x1: it keeps
+    them as the (N, 1) column ``a[:, :, 0]``, which is also the column of
+    their transposes, and multiplies it into the rows directly."""
+
+    def __init__(self, instance: ProblemInstance):
+        super().__init__(instance)
+        self.column = self.a[:, :, 0]
+
+    def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
+        v = _column_product(self.column, theta)
+        np.negative(v, out=v)
+        v -= mu
+        return v, self.stacked.conjugate_gradient(v)
+
+    def coupling_terms(self, x: Array) -> Array:
+        return _column_product(self.column, x)
+
+
 def _round_plan(instance: ProblemInstance) -> _RoundPlan:
     """The instance's plan, compiled on first use and kept on the instance,
     which is immutable once built."""
     plan = getattr(instance, "_round_plan", None)
     if plan is None:
-        plan = instance._round_plan = _RoundPlan(instance)
+        kind = _ColumnPlan if instance.stacked.a.shape[1:] == (1, 1) else _RoundPlan
+        plan = instance._round_plan = kind(instance)
     return plan
 
 
@@ -547,32 +573,42 @@ def residuals(
     edge ends of the instance's compiled plan.
     """
     # solve hands over the maximizers of a state it has already swept
-    return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0]
+    return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0][0]
 
 
-def _evaluate(instance: ProblemInstance, plan: _RoundPlan, rows: list) -> list[Residuals]:
+def _evaluate(
+    instance: ProblemInstance, plan: _RoundPlan, rows: list
+) -> tuple[list[Residuals], Array, Array]:
     """The :class:`Residuals` of the states in ``rows``, ``(state,
-    maximizers)`` pairs, from one dual sweep over all of them.
+    maximizers)`` pairs, from one dual sweep over all of them, with the
+    theta and mu it swept.
 
     A state whose maximizers are None is swept here.  One state is swept in
-    place, on its own arrays; several are stacked along a leading axis
-    first.  The consensus reads the swept theta, with the edge differences
-    that :func:`iterate` takes.  The consensus and primal norms are one
-    ``_norm`` per state, so every value is bit-identical to that state's
-    sweep alone.
+    place, on its own arrays, and its consensus and primal norms are one
+    ``_norm`` each; several are stacked along a leading axis first, into
+    fresh (K, N, .) arrays, and their norms are one ``_rowdot`` each, the
+    same dot product per state.  The consensus reads the swept theta, with
+    the edge differences that :func:`iterate` takes.  Every value is
+    bit-identical to that state's sweep alone.
     """
     swept = []
     for state, found in rows:
         duals = (np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float))
         swept.append((*duals, *(found or plan.maximizers(*duals))))
     arrays = swept[0] if len(swept) == 1 else [np.stack(column) for column in zip(*swept)]
-    theta = arrays[0]
+    theta, mu = arrays[:2]
     phis, ax = _dual_sweep(plan, *arrays)
     ax -= instance.b
     edge_diff = theta.take(plan.edge_owner, axis=-2) - theta.take(plan.edge_peer, axis=-2)
     k = len(rows)
-    per_state = zip(edge_diff.reshape(k, -1), ax.reshape(k, -1), phis.reshape(-1).tolist())
-    return [Residuals(_norm(diff), _norm(ax_k), phi) for diff, ax_k, phi in per_state]
+    if k == 1:
+        norms = [(_norm(edge_diff), _norm(ax))]
+    else:
+        edge_diff, ax = edge_diff.reshape(k, -1), ax.reshape(k, -1)
+        norms = zip(np.sqrt(_rowdot(edge_diff, edge_diff)).tolist(),
+                    np.sqrt(_rowdot(ax, ax)).tolist())
+    per_state = zip(norms, phis.reshape(-1).tolist())
+    return [Residuals(*norm, phi) for norm, phi in per_state], theta, mu
 
 
 class RunningAverage:
@@ -753,6 +789,14 @@ class Trace:
                 (state.theta.copy(), state.mu.copy(), state.xi.copy())
             )
 
+    def _record_batch(self, rows: list[tuple], snapshots) -> None:
+        """Record ``rows``, :meth:`record`'s first six arguments each, and
+        with state their ``(theta, mu, xi)`` ``snapshots``, which are kept
+        as given: arrays that nothing else holds or writes."""
+        self.rows += rows
+        if self.with_state:
+            self.state_rows += snapshots
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -775,12 +819,17 @@ class Trace:
             header += [f"theta_{i}_{k}" for i in range(1, n + 1) for k in range(b_dim)]
             header += [f"mu_{i}_{k}" for i in range(1, n + 1) for k in range(m)]
             header += [f"xi_{e}_{k}" for e in range(1, xi.shape[0] + 1) for k in range(b_dim)]
+            # one row of state columns per trace row
+            states = np.concatenate(
+                [np.stack(part).reshape(len(self.state_rows), -1)
+                 for part in zip(*self.state_rows)],
+                axis=1,
+            )
         lines = [",".join(header)]
         for ridx, row in enumerate(self.rows):
             vals = [self._fmt(v) for v in row[: len(cols)]]
             if self.with_state and self.state_rows:
-                snapshot = np.concatenate([a.ravel() for a in self.state_rows[ridx]])
-                vals += map(repr, snapshot.tolist())
+                vals += map(repr, states[ridx].tolist())
             lines.append(",".join(vals))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -842,15 +891,32 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     ``solve``, at most one batch after that row's round, and the rows of
     its batch are not recorded.
 
+    The exact step norm is computed for a due row, and for a round whose
+    step a certified bound cannot place above ``tol_step``.  Any other
+    round only takes its theta step ``d`` and moves on when ``d.dot(d) >
+    4 * tol_step**2``: every computed sum of nonnegative terms is within a
+    factor ``1 +- n*eps/2`` (to first order) of the exact one, whatever its
+    order, and the mu part only adds, so the computed step norm then
+    exceeds ``tol_step``, with a factor-2 margin for the rounding of both
+    sums.  A NaN in ``d`` fails the test and takes the exact path.  The
+    bound is used for ``1e-100 <= tol_step <= 1e100``, where
+    ``4 * tol_step**2`` neither under- nor overflows and the squares that
+    underflow in the dot are negligible beside it; outside that band every
+    round computes the exact norm.  Every branch, row and stop is that of
+    the exact rule.
+
     Round 0 and the rows that can stop the run are evaluated by
     :func:`residuals`, and every round by :func:`iterate`, called through
     this module's namespace, so that a replacement installed there (a
     benchmark hook or a tracer) sees those calls, round 0's
     :func:`residuals` first.  A queued row is recorded from its batch's
-    sweep and calls neither.  Each evaluated state costs one sweep of
-    primal maximizers: ``solve`` sweeps the state once and hands the
-    maximizers to its row's evaluation, to the next round, and after the
-    last round to the recovery of ``x``.
+    sweep and calls neither: a batch of several rows takes its norms from
+    one dot product per row of its stacked arrays and, with
+    ``trace_state``, its snapshots are rows of its stacked theta and mu and
+    of one stacked xi, recorded without a copy.  Each evaluated state
+    costs one sweep of primal maximizers: ``solve`` sweeps the state once
+    and hands the maximizers to its row's evaluation, to the next round,
+    and after the last round to the recovery of ``x``.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -890,23 +956,38 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     batch = max(1, min(_BATCH_ROWS, _BATCH_ELEMENTS // (n * max(m, b_dim))))
 
     def record_queue():
-        if queue:
-            evaluated = _evaluate(instance, plan, [row[:2] for row in queue])
-            for (row_state, _, row_step, wall), row in zip(queue, evaluated):
-                trace.record(row_state.t, row.dual_value, row.consensus, row.primal,
-                             row_step, wall, row_state)
-            queue.clear()
+        if not queue:
+            return
+        evaluated, theta, mu = _evaluate(instance, plan, [row[:2] for row in queue])
+        rows = [(row_state.t, res.dual_value, res.consensus, res.primal, row_step, wall)
+                for (row_state, _, row_step, wall), res in zip(queue, evaluated)]
+        if len(queue) == 1:
+            trace.record(*rows[0], queue[0][0])
+        else:
+            snapshots = ()
+            if trace.with_state:
+                # the batch's stacks are fresh, so their rows serve as snapshots
+                snapshots = zip(theta, mu, np.stack([row[0].xi for row in queue]))
+            trace._record_batch(rows, snapshots)
+        queue.clear()
 
     converged = False
     reason = "max_iter exhausted"
     max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
+    # the squared theta step that certifies a step norm above tol_step (see
+    # the docstring), in the band where 4 * tol_step**2 is a normal number
+    # far above any underflowed square
+    floor = 4.0 * tol_step * tol_step if 1e-100 <= tol_step <= 1e100 else None
     while state.t < max_iter:
-        new_state = iterate(instance, state, steps, _maximizers=found)
+        old, state = state, iterate(instance, state, steps, _maximizers=found)
         found = None
-        step_norm = _step_norm(new_state, state)
-        state = new_state
         avg.update(state.theta, state.mu)
         due = state.t % trace_every == 0 or state.t == max_iter
+        if floor is not None and not due:
+            d = np.subtract(state.theta, old.theta).ravel()
+            if d.dot(d) > floor:  # False for NaN
+                continue
+        step_norm = _step_norm(state, old)
         # the stop rule needs all three tolerances, so a round whose step is
         # not small enough needs its residuals only for a due trace row
         if not step_norm <= tol_step:  # NaN too

@@ -70,6 +70,19 @@ class TestValidateCommand:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_repeated_section_is_a_parse_error(self, market_file, tmp_path, capsys, command):
+        market_file.write_text(market_file.read_text() + "\n[agent 2]\n")
+        args = [command, "--instance", str(market_file)]
+        if command == "solve":
+            args += ["--trace-out", str(tmp_path / "t.csv")]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "duplicate section [agent 2]" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize(
         "old, new", [("a_block = 1.0", "a_block = nan"), ("f.q = 8.71", "f.q = nan")],
         ids=["a_block", "f.q"],

@@ -688,6 +688,23 @@ class TestInstanceFiles:
             load_instance(path)
         assert str(caught.value) == f"line {len(lines) + 1}: unknown section [{section}]"
 
+    @pytest.mark.parametrize(
+        "section, line", [("agent 1", "kappa = 0.9"), ("dims", "")], ids=["agent", "dims"]
+    )
+    def test_repeated_section_is_parse_error(self, tmp_path, section, line):
+        """A second header of a section is an error at its line, also when
+        its entries would not clash with the first block's: here agent 1's
+        kappa moves to a second ``[agent 1]`` block, or ``[dims]`` repeats
+        with no entries."""
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        lines = path.read_text().splitlines()
+        lines.remove("kappa = 0.2")  # agent 1's
+        path.write_text("\n".join([*lines, f"[{section}]", line]) + "\n")
+        with pytest.raises(ParseError) as caught:
+            load_instance(path)
+        assert str(caught.value) == f"line {len(lines) + 1}: duplicate section [{section}]"
+
     def test_bad_norm_order_names_its_key(self, tmp_path):
         path = tmp_path / "inst.txt"
         agent = AgentProblem(Quadratic(1.0), NormPenalty(1), [[1.0]], 1.0)

@@ -27,6 +27,7 @@ from dualprox.functions import L1, Box, NormPenalty, Quadratic, Zero
 from dualprox.problems import AgentProblem, ProblemInstance, build_market
 from dualprox.solver import (
     RunningAverage,
+    SolverConfig,
     SolverState,
     init_state,
     iterate,
@@ -204,7 +205,8 @@ def assert_1x1_parity(new, reference, *args):
 
 
 def check_1x1_products(mats, vecs):
-    assert_1x1_parity(solver._stacked_matvec, reference_stacked_matvec, mats, vecs)
+    assert_1x1_parity(lambda a, x: solver._column_product(a[:, :, 0], x),
+                      reference_stacked_matvec, mats, vecs)
     assert_1x1_parity(solver._rowdot, reference_rowdot, mats[:, 0], vecs)
 
 
@@ -344,4 +346,38 @@ def test_rounds_call_no_numpy_function_wrapper(build, monkeypatch):
         out += [avg.theta.tobytes(), avg.mu.tobytes()]
         monkeypatch.undo()
         outputs.append(out)
+    assert repr(outputs[0]) == repr(outputs[1])
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"trace_every": 1}, {"trace_every": 100}, {"trace_every": 1, "trace_state": True}],
+    ids=["every-1", "every-100", "every-1-state"],
+)
+@pytest.mark.parametrize("build", [build_market, multi_group_instance], ids=["market", "multi-group"])
+def test_solve_rounds_call_no_numpy_function_wrapper(build, options, monkeypatch):
+    """A short ``solve``, once as it is and once with the wrappers raising
+    from round 0's ``residuals`` on, gives the same bits: its stop test,
+    plan products, queued batches and the recording of their rows call no
+    wrapper.  Set-up runs before round 0's ``residuals``."""
+    config = SolverConfig(max_iter=150, **options)
+    original = solver.residuals
+    outputs = []
+    for patched in (False, True):
+        def evaluate(*args, **kwargs):
+            if patched:
+                for owner, name in WRAPPERS:
+                    def raise_(*args, _name=name, **kwargs):
+                        raise AssertionError(f"np.{_name} called in a round")
+                    monkeypatch.setattr(owner, name, raise_)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "residuals", evaluate)
+        result = solver.solve(build(), config)
+        monkeypatch.undo()
+        snapshots = [a.tobytes() for row in result.trace.state_rows for a in row]
+        outputs.append([[row[:5] for row in result.trace.rows], snapshots, result.x.tobytes(),
+                        result.theta.tobytes(), result.mu.tobytes(), result.xi.tobytes()])
+    every = options["trace_every"]
+    assert len(outputs[0][0]) == 1 + 150 // every + (150 % every != 0)
     assert repr(outputs[0]) == repr(outputs[1])

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualprox.functions import (
     L1,
@@ -47,6 +50,7 @@ from oracles import (
     central_diff,
     dense_m,
     random_instance,
+    reference_solve,
     reference_write_csv,
     smooth_dual_value,
     spectral_norm_svd,
@@ -537,6 +541,23 @@ class TestSolve:
         reference_write_csv(trace, want)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_trace_csv_keeps_the_format_of_each_value_type(self, tmp_path, with_state):
+        """Rows recorded by a batch and by hand, where ``record`` gets an
+        int and an ``np.float64`` in float columns: each value is written
+        as the row-by-row writer writes it."""
+        instance = build_market()
+        config = SolverConfig(max_iter=20, trace_every=1, trace_state=with_state)
+        trace = solve(instance, config).trace
+        state = init_state(instance)
+        trace.record(21, 3, np.float64(0.1), np.float64(-0.0), 2, 0.0, state)
+        trace.record(np.int64(22), np.float64(1e300), 0, -1, np.float64(math.nan), 0.0, state)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        trace.write_csv(got)
+        reference_write_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text().splitlines()[-2].split(",")[:5] == ["21", "3", "0.1", "-0.0", "2"]
+
     def test_explicit_bad_c_rejected(self):
         with pytest.raises(StepSizeError):
             solve(build_market(), SolverConfig(c=0.5))
@@ -661,6 +682,171 @@ class TestLazyResiduals:
         monkeypatch.setattr(solver_module, "residuals", watched)
         solve(instance, SolverConfig(max_iter=1))
         assert found[0]
+
+
+# tol_step inside [1e-100, 1e100] lets solve skip the exact step norm of a
+# round that is not due when the squared theta step exceeds 4 * tol_step**2
+TOL_STEPS = [0.0, 1e-300, 1e-100, 1e-8, 1.0, 1e100, math.inf]
+STEP_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e154, -1.3e154, 1.4e154,
+                math.inf, -math.inf, math.nan]
+
+
+def run_prescribed(tol_step: float, theta_steps, mu_steps):
+    """``solve`` on the market with its rounds replaced by the given dual
+    steps from zero: the run, the states it stepped through and the rounds
+    whose exact step norm it computed.  Only the last round is due."""
+    import dualprox.solver as solver_module
+
+    instance = build_market()
+    states = [init_state(instance)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflows, inf - inf
+        for d_theta, d_mu in zip(theta_steps, mu_steps):
+            last = states[-1]
+            states.append(SolverState(last.theta + d_theta, last.mu + d_mu, last.xi, last.t + 1))
+    exact_rounds = []
+    step_norm = solver_module._step_norm
+
+    def prescribed(instance, state, steps, **kwargs):
+        return states[state.t + 1]
+
+    def counted(new, old):
+        exact_rounds.append(new.t)
+        return step_norm(new, old)
+
+    rounds = len(states) - 1
+    config = SolverConfig(max_iter=rounds, trace_every=rounds + 1, tol_step=tol_step)
+    with mock.patch.object(solver_module, "iterate", prescribed), \
+            mock.patch.object(solver_module, "_step_norm", counted), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = solve(instance, config)
+    return result, states, exact_rounds
+
+
+@st.composite
+def prescribed_steps(draw):
+    """A tolerance and up to six dual steps of the market, whose entries
+    include signed zeros, subnormals, squares near overflow, inf, NaN and
+    multiples of the tolerance around the bound's factor of 2."""
+    tol_step = draw(st.sampled_from(TOL_STEPS))
+    near = [tol_step * k for k in (0.5, 1.0, 1.5, 2.0, 2.5)] if math.isfinite(tol_step) else []
+    near += [-v for v in near]
+    wide = st.one_of(st.sampled_from(STEP_ENTRIES + near), st.floats())
+    # steps of a few multiples of tol_step, the rest zeros: near the bound
+    close = st.sampled_from([0.0] * 15 + [-0.0] * 15 + near)
+    entries = draw(st.sampled_from([wide, close] if near else [wide]))
+    rounds = draw(st.integers(1, 6))
+    return tol_step, *(draw(arrays(float, (rounds, 5, 1), elements=entries)) for _ in "tm")
+
+
+class TestStepNormBound:
+    """A round that is not due skips the exact step norm only when the
+    squared theta step certifies that norm to exceed ``tol_step``, so the
+    run takes the branches, rows and stop of the exact rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prescribed_steps())
+    def test_a_skipped_step_norm_exceeds_the_tolerance(self, case):
+        import dualprox.solver as solver_module
+
+        tol_step, theta_steps, mu_steps = case
+        result, states, exact_rounds = run_prescribed(tol_step, theta_steps, mu_steps)
+        run = range(1, result.iterations + 1)
+        if not 1e-100 <= tol_step <= 1e100:  # the bound is off
+            assert exact_rounds == list(run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            skipped = [solver_module._step_norm(states[t], states[t - 1])
+                       for t in set(run) - set(exact_rounds)]
+        # a NaN norm takes the branch of a norm above tol_step
+        assert not any(norm <= tol_step for norm in skipped)
+
+    def test_a_step_within_twice_the_tolerance_takes_the_exact_norm(self):
+        """A step of 2.5 tol is skipped, and one of 1.5 tol, above tol but
+        within the bound's factor of 2, is computed exactly."""
+        import dualprox.solver as solver_module
+
+        tol = 1e-8
+        theta_steps = np.zeros((3, 5, 1))
+        theta_steps[0, 2, 0], theta_steps[1, 2, 0] = 2.5 * tol, 1.5 * tol
+        result, states, exact_rounds = run_prescribed(tol, theta_steps, np.zeros((3, 5, 1)))
+        assert result.iterations == 3 and exact_rounds == [2, 3]
+        assert tol < solver_module._step_norm(states[2], states[1]) <= 2 * tol
+
+    def test_market_computes_the_step_norm_for_due_rows_and_undecided_rounds(
+        self, monkeypatch
+    ):
+        import dualprox.solver as solver_module
+
+        config = SolverConfig(trace_every=100)
+        pairs, exact_rounds, residual_calls = [], [], []
+        round_, step_norm = solver_module.iterate, solver_module._step_norm
+        evaluate = solver_module.residuals
+
+        def recorded(instance, state, *args, **kwargs):
+            new = round_(instance, state, *args, **kwargs)
+            pairs.append((state, new))
+            return new
+
+        def counted(new, old):
+            exact_rounds.append(new.t)
+            return step_norm(new, old)
+
+        def evaluated(instance, state, *args, **kwargs):
+            residual_calls.append(state.t)
+            return evaluate(instance, state, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "iterate", recorded)
+        monkeypatch.setattr(solver_module, "_step_norm", counted)
+        monkeypatch.setattr(solver_module, "residuals", evaluated)
+        instance = build_market()
+        result = solve(instance, config)
+        rounds = result.iterations
+        assert result.converged and rounds == 2461
+
+        due, undecided, small = set(), set(), set()
+        for old, new in pairs:
+            d = (new.theta - old.theta).ravel()
+            if new.t % config.trace_every == 0 or new.t == rounds:
+                due.add(new.t)
+            elif not d.dot(d) > 4.0 * config.tol_step**2:
+                undecided.add(new.t)
+            if step_norm(new, old) <= config.tol_step:
+                small.add(new.t)
+        assert exact_rounds == sorted(due | undecided)
+        assert 0 < len(undecided) < 0.05 * rounds
+        assert residual_calls == [0, *sorted(small)]
+        assert outputs(result) == outputs(reference_solve(instance, config))
+
+    @pytest.mark.parametrize("tol_step", [0.0, 1e-200, math.inf])
+    def test_outside_its_band_the_bound_is_off(self, monkeypatch, tol_step):
+        import dualprox.solver as solver_module
+
+        exact_rounds = []
+        step_norm = solver_module._step_norm
+
+        def counted(new, old):
+            exact_rounds.append(new.t)
+            return step_norm(new, old)
+
+        monkeypatch.setattr(solver_module, "_step_norm", counted)
+        instance = build_market()
+        config = SolverConfig(max_iter=3000, tol_step=tol_step)
+        result = solve(instance, config)
+        assert exact_rounds == list(range(1, result.iterations + 1))
+        assert result.converged == (tol_step == math.inf)
+        assert outputs(result) == outputs(reference_solve(instance, config))
+
+
+def outputs(result) -> list:
+    """Every output of a solve but the wall times, as exact bytes."""
+    rows = np.array([row[:5] for row in result.trace.rows], dtype=float)
+    arrays = [result.theta, result.mu, result.xi, result.x, result.ergodic_theta,
+              result.ergodic_mu, rows]
+    return [a.tobytes() for a in arrays] + [
+        result.converged, result.reason, result.iterations, result.h, result.tau, result.steps
+    ]
 
 
 def state_bits(state: SolverState) -> list:
