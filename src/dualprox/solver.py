@@ -19,22 +19,23 @@ once, in :func:`solve`'s set-up or on first use, into a plan of flat
 edge-end index arrays and stacked coupling blocks.  The catalog calls go
 through the instance's stacked view,
 :class:`~dualprox.problems.StackedAgents`, the one reader of the catalog
-groups.  A round gathers every agent's neighbour terms in one call per
-kind (edge multipliers, neighbour estimates), one entry per edge end and
-component, and scatters them into the pressure with ``np.add.at``, which is
-unbuffered and adds the entries for a repeated target in index order.  The
-ends of each agent come in :func:`lambda_update`'s order, so each sum is
+groups.  Both neighbour terms of the pressure are ``M^T`` of the
+extrapolated multiplier ``xi_bar = gamma * M theta + xi``, as
+``L = M^T M``: a round gathers ``xi_bar`` in one call, one entry per edge
+end and component, and scatters it with one ``np.add.at``, which is
+unbuffered and adds a repeated target's entries in index order.  Each
+agent's ends come in :func:`lambda_update`'s order, so each sum is
 bit-identical to the per-agent update, and a round costs O(N + E) whatever
 the degrees.  Sums over agents run in agent order.  A batched round has no
 processing order.  When every coupling block is 1x1, the plan keeps them
 as one column and multiplies it into the rows.  :func:`solve` sweeps the
 primal maximizers of a state once and hands them to the state's evaluation
 and to its round, and computes a round's exact step norm only where a
-certified bound cannot settle its stop test.  Edge differences are taken
-from the plan's edge ends, by the round and by each evaluation alike.  The dual sweep also takes a leading axis of states:
-:func:`solve` evaluates the trace rows that cannot stop its run in
-batches, and records each row from its batch's sweep, bit-identical to its
-own sweep.
+certified bound cannot settle its stop test.  One edge difference of the
+plan serves ``xi_bar``, the xi update and the consensus residual.  The
+dual sweep also takes a leading axis of states: :func:`solve` evaluates
+the trace rows that cannot stop its run in batches, and records each row
+from its batch's sweep, bit-identical to its own sweep.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def lambda_update(
     The coupling estimate takes a plain gradient step (the nonsmooth dual
     term does not depend on it); the slack multiplier takes a prox step on
     the conjugate of the agent's nonsmooth part, computed through the
-    Moreau decomposition so the conjugate is never evaluated.
+    Moreau decomposition so the conjugate is never evaluated.  Edge (i, j)
+    adds ``(theta_i - theta_j) * gamma + xi_ij`` at i and subtracts it at j.
 
     Parameters
     ----------
@@ -285,11 +287,9 @@ def lambda_update(
     grad_theta, grad_mu, x_hat = _grad_p_parts(agent, b, theta, mu)
     pressure = grad_theta.copy()
     for j in sorted(owned_xi):
-        pressure += owned_xi[j]
+        pressure += (theta - neighbor_thetas[j]) * gamma + owned_xi[j]
     for j in sorted(incoming_xi):
-        pressure -= incoming_xi[j]
-    for j in sorted(neighbor_thetas):
-        pressure += gamma * (theta - neighbor_thetas[j])
+        pressure -= (neighbor_thetas[j] - theta) * gamma + incoming_xi[j]
     theta_new = theta - c * pressure
     w = mu - c * grad_mu
     mu_new = agent.g.conjugate_prox(c, w)
@@ -338,17 +338,16 @@ def _rowdot(a: Array, b: Array) -> Array:
 class _RoundPlan:
     """An instance compiled into stacked arrays for the batched round kernel.
 
-    The neighbour terms of :func:`lambda_update`'s pressure sum are indexed
-    by edge end and component, in flat arrays of 2E*B entries: entry
+    The edge terms of :func:`lambda_update`'s pressure sum are indexed by
+    edge end and component, in flat arrays of 2E*B entries: entry
     ``e*B + k`` adds to the flattened pressure at ``end_target``, which is
     ``agent*B + k``.  The ends are agent-major, so an agent's entries lie
     together, in the order that :func:`lambda_update` sums them.
-    ``xi_source`` indexes the flattened xi, and ``xi_sign`` holds the sign
-    the entry takes: first the edges the agent owns (``+1.0``, by ascending
-    peer), then those its smaller neighbours own (``-1.0``, by ascending
-    owner).  ``nbr_source`` indexes the flattened theta at the agent's
-    neighbours, ascending.  ``edge_owner`` and ``edge_peer`` are the rows
-    of each canonical edge's two ends.  The coupling blocks ``a`` and the
+    ``xi_source`` indexes a flattened per-edge array, and ``xi_sign`` holds
+    the sign the entry takes: first the edges the agent owns (``+1.0``, by
+    ascending peer), then those its smaller neighbours own (``-1.0``, by
+    ascending owner).  ``edge_owner`` and ``edge_peer`` are the rows of
+    each canonical edge's two ends.  The coupling blocks ``a`` and the
     shares ``kappa`` are those of the instance's stacked view, ``stacked``,
     which makes every catalog call of the round and the sweep; ``b_rows``
     is ``b`` broadcast to one row per agent.
@@ -368,9 +367,9 @@ class _RoundPlan:
         incoming = np.arange(2 * n_edges) < graph.nbr_split[agent]
         xi_order = np.argsort(2 * agent + incoming, kind="stable")
         components = np.arange(b_dim)
-        self.end_target, self.xi_source, self.nbr_source = (
+        self.end_target, self.xi_source = (
             (rows[:, None] * b_dim + components).ravel()
-            for rows in (agent, graph.nbr_edge[xi_order], graph.nbr - 1)
+            for rows in (agent, graph.nbr_edge[xi_order])
         )
         self.xi_sign = np.where(incoming[xi_order][:, None], -1.0, np.ones(b_dim)).ravel()
 
@@ -379,6 +378,10 @@ class _RoundPlan:
         self.a_t = self.a.transpose(0, 2, 1)
         self.b_rows = np.broadcast_to(instance.b, (n, b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
+
+    def edge_diff(self, theta: Array) -> Array:
+        """Rows ``theta[..., owner_e, :] - theta[..., peer_e, :]``."""
+        return theta.take(self.edge_owner, axis=-2) - theta.take(self.edge_peer, axis=-2)
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
@@ -469,10 +472,9 @@ def iterate(
     kernel over the instance's compiled plan, bit-identical to calling
     :func:`lambda_update` per agent and :func:`xi_update` per edge, for
     every value but the sign of a NaN.  Its formulas are exact rewrites of
-    those updates that make fewer NumPy calls: the edge multipliers are
-    gathered from the flattened xi times a sign of +-1.0 per edge end, and
-    the new xi is summed in place into the difference of the edge ends'
-    rows.  It returns a new state.
+    those updates that make fewer NumPy calls: ``xi_bar`` is gathered per
+    edge end times a sign of +-1.0, and the new xi is summed in place into
+    the edge differences of the new theta.  It returns a new state.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
@@ -482,22 +484,19 @@ def iterate(
     _, x_hat = _maximizers or plan.maximizers(theta, mu)
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
     # of a repeated target one by one in index order, so every agent's sum
-    # runs over its own ends in lambda_update's order.  Subtracting xi is
-    # adding -xi by the definition of IEEE subtraction, and -xi is xi times
+    # runs over its own ends in lambda_update's order.  Subtracting x is
+    # adding -x by the definition of IEEE subtraction, and -x is x times
     # -1.0; likewise kappa*b - A x_hat is -(A x_hat) + kappa*b, and
     # mu + c*x_hat is mu - c*(-x_hat), for every value but a NaN's sign.
+    xi_bar = plan.edge_diff(theta)
+    xi_bar *= gamma
+    xi_bar += xi
     pressure = plan.kappa_b - plan.coupling_terms(x_hat)
     flat = pressure.reshape(-1)  # a view: pressure is a fresh C-ordered array
-    np.add.at(flat, plan.end_target, xi.reshape(-1).take(plan.xi_source) * plan.xi_sign)
-    theta_flat = theta.reshape(-1)
-    nbr_terms = theta_flat.take(plan.end_target)
-    nbr_terms -= theta_flat.take(plan.nbr_source)
-    nbr_terms *= gamma
-    np.add.at(flat, plan.end_target, nbr_terms)
+    np.add.at(flat, plan.end_target, xi_bar.reshape(-1).take(plan.xi_source) * plan.xi_sign)
     theta_new = theta - c * pressure
     mu_new = plan.stacked.conjugate_prox(c, mu + c * x_hat)
-    xi_new = theta_new.take(plan.edge_owner, axis=0)
-    xi_new -= theta_new.take(plan.edge_peer, axis=0)
+    xi_new = plan.edge_diff(theta_new)
     xi_new *= gamma
     xi_new += xi
     return SolverState(theta_new, mu_new, xi_new, state.t + 1)
@@ -587,19 +586,19 @@ def _evaluate(
     place, on its own arrays, and its consensus and primal norms are one
     ``_norm`` each; several are stacked along a leading axis first, into
     fresh (K, N, .) arrays, and their norms are one ``_rowdot`` each, the
-    same dot product per state.  The consensus reads the swept theta, with
-    the edge differences that :func:`iterate` takes.  Every value is
-    bit-identical to that state's sweep alone.
+    same dot product per state.  The consensus reads the plan's edge
+    differences of the swept theta.  Every value is bit-identical to that
+    state's sweep alone.
     """
     swept = []
     for state, found in rows:
         duals = (np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float))
         swept.append((*duals, *(found or plan.maximizers(*duals))))
-    arrays = swept[0] if len(swept) == 1 else [np.stack(column) for column in zip(*swept)]
+    arrays = swept[0] if len(swept) == 1 else [np.array(column) for column in zip(*swept)]
     theta, mu = arrays[:2]
     phis, ax = _dual_sweep(plan, *arrays)
     ax -= instance.b
-    edge_diff = theta.take(plan.edge_owner, axis=-2) - theta.take(plan.edge_peer, axis=-2)
+    edge_diff = plan.edge_diff(theta)
     k = len(rows)
     if k == 1:
         norms = [(_norm(edge_diff), _norm(ax))]
@@ -967,7 +966,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
             snapshots = ()
             if trace.with_state:
                 # the batch's stacks are fresh, so their rows serve as snapshots
-                snapshots = zip(theta, mu, np.stack([row[0].xi for row in queue]))
+                snapshots = zip(theta, mu, np.array([row[0].xi for row in queue]))
             trace._record_batch(rows, snapshots)
         queue.clear()
 

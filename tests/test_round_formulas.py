@@ -4,8 +4,9 @@ The round, ``solve``'s bookkeeping and the residual sweep, with the catalog
 methods they reach, no longer go through NumPy's Python-level function
 wrappers (``np.sum``, ``np.clip``, ``np.where``, ``np.errstate``,
 ``np.atleast_1d``, ``np.linalg.norm``), 1x1 products multiply
-instead of calling ``np.matmul``, and the edge multipliers are gathered
-with a sign per edge end instead of from ``np.concatenate([xi, -xi])``.
+instead of calling ``np.matmul``, the edge multipliers are gathered
+with a sign per edge end instead of from ``np.concatenate([xi, -xi])``,
+and a batch of trace rows is stacked by ``np.array``, not ``np.stack``.
 The parity tests require every replaced formula to give the bits of its
 wrapper form, kept in ``tests/oracles.py``, and to raise no warning where
 that form did not; the guard test runs rounds with the wrappers patched to
@@ -296,7 +297,7 @@ def test_step_norm_and_running_average_keep_their_bits_and_warnings(states):
 
 WRAPPERS = [
     (np, "sum"), (np, "clip"), (np, "where"), (np, "errstate"), (np, "atleast_1d"),
-    (np, "concatenate"), (np.linalg, "norm"),
+    (np, "concatenate"), (np, "stack"), (np.linalg, "norm"),
 ]
 
 

@@ -295,12 +295,19 @@ class TestXiUpdate:
 
 
 class TestIterate:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense_reference_on_random_instances(self, seed):
+    @pytest.mark.parametrize("seed, gamma", [
+        pytest.param(seed, gamma, id=str(seed) if gamma == 1.0 else f"{seed}-gamma{gamma}")
+        for seed in range(5) for gamma in (0.5, 1.0, 3.0)
+    ])
+    def test_matches_dense_reference_on_random_instances(self, seed, gamma):
+        """From a random nonzero start, so that a gamma misplaced in both
+        the kernel and the per-agent update shows against the dense form."""
         rng = np.random.default_rng(500 + seed)
         instance = random_instance(rng, int(rng.integers(2, 5)))
-        steps = market_steps(instance)
-        state = init_state(instance)
+        steps = market_steps(instance, gamma)
+        n, m, b_dim = instance.dims
+        state = SolverState(rng.normal(size=(n, b_dim)), rng.normal(size=(n, m)),
+                            rng.normal(size=(instance.graph.n_edges, b_dim)))
         for _ in range(3):
             want = dense_round(instance, state, steps)
             state = iterate(instance, state, steps)
