@@ -1,12 +1,16 @@
 """The synchronous message-passing engine.
 
-Each agent runs on its own node with no access to global state; rounds
-proceed in two phases with barrier semantics.  The engine reproduces the
+Each agent runs on its own node with no access to global state; a round is
+one exchange with barrier semantics: every node updates its duals, sends
+its fresh coupling estimate to its neighbors, and both ends of each edge
+update their copies of its multiplier.  The engine reproduces the
 monolithic solver bit for bit, and its event log exposes exactly who
-talked to whom.
+talked to whom.  The demo exits with status 1 if any check fails.
 
 Run from the repository root:  python demos/message_passing.py
 """
+
+import sys
 
 import numpy as np
 
@@ -18,6 +22,14 @@ steps = dp.suggest_step_sizes(
     dp.max_lipschitz(instance),
     dp.laplacian_spectral_radius(instance.graph).value,
 )
+failed = []
+
+
+def check(label, ok):
+    print(f"{label}: {ok}")
+    if not ok:
+        failed.append(label)
+
 
 # --- run the network and the monolithic loop side by side ------------------------
 
@@ -32,22 +44,23 @@ with Engine(instance, steps, log_events=True) as engine:
     events = engine.transport.events
 
 print(f"after {rounds} rounds:")
-print("  theta identical bit-for-bit:", np.array_equal(state.theta, netstate.theta))
-print("  mu    identical bit-for-bit:", np.array_equal(state.mu, netstate.mu))
-print("  xi    identical bit-for-bit:", np.array_equal(state.xi, netstate.xi))
+check("  theta identical bit-for-bit", np.array_equal(state.theta, netstate.theta))
+check("  mu    identical bit-for-bit", np.array_equal(state.mu, netstate.mu))
+check("  xi    identical bit-for-bit", np.array_equal(state.xi, netstate.xi))
 print()
 
 # --- communication accounting ------------------------------------------------------
 
 round0 = [e for e in events if e[0] == 0]
-print(f"messages per round: {len(round0)} "
-      f"(formula: {message_count(instance.graph)})")
-print(f"scalars per round:  {sum(e[4] for e in round0)} "
-      f"(formula: {message_volume(instance.graph, 1, 1)})")
+n_messages, n_scalars = len(round0), sum(e[4] for e in round0)
+check(f"messages per round {n_messages} match the formula",
+      n_messages == message_count(instance.graph))
+check(f"scalars per round {n_scalars} match the formula",
+      n_scalars == message_volume(instance.graph, instance.b_dim))
 print()
-print("round-0 traffic (phase, sender -> recipient, scalars):")
-for t, phase, sender, recipient, size in round0:
-    print(f"  {phase:22s} {sender} -> {recipient}  ({size})")
+print("round-0 traffic (sender -> recipient, scalars):")
+for t, _, sender, recipient, size in round0:
+    print(f"  {sender} -> {recipient}  ({size})")
 print()
 
 # --- determinism across runs ---------------------------------------------------------
@@ -64,4 +77,7 @@ same = (
     and np.array_equal(states[0].mu, states[1].mu)
     and np.array_equal(states[0].xi, states[1].xi)
 )
-print("two fresh engines agree bit-for-bit after 200 rounds:", same)
+check("two fresh engines agree bit-for-bit after 200 rounds", same)
+
+if failed:
+    sys.exit(1)

@@ -1,20 +1,23 @@
 """Synchronous neighbor-only message-passing engine.
 
-Hosts one node per agent and drives rounds in two phases with barrier
-semantics: first every node broadcasts its dual snapshot to its neighbors
-(and every edge owner pushes the edge multiplier to the other endpoint),
-then all nodes update their duals; second, every node sends its fresh
-coupling estimate to the owners of its incident edges, and owners update
-the edge multipliers.  Nodes hold no reference to any global state, so an
-update can only use the node's own data and what arrived in its mailbox.
-The in-memory transport is lossless and delivers everything before any
-recipient computes, so the engine is deterministic.
+Hosts one node per agent and drives rounds of one exchange each, with
+barrier semantics.  Every node updates its duals from its own data, its
+cache of its neighbors' coupling estimates from the last round and its
+copies of its incident edges' multipliers, then sends its fresh estimate
+to every neighbor.  On receipt, both ends of an edge update their copies
+of its multiplier from the same two estimates in the same order, so the
+copies hold the same bits, and the received estimates become the next
+round's cache.  All duals and multipliers start at zero, so the cache is
+exact before round 0 and no exchange precedes it.  Nodes hold no reference
+to any global state, so an update can only use the node's own data and
+what arrived in its mailbox.  The in-memory transport is lossless and
+delivers everything before any recipient computes, so the engine is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
@@ -27,90 +30,61 @@ __all__ = [
     "AgentNode",
     "Engine",
     "InMemoryTransport",
-    "LambdaPayload",
     "Mailbox",
     "Message",
-    "Phase",
     "ProtocolViolation",
-    "XiPayload",
     "message_count",
     "message_volume",
 ]
 
-
-class Phase(Enum):
-    LAMBDA_EXCHANGE = "lambda_exchange"
-    LAMBDA_PLUS_EXCHANGE = "lambda_plus_exchange"
-
-
-@dataclass(frozen=True)
-class LambdaPayload:
-    """Dual snapshot of one agent."""
-
-    theta: np.ndarray
-    mu: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.theta.size + self.mu.size
-
-
-@dataclass(frozen=True)
-class XiPayload:
-    """One owned edge multiplier, pushed from owner to peer."""
-
-    xi: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.xi.size
+# The transport's event tuples keep a phase field, which is constant now
+# that a round is one exchange: the benchmark harness reads events by
+# position (round first, size last).
+EXCHANGE = "theta_exchange"
 
 
 @dataclass(frozen=True)
 class Message:
+    """One agent's fresh coupling estimate, sent to one neighbor."""
+
     round: int
-    phase: Phase
     sender: int
-    payload: LambdaPayload | XiPayload
+    theta: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.theta.size
 
 
 class ProtocolViolation(RuntimeError):
     """A node tried to compute before its mailbox had the required data."""
 
-    def __init__(self, round: int, phase: Phase, sender: int, recipient: int):
+    def __init__(self, round: int, sender: int, recipient: int):
         self.round = round
-        self.phase = phase
         self.sender = sender
         self.recipient = recipient
         super().__init__(
-            f"round {round}, phase {phase.value}: recipient {recipient} "
+            f"round {round}: recipient {recipient} "
             f"is missing the message from {sender}"
         )
 
 
 class Mailbox:
-    """Inbound queues of one node, keyed by (round, phase).
-
-    A sender may deliver several messages into one slot (an edge owner
-    sends both its dual snapshot and the edge multiplier to the peer), so
-    each slot keeps a list per sender.
-    """
+    """Inbound messages of one node: one slot per round, holding one
+    message per sender."""
 
     def __init__(self):
-        self._slots: dict[tuple[int, Phase], dict[int, list[Message]]] = {}
+        self._slots: dict[int, dict[int, Message]] = {}
 
     def put(self, message: Message) -> None:
-        slot = self._slots.setdefault((message.round, message.phase), {})
-        slot.setdefault(message.sender, []).append(message)
+        self._slots.setdefault(message.round, {})[message.sender] = message
 
-    def take(self, round: int, phase: Phase) -> dict[int, list[Message]]:
-        """Drain and return all messages for one (round, phase) slot."""
-        return self._slots.pop((round, phase), {})
+    def take(self, round: int) -> dict[int, Message]:
+        """Drain and return the messages of one round, keyed by sender."""
+        return self._slots.pop(round, {})
 
     def pending(self) -> int:
-        return sum(
-            len(msgs) for slot in self._slots.values() for msgs in slot.values()
-        )
+        return sum(len(slot) for slot in self._slots.values())
 
 
 class InMemoryTransport:
@@ -131,24 +105,17 @@ class InMemoryTransport:
             raise KeyError(f"unknown recipient {recipient}")
         if self.events is not None:
             self.events.append(
-                (
-                    message.round,
-                    message.phase.value,
-                    message.sender,
-                    recipient,
-                    message.payload.size,
-                )
+                (message.round, EXCHANGE, message.sender, recipient, message.size)
             )
         self.mailboxes[recipient].put(message)
 
-    def collect(
-        self, recipient: int, round: int, phase: Phase
-    ) -> dict[int, list[Message]]:
-        return self.mailboxes[recipient].take(round, phase)
+    def collect(self, recipient: int, round: int) -> dict[int, Message]:
+        return self.mailboxes[recipient].take(round)
 
 
 class AgentNode:
-    """One agent: its private problem data, duals, and owned multipliers.
+    """One agent: its private problem data, duals, cache of its neighbors'
+    coupling estimates, and copies of its incident edges' multipliers.
 
     Only the node's own arrays and mailbox contents enter its updates.
     """
@@ -166,81 +133,39 @@ class AgentNode:
         self.b = np.array(b, dtype=float)
         self.neighbors = neighbors
         self.steps = steps
-        m = problem.m
         b_dim = problem.b_dim
         self.theta = np.zeros(b_dim)
-        self.mu = np.zeros(m)
-        self.xi_owned: dict[int, np.ndarray] = {
-            j: np.zeros(b_dim) for j in neighbors.owned
-        }
-        self.x_hat = np.zeros(m)
+        self.mu = np.zeros(problem.m)
+        self.neighbor_theta = {j: np.zeros(b_dim) for j in neighbors.all}
+        self.xi = {j: np.zeros(b_dim) for j in neighbors.all}  # keyed by peer
+        self.x_hat = np.zeros(problem.m)
 
-    # -- phase A: broadcast duals, owners push edge multipliers ------------
-
-    def phase_a_messages(self, t: int) -> list[tuple[int, Message]]:
-        out = []
-        snapshot = LambdaPayload(self.theta.copy(), self.mu.copy())
-        for j in self.neighbors.all:
-            out.append((j, Message(t, Phase.LAMBDA_EXCHANGE, self.id, snapshot)))
-        for j in self.neighbors.owned:
-            out.append(
-                (
-                    j,
-                    Message(
-                        t, Phase.LAMBDA_EXCHANGE, self.id, XiPayload(self.xi_owned[j].copy())
-                    ),
-                )
-            )
-        return out
-
-    def apply_phase_a(self, inbox: dict[int, list[Message]], t: int) -> None:
-        neighbor_thetas: dict[int, np.ndarray] = {}
-        incoming_xi: dict[int, np.ndarray] = {}
-        for sender, messages in inbox.items():
-            for msg in messages:
-                if isinstance(msg.payload, LambdaPayload):
-                    neighbor_thetas[sender] = msg.payload.theta
-                else:
-                    incoming_xi[sender] = msg.payload.xi
-        for j in self.neighbors.all:
-            if j not in neighbor_thetas:
-                raise ProtocolViolation(t, Phase.LAMBDA_EXCHANGE, j, self.id)
-        for j in self.neighbors.incoming:
-            if j not in incoming_xi:
-                raise ProtocolViolation(t, Phase.LAMBDA_EXCHANGE, j, self.id)
+    def update(self, t: int) -> list[tuple[int, Message]]:
+        """Update the duals and return the fresh estimate for each neighbor."""
         self.theta, self.mu, self.x_hat = lambda_update(
             self.problem,
             self.b,
             self.theta,
             self.mu,
-            neighbor_thetas,
-            self.xi_owned,
-            incoming_xi,
+            self.neighbor_theta,
+            {j: self.xi[j] for j in self.neighbors.owned},
+            {j: self.xi[j] for j in self.neighbors.incoming},
             self.steps.c,
             self.steps.gamma,
         )
+        return [(j, Message(t, self.id, self.theta.copy())) for j in self.neighbors.all]
 
-    # -- phase B: send fresh theta to owners, owners update multipliers ----
-
-    def phase_b_messages(self, t: int) -> list[tuple[int, Message]]:
-        out = []
-        snapshot = LambdaPayload(self.theta.copy(), self.mu.copy())
-        for j in self.neighbors.incoming:  # owners of my incident edges
-            out.append((j, Message(t, Phase.LAMBDA_PLUS_EXCHANGE, self.id, snapshot)))
-        return out
-
-    def apply_phase_b(self, inbox: dict[int, list[Message]], t: int) -> None:
-        fresh: dict[int, np.ndarray] = {}
-        for sender, messages in inbox.items():
-            for msg in messages:
-                if isinstance(msg.payload, LambdaPayload):
-                    fresh[sender] = msg.payload.theta
+    def receive(self, inbox: dict[int, Message], t: int) -> None:
+        """Update every incident edge's multiplier and cache the estimates."""
+        for j in self.neighbors.all:
+            if j not in inbox:
+                raise ProtocolViolation(t, j, self.id)
+        gamma = self.steps.gamma
         for j in self.neighbors.owned:
-            if j not in fresh:
-                raise ProtocolViolation(t, Phase.LAMBDA_PLUS_EXCHANGE, j, self.id)
-            self.xi_owned[j] = xi_update(
-                self.xi_owned[j], self.theta, fresh[j], self.steps.gamma
-            )
+            self.xi[j] = xi_update(self.xi[j], self.theta, inbox[j].theta, gamma)
+        for j in self.neighbors.incoming:
+            self.xi[j] = xi_update(self.xi[j], inbox[j].theta, self.theta, gamma)
+        self.neighbor_theta = {j: inbox[j].theta for j in self.neighbors.all}
 
 
 class Engine:
@@ -274,22 +199,14 @@ class Engine:
         return None
 
     def run_round(self) -> None:
-        """One synchronous round: send/compute duals, send/compute multipliers."""
+        """One synchronous round: every node updates and sends, then receives."""
         t = self.t
         ids = sorted(self.nodes)
         for i in ids:
-            for recipient, msg in self.nodes[i].phase_a_messages(t):
+            for recipient, msg in self.nodes[i].update(t):
                 self.transport.send(recipient, msg)
         for i in ids:
-            inbox = self.transport.collect(i, t, Phase.LAMBDA_EXCHANGE)
-            self.nodes[i].apply_phase_a(inbox, t)
-
-        for i in ids:
-            for recipient, msg in self.nodes[i].phase_b_messages(t):
-                self.transport.send(recipient, msg)
-        for i in ids:
-            inbox = self.transport.collect(i, t, Phase.LAMBDA_PLUS_EXCHANGE)
-            self.nodes[i].apply_phase_b(inbox, t)
+            self.nodes[i].receive(self.transport.collect(i, t), t)
         self.t += 1
 
     def run(self, rounds: int) -> None:
@@ -297,24 +214,22 @@ class Engine:
             self.run_round()
 
     def state(self) -> SolverState:
-        """Stacked view of all node states, for comparison with the solver."""
+        """Stacked view of all node states, for comparison with the solver;
+        each edge multiplier is read from its owner's copy."""
         ids = sorted(self.nodes)
         theta = np.vstack([self.nodes[i].theta for i in ids])
         mu = np.vstack([self.nodes[i].mu for i in ids])
-        b_dim = theta.shape[1]
-        xi = np.zeros((self.graph.n_edges, b_dim))
-        for (i, j), k in self.graph.edge_index.items():
-            xi[k] = self.nodes[i].xi_owned[j]
+        xi = np.zeros((self.graph.n_edges, theta.shape[1]))
+        for k, (i, j) in enumerate(self.graph.edges):
+            xi[k] = self.nodes[i].xi[j]
         return SolverState(theta, mu, xi, self.t)
 
 
 def message_count(graph: Graph) -> int:
-    """Messages per round: two dual snapshots per edge, plus one multiplier
-    push and one fresh-estimate reply per edge."""
-    return 4 * graph.n_edges
+    """Messages per round: one coupling estimate each way over every edge."""
+    return 2 * graph.n_edges
 
 
-def message_volume(graph: Graph, b_dim: int, m: int) -> int:
+def message_volume(graph: Graph, b_dim: int) -> int:
     """Scalars moved per round across the whole network."""
-    e = graph.n_edges
-    return 2 * e * (b_dim + m) + e * b_dim + e * (b_dim + m)
+    return 2 * graph.n_edges * b_dim

@@ -4,10 +4,10 @@ Each agent keeps a dual pair (theta, mu): theta estimates the network-wide
 multiplier of the coupling constraint, mu is the multiplier tying the
 agent's primal variable to its feasible-set copy.  Owned edges carry an
 extra multiplier xi enforcing agreement of neighboring theta estimates.
-One round is a two-phase barrier computation: every agent takes a
-prox-gradient step on its dual pair from time-t data, then every edge
-owner integrates the new theta difference into xi.  All updates read only
-time-t data within a phase, so results are independent of agent processing
+One round is a barrier computation: every agent takes a prox-gradient
+step on its dual pair from time-t data, then each edge's xi integrates the
+difference of the two new theta at its ends.  Every update reads only the
+data of its own step, so results are independent of agent processing
 order.
 
 :func:`lambda_update` and :func:`xi_update` are the per-agent and per-edge
@@ -297,7 +297,12 @@ def lambda_update(
 
 
 def xi_update(xi: Array, theta_owner: Array, theta_peer: Array, gamma: float) -> Array:
-    """Edge multiplier ascent on the time-(t+1) theta difference."""
+    """Edge multiplier ascent on the time-(t+1) theta difference.
+
+    Both ends of an edge hold a copy of its multiplier and compute this
+    update with the same operands in this order, owner's theta first, so
+    their copies stay the same bits.
+    """
     return xi + gamma * (theta_owner - theta_peer)
 
 

@@ -276,8 +276,8 @@ def test_09_engine_equivalence(market):
         assert np.array_equal(state.mu, net.mu)
         assert np.array_equal(state.xi, net.xi)
         per_round = [e for e in events if e[0] == 500]
-        assert len(per_round) == message_count(instance.graph) == 20
-        assert sum(e[4] for e in per_round) == message_volume(instance.graph, 1, 1) == 35
+        assert len(per_round) == message_count(instance.graph) == 10
+        assert sum(e[4] for e in per_round) == message_volume(instance.graph, 1) == 10
 
 
 def test_10_worker_determinism(market, tmp_path):
