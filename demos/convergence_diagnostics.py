@@ -4,10 +4,13 @@ With step sizes satisfying the acceptance rule, the running average of the
 dual trajectory carries an O(1/T) guarantee on both the optimality gap and
 the consensus feasibility, and a weighted distance to any saddle point
 never increases.  This script measures both on the market benchmark
-against the bound computed from the initialization.
+against the bound computed from the initialization, and exits with status
+1 if either fails.
 
 Run from the repository root:  python demos/convergence_diagnostics.py
 """
+
+import sys
 
 import numpy as np
 
@@ -34,7 +37,6 @@ const = gap_bound_constant(
 print(f"bound constant from the zero initialization: {const:.1f}")
 print()
 
-inc = instance.graph.incidence(instance.b_dim)
 avg = dp.RunningAverage(instance.n_agents, instance.b_dim, instance.m)
 xi_norm = float(np.linalg.norm(xi_star))
 
@@ -42,6 +44,7 @@ print(f"{'T':>6} {'gap':>12} {'feasibility':>12} {'bound':>12}  (gap and "
       "feasibility must sit under the bound)")
 horizons = {10, 100, 1000, 10000}
 lyapunov = []
+under_bound = True
 for t in range(10_001):
     state = dp.iterate(instance, state, steps)
     avg.update(state.theta, state.mu)
@@ -52,10 +55,18 @@ for t in range(10_001):
     T = state.t - 1
     if T in horizons:
         gap = abs(eval_dual_objective(instance, avg.theta, avg.mu) - phi_star)
-        feas = xi_norm * float(np.linalg.norm(inc.apply_m(avg.theta)))
-        print(f"{T:6d} {gap:12.4e} {feas:12.4e} {const / (T + 1):12.4e}")
+        feas = xi_norm * float(np.linalg.norm(instance.graph.edge_diff(avg.theta)))
+        bound = const / (T + 1)
+        print(f"{T:6d} {gap:12.4e} {feas:12.4e} {bound:12.4e}")
+        under_bound &= gap <= bound and feas <= bound
 
 drops = np.diff(np.array(lyapunov))
 print()
 print(f"distance-to-saddle over {len(lyapunov)} rounds: starts {lyapunov[0]:.1f}, "
       f"ends {lyapunov[-1]:.2e}, largest per-round increase {drops.max():.2e}")
+# the tolerance of acceptance criterion 8 for rounding in the distance
+never_increases = drops.max() <= 1e-10
+print(f"gap and feasibility under the bound at every horizon: {under_bound}")
+print(f"distance-to-saddle never increases by more than 1e-10: {never_increases}")
+if not (under_bound and never_increases):
+    sys.exit(1)

@@ -3,10 +3,14 @@
 Two generating companies and three energy users share one supply-demand
 balance constraint over a five-agent communication graph.  We validate the
 instance, pick step sizes from the network constants, run the distributed
-dual solve, and compare against the centralized reference solver.
+dual solve, and compare against the centralized reference solver.  The
+demo exits with status 1 unless the solve converges to the reference
+optimum and its dual value negates the optimal cost.
 
 Run from the repository root:  python demos/market_dispatch.py
 """
+
+import sys
 
 import numpy as np
 
@@ -43,8 +47,8 @@ for row in result.agent_report():
 print()
 
 print("edge multipliers (owner -> peer):")
-for em in dp.edge_multipliers(instance.graph, result.xi):
-    print(f"  {em.owner} -> {em.peer}: {em.xi[0]: .4f}")
+for (owner, peer), xi in zip(instance.graph.edges, result.xi):
+    print(f"  {owner} -> {peer}: {xi[0]: .4f}")
 print()
 
 # --- compare with the centralized reference ----------------------------------
@@ -53,8 +57,8 @@ oracle = dp.centralized_oracle(instance)
 print("reference optimum        x* =", np.round(oracle.x.ravel(), 4))
 print("distributed solution  x_out =", np.round(result.x.ravel(), 4))
 print("coupling multiplier    eta* =", round(float(oracle.eta[0]), 4))
-print("max primal deviation        =",
-      float(np.max(np.abs(result.x - oracle.x))))
+deviation = float(np.max(np.abs(result.x - oracle.x)))
+print("max primal deviation        =", deviation)
 
 # strong duality: the dual objective at the solution negates the optimal cost
 phi = result.trace.column("phi")[-1]
@@ -62,6 +66,10 @@ welfare = -dp.primal_objective(instance, oracle.x)
 print(f"dual value at convergence   = {phi:.4f}")
 print(f"negated primal optimum      = {welfare:+.4f} (social welfare)")
 print()
+# the tolerances of acceptance criteria 3 (oracle) and 2 (strong duality)
+if not (result.converged and deviation <= 1e-3 and abs(phi - welfare) <= 1e-2):
+    print("the solve missed the reference optimum")
+    sys.exit(1)
 
 # --- trace for plotting --------------------------------------------------------
 

@@ -48,7 +48,6 @@ from .problems import (
     validate,
 )
 from .solver import (
-    EdgeMultiplier,
     Residuals,
     RunningAverage,
     SetupError,
@@ -58,7 +57,6 @@ from .solver import (
     StepSizeError,
     StepSizes,
     Trace,
-    edge_multipliers,
     ergodic_gap_bound,
     eval_dual_objective,
     gap_bound_constant,
@@ -78,7 +76,6 @@ from .solver import (
 )
 from .topology import (
     Graph,
-    IncidenceOperator,
     canonical_edge_order,
     check_connected,
     laplacian_spectral_radius,

@@ -31,11 +31,13 @@ processing order.  When every coupling block is 1x1, the plan keeps them
 as one column and multiplies it into the rows.  :func:`solve` sweeps the
 primal maximizers of a state once and hands them to the state's evaluation
 and to its round, and computes a round's exact step norm only where a
-certified bound cannot settle its stop test.  One edge difference of the
-plan serves ``xi_bar``, the xi update and the consensus residual.  The
-dual sweep also takes a leading axis of states: :func:`solve` evaluates
-the trace rows that cannot stop its run in batches, and records each row
-from its batch's sweep, bit-identical to its own sweep.
+certified bound cannot settle its stop test.  The graph's consensus
+operator, :meth:`~dualprox.topology.Graph.edge_diff`, serves ``xi_bar``,
+the xi update, the consensus residual and the weighted distance behind
+:func:`lyapunov_value` and :func:`gap_bound_constant`.  The dual sweep
+also takes a leading axis of states: :func:`solve` evaluates the trace
+rows that cannot stop its run in batches, and records each row from its
+batch's sweep, bit-identical to its own sweep.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ from .problems import AgentProblem, ProblemInstance, validate
 from .topology import Graph, laplacian_spectral_radius
 
 __all__ = [
-    "EdgeMultiplier",
     "Residuals",
-    "edge_multipliers",
     "RunningAverage",
     "SetupError",
     "SolveResult",
@@ -82,22 +82,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class EdgeMultiplier:
-    """Multiplier for one edge's agreement constraint, held by the owner."""
-
-    owner: int
-    peer: int
-    xi: Array
-
-    def __post_init__(self):
-        if not self.owner < self.peer:
-            raise ValueError(
-                f"edge multiplier must be owned by the smaller endpoint, "
-                f"got owner {self.owner}, peer {self.peer}"
-            )
 
 
 class SetupError(ValueError):
@@ -351,11 +335,11 @@ class _RoundPlan:
     ``xi_source`` indexes a flattened per-edge array, and ``xi_sign`` holds
     the sign the entry takes: first the edges the agent owns (``+1.0``, by
     ascending peer), then those its smaller neighbours own (``-1.0``, by
-    ascending owner).  ``edge_owner`` and ``edge_peer`` are the rows of
-    each canonical edge's two ends.  The coupling blocks ``a`` and the
-    shares ``kappa`` are those of the instance's stacked view, ``stacked``,
-    which makes every catalog call of the round and the sweep; ``b_rows``
-    is ``b`` broadcast to one row per agent.
+    ascending owner).  ``edge_diff`` is the graph's consensus operator,
+    :meth:`~dualprox.topology.Graph.edge_diff`.  The coupling blocks ``a``
+    and the shares ``kappa`` are those of the instance's stacked view,
+    ``stacked``, which makes every catalog call of the round and the sweep;
+    ``b_rows`` is ``b`` broadcast to one row per agent.
 
     The methods run every round, so they call ufuncs and ndarray methods,
     and leave NumPy's Python-level wrappers and the checks of set-up to
@@ -365,7 +349,7 @@ class _RoundPlan:
     def __init__(self, instance: ProblemInstance):
         n, b_dim = instance.n_agents, instance.b_dim
         graph, n_edges = instance.graph, instance.graph.n_edges
-        self.edge_owner, self.edge_peer = (graph.edge_array - 1).T
+        self.edge_diff = graph.edge_diff
         # an agent's adjacency list holds its smaller neighbours, then its
         # larger ones; its xi terms take the larger (owned) ones first
         agent = np.arange(n).repeat(graph.degrees)
@@ -383,10 +367,6 @@ class _RoundPlan:
         self.a_t = self.a.transpose(0, 2, 1)
         self.b_rows = np.broadcast_to(instance.b, (n, b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
-
-    def edge_diff(self, theta: Array) -> Array:
-        """Rows ``theta[..., owner_e, :] - theta[..., peer_e, :]``."""
-        return theta.take(self.edge_owner, axis=-2) - theta.take(self.edge_peer, axis=-2)
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:
         """Every agent's ``v_i = -A_i^T theta_i - mu_i`` and primal maximizer
@@ -453,14 +433,6 @@ def init_state(instance: ProblemInstance) -> SolverState:
         xi=np.zeros((instance.graph.n_edges, b_dim)),
         t=0,
     )
-
-
-def edge_multipliers(graph: Graph, xi: Array) -> list[EdgeMultiplier]:
-    """Per-edge multipliers labelled with their owner and peer."""
-    return [
-        EdgeMultiplier(owner=i, peer=j, xi=xi[k].copy())
-        for k, (i, j) in enumerate(graph.edges)
-    ]
 
 
 def iterate(
@@ -565,16 +537,14 @@ class Residuals:
 
 
 def residuals(
-    instance: ProblemInstance, state: SolverState, inc=None, *, _maximizers=None
+    instance: ProblemInstance, state: SolverState, *, _maximizers=None
 ) -> Residuals:
     """Residual triple at the state's duals.
 
     Consensus is the norm of all per-edge theta differences; primal is the
     coupling-constraint violation of the recovered primal point.  The dual
     objective is evaluated from the same primal maximizers, so each agent
-    costs a single conjugate-gradient solve.  ``inc`` is accepted for
-    compatibility and has no effect: the edge differences are taken at the
-    edge ends of the instance's compiled plan.
+    costs a single conjugate-gradient solve.
     """
     # solve hands over the maximizers of a state it has already swept
     return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0][0]
@@ -591,9 +561,9 @@ def _evaluate(
     place, on its own arrays, and its consensus and primal norms are one
     ``_norm`` each; several are stacked along a leading axis first, into
     fresh (K, N, .) arrays, and their norms are one ``_rowdot`` each, the
-    same dot product per state.  The consensus reads the plan's edge
-    differences of the swept theta.  Every value is bit-identical to that
-    state's sweep alone.
+    same dot product per state.  The consensus reads the edge differences
+    of the swept theta.  Every value is bit-identical to that state's sweep
+    alone.
     """
     swept = []
     for state, found in rows:
@@ -647,12 +617,19 @@ def _step_norm(new: SolverState, old: SolverState) -> float:
 
 
 def _weighted_sq_distance(
-    graph: Graph, b_dim: int, c: float, gamma: float, dtheta: Array, dmu: Array
+    graph: Graph, c: float, gamma: float, dtheta: Array, dmu: Array
 ) -> float:
-    """||dlambda||^2 in the norm weighted by (1/2c) I - (gamma/2) M^T M."""
-    inc = graph.incidence(b_dim)
+    """||dlambda||^2 in the norm weighted by (1/2c) I - (gamma/2) M^T M.
+
+    ``dtheta`` comes from caller arrays, so it must have one row per
+    vertex: M would read the first rows of a taller one without complaint.
+    """
+    if dtheta.ndim != 2 or dtheta.shape[0] != graph.n_vertices:
+        raise ValueError(
+            f"expected a theta difference of {graph.n_vertices} rows, got shape {dtheta.shape}"
+        )
     plain = float(np.sum(dtheta * dtheta) + np.sum(dmu * dmu))
-    edge = inc.apply_m(dtheta)
+    edge = graph.edge_diff(dtheta)
     return (0.5 / c) * plain - (0.5 * gamma) * float(np.sum(edge * edge))
 
 
@@ -676,16 +653,13 @@ def gap_bound_constant(
     violate it by more than :func:`validate_step_sizes`' slack raise
     :class:`StepSizeError`.
     """
-    b_dim = theta0.shape[1]
     tau = laplacian_spectral_radius(graph).value
     if _short_of(c, gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
             "the distance weighting is not positive semidefinite"
         )
-    dist = _weighted_sq_distance(
-        graph, b_dim, c, gamma, theta_star - theta0, mu_star - mu0
-    )
+    dist = _weighted_sq_distance(graph, c, gamma, theta_star - theta0, mu_star - mu0)
     return (
         dist
         + (4.0 / gamma) * float(np.sum(xi_star * xi_star))
@@ -724,9 +698,8 @@ def lyapunov_value(
     xi_star: Array,
 ) -> float:
     """Weighted squared distance to a saddle point; non-increasing per round."""
-    b_dim = state.theta.shape[1]
     dist = _weighted_sq_distance(
-        graph, b_dim, c, gamma, theta_star - state.theta, mu_star - state.mu
+        graph, c, gamma, theta_star - state.theta, mu_star - state.mu
     )
     dxi = xi_star - state.xi
     return dist + (0.5 / gamma) * float(np.sum(dxi * dxi))

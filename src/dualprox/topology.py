@@ -1,11 +1,11 @@
-"""Agent-network topology: graphs, edge ordering, incidence structure.
+"""Agent-network topology: graphs, edge ordering, the consensus operator.
 
 The communication network is an undirected graph on agents 1..N.  Edges
 carry a canonical index (sorted by smaller endpoint, then larger), and the
 agent with the smaller index on an edge *owns* that edge's multiplier.
-The incidence structure provides matrix-free application of the consensus
-operator that maps stacked dual vectors to per-edge differences of their
-coupling blocks.
+The consensus operator M, :meth:`Graph.edge_diff`, maps one theta row per
+agent to one row per edge, the owner's minus the peer's; the graph
+Laplacian is ``M^T M``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "IncidenceOperator",
     "NeighborSets",
     "SpectralRadius",
     "canonical_edge_order",
@@ -113,18 +112,19 @@ class Graph:
     Vertices are 1-indexed.  The edge list is canonicalized at
     construction; a graph is immutable afterwards, so problem instances
     and engines can share one.  Construction builds every structure the
-    solver reads as read-only arrays: ``edge_array``, the ``degrees``
-    (entry ``i - 1`` is vertex i's) and the adjacency lists.  Vertex i's
-    neighbors, ascending, are ``nbr[nbr_start[i - 1]:nbr_start[i]]``, the
-    larger (owned) ones from ``nbr_split[i - 1]`` on, and ``nbr_edge`` holds
-    the canonical index of the edge to each.  The Python pairs ``edges``,
-    the ``edge_index`` and a vertex's :class:`NeighborSets` are built on
-    first use.
+    solver reads as read-only arrays: ``edge_array``, its 0-based rows
+    ``edge_owner`` and ``edge_peer``, the ``degrees`` (entry ``i - 1`` is
+    vertex i's) and the adjacency lists.  Vertex i's neighbors, ascending,
+    are ``nbr[nbr_start[i - 1]:nbr_start[i]]``, the larger (owned) ones from
+    ``nbr_split[i - 1]`` on, and ``nbr_edge`` holds the canonical index of
+    the edge to each.  The Python pairs ``edges`` and a vertex's
+    :class:`NeighborSets` are built on first use.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
         self.n_vertices = n = int(n_vertices)
         self.edge_array = pairs = _edge_array(n, edges)
+        self.edge_owner, self.edge_peer = (pairs - 1).T
         # every edge's peer end, then its owner end: sorted stably by vertex, a
         # vertex's edges keep their canonical order, smaller neighbors first
         ends = pairs[:, ::-1].ravel()
@@ -135,7 +135,8 @@ class Graph:
         self.nbr_split = self.nbr_start[:-1] + np.bincount(pairs[:, 1], minlength=n + 1)[1:]
         self.nbr = ends[by_end ^ 1]
         self.nbr_edge = by_end >> 1
-        for a in (pairs, self.degrees, self.nbr_start, self.nbr_split, self.nbr, self.nbr_edge):
+        for a in (pairs, self.edge_owner, self.edge_peer, self.degrees, self.nbr_start,
+                  self.nbr_split, self.nbr, self.nbr_edge):
             a.setflags(write=False)
 
     @property
@@ -147,10 +148,11 @@ class Graph:
         """The canonical edges as pairs of Python ints."""
         return tuple(zip(*self.edge_array.T.tolist()))
 
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Canonical index of each edge (i, j), i < j."""
-        return {e: k for k, e in enumerate(self.edges)}
+    def edge_diff(self, theta: np.ndarray) -> np.ndarray:
+        """The consensus operator M: rows ``theta[..., owner_e, :] -
+        theta[..., peer_e, :]``, one per canonical edge, over any leading
+        axes of states."""
+        return theta.take(self.edge_owner, axis=-2) - theta.take(self.edge_peer, axis=-2)
 
     def _row(self, i: int) -> tuple[int, int, int]:
         """Vertex i's ``nbr_start``, ``nbr_split`` and end in ``nbr``."""
@@ -170,17 +172,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return int(self.degrees.max())
-
-    def owned_edges(self, i: int) -> list[tuple[int, int]]:
-        """Edge indices and peers for edges owned by agent ``i``.
-
-        Returns a list of (edge_index, peer) pairs, peers sorted ascending.
-        """
-        _, split, stop = self._row(i)
-        return list(zip(self.nbr_edge[split:stop].tolist(), self.nbr[split:stop].tolist()))
-
-    def incidence(self, b_dim: int) -> "IncidenceOperator":
-        return IncidenceOperator(self, b_dim)
 
     def __eq__(self, other) -> bool:
         return (
@@ -214,44 +205,6 @@ def check_connected(graph: Graph) -> bool:
         jumped = root[root]
         while np.count_nonzero(jumped != root):
             root, jumped = jumped, jumped[jumped]
-
-
-class IncidenceOperator:
-    """Matrix-free consensus operator over a graph.
-
-    The operator stacks, for each edge (i, j) with i < j, the difference of
-    the endpoints' coupling blocks (the first ``b_dim`` components of each
-    agent's dual vector).  The dense matrix is never formed here; tests
-    build it independently via a Kronecker product.
-    """
-
-    def __init__(self, graph: Graph, b_dim: int):
-        if b_dim < 1:
-            raise ValueError(f"coupling block must have positive size, got {b_dim}")
-        self.graph = graph
-        self.b_dim = int(b_dim)
-        # 0-based endpoint rows: edge column k is +1 at q_rows_pos[k], -1 at q_rows_neg[k]
-        self.q_rows_pos, self.q_rows_neg = (graph.edge_array - 1).T
-
-    def apply_m(self, lam: np.ndarray) -> np.ndarray:
-        """Per-edge differences of the coupling blocks of stacked duals.
-
-        ``lam`` is an (N, B + M) array, one row per agent, whose first B
-        columns are the coupling block.  Returns an (|E|, B) array whose
-        row for edge (i, j), i < j, equals row_i[:B] - row_j[:B].
-        """
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim != 2 or lam.shape[0] != self.graph.n_vertices:
-            raise ValueError(
-                f"expected ({self.graph.n_vertices}, >= {self.b_dim}) stacked duals, "
-                f"got shape {lam.shape}"
-            )
-        if lam.shape[1] < self.b_dim:
-            raise ValueError(
-                f"dual rows have {lam.shape[1]} columns < coupling size {self.b_dim}"
-            )
-        theta = lam[:, : self.b_dim]
-        return theta[self.q_rows_pos] - theta[self.q_rows_neg]
 
 
 class SpectralRadius(NamedTuple):

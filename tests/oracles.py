@@ -48,7 +48,6 @@ from dualprox.solver import (
 )
 from dualprox.topology import (
     Graph,
-    IncidenceOperator,
     NeighborSets,
     check_connected,
     laplacian_spectral_radius,
@@ -83,17 +82,18 @@ def dense_m(graph: Graph, b_dim: int, m: int) -> np.ndarray:
     return np.kron(dense_q(graph).T, dense_k(b_dim, m))
 
 
-def q_entries(inc: IncidenceOperator) -> list[tuple[int, int, int]]:
-    """Signed incidence entries of a consensus operator as (vertex,
-    edge_index, sign) triples."""
+def q_entries(graph: Graph) -> list[tuple[int, int, int]]:
+    """Signed incidence entries of a graph's consensus operator as (vertex,
+    edge index, sign) triples, read from its ``edge_owner`` and
+    ``edge_peer`` rows."""
     out = []
-    for k in range(inc.graph.n_edges):
-        out.append((int(inc.q_rows_pos[k]) + 1, k, +1))
-        out.append((int(inc.q_rows_neg[k]) + 1, k, -1))
+    for k in range(graph.n_edges):
+        out.append((int(graph.edge_owner[k]) + 1, k, +1))
+        out.append((int(graph.edge_peer[k]) + 1, k, -1))
     return out
 
 
-def apply_m_transpose(inc: IncidenceOperator, xi: np.ndarray, m_dim: int) -> np.ndarray:
+def apply_m_transpose(graph: Graph, xi: np.ndarray, m_dim: int) -> np.ndarray:
     """The consensus operator's transpose: scatter per-edge vectors onto
     stacked dual space.
 
@@ -102,14 +102,12 @@ def apply_m_transpose(inc: IncidenceOperator, xi: np.ndarray, m_dim: int) -> np.
     and -xi_k at the larger; the remaining ``m_dim`` columns are zero.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (inc.graph.n_edges, inc.b_dim):
-        raise ValueError(
-            f"expected ({inc.graph.n_edges}, {inc.b_dim}) edge vectors, "
-            f"got shape {xi.shape}"
-        )
-    out = np.zeros((inc.graph.n_vertices, inc.b_dim + m_dim))
-    np.add.at(out[:, : inc.b_dim], inc.q_rows_pos, xi)
-    np.subtract.at(out[:, : inc.b_dim], inc.q_rows_neg, xi)
+    if xi.ndim != 2 or xi.shape[0] != graph.n_edges:
+        raise ValueError(f"expected {graph.n_edges} edge vectors, got shape {xi.shape}")
+    b_dim = xi.shape[1]
+    out = np.zeros((graph.n_vertices, b_dim + m_dim))
+    np.add.at(out[:, :b_dim], graph.edge_owner, xi)
+    np.subtract.at(out[:, :b_dim], graph.edge_peer, xi)
     return out
 
 
@@ -278,11 +276,9 @@ def reference_edge_order(n_vertices: int, edges) -> list[tuple[int, int]]:
 
 
 def eager_graph_structures(n_vertices: int, edges) -> dict:
-    """Neighbor sets, edge index, owned edges, degrees and connectivity of a
-    graph, built eagerly from its canonical edge list with sets and a
-    breadth-first search."""
+    """Neighbor sets, degrees and connectivity of a graph, built eagerly
+    from its canonical edge list with sets and a breadth-first search."""
     edges = reference_edge_order(n_vertices, edges)
-    edge_index = {e: k for k, e in enumerate(edges)}
     nbrs = {i: set() for i in range(1, n_vertices + 1)}
     for i, j in edges:
         nbrs[i].add(j)
@@ -301,10 +297,6 @@ def eager_graph_structures(n_vertices: int, edges) -> dict:
         reached.update(frontier)
     return {
         "neighbors": neighbors,
-        "edge_index": edge_index,
-        "owned_edges": {
-            i: [(edge_index[(i, j)], j) for j in neighbors[i].owned] for i in nbrs
-        },
         "degree": {i: len(s) for i, s in nbrs.items()},
         "max_degree": max(len(s) for s in nbrs.values()),
         "connected": len(reached) == n_vertices,
@@ -449,15 +441,6 @@ def reference_write_csv(trace: Trace, path) -> None:
 # --- per-agent round and dual sweep -------------------------------------------
 
 
-def _agent_inputs(instance: ProblemInstance, state: SolverState, i: int):
-    graph = instance.graph
-    nbrs = graph.neighbors(i)
-    neighbor_thetas = {j: state.theta[j - 1] for j in nbrs.all}
-    owned = {j: state.xi[graph.edge_index[(i, j)]] for j in nbrs.owned}
-    incoming = {j: state.xi[graph.edge_index[(j, i)]] for j in nbrs.incoming}
-    return neighbor_thetas, owned, incoming
-
-
 def reference_iterate(
     instance: ProblemInstance,
     state: SolverState,
@@ -472,18 +455,19 @@ def reference_iterate(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"agent order must be a permutation of 1..{n}, got {order}")
 
+    edge_index = {e: k for k, e in enumerate(graph.edges)}
     theta_new = np.empty_like(state.theta)
     mu_new = np.empty_like(state.mu)
     for i in order:
-        neighbor_thetas, owned, incoming = _agent_inputs(instance, state, i)
+        nbrs = graph.neighbors(i)
         theta_new[i - 1], mu_new[i - 1], _ = lambda_update(
             instance.agents[i - 1],
             instance.b,
             state.theta[i - 1],
             state.mu[i - 1],
-            neighbor_thetas,
-            owned,
-            incoming,
+            {j: state.theta[j - 1] for j in nbrs.all},
+            {j: state.xi[edge_index[(i, j)]] for j in nbrs.owned},
+            {j: state.xi[edge_index[(j, i)]] for j in nbrs.incoming},
             steps.c,
             steps.gamma,
         )

@@ -400,7 +400,7 @@ def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
         again = residuals(instance, state)
         for name in ("dual_value", "consensus", "primal"):
             assert bits(getattr(again, name)) == bits(getattr(res, name)), name
-        edge_diff = instance.graph.incidence(instance.b_dim).apply_m(state.theta)
+        edge_diff = instance.graph.edge_diff(state.theta)
         assert bits(res.consensus) == bits(_norm(edge_diff))
 
 

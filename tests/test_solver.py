@@ -1043,16 +1043,10 @@ class TestOneSweepPerEvaluatedState:
         assert counts["residuals"] == 1 + np.count_nonzero(small_steps) < rounds
         assert counts["conjugate_gradient"] == rounds + 1
 
-    def test_solve_and_residuals_build_no_incidence_operator(self, monkeypatch):
-        """Edge differences are taken at the round plan's edge ends, for
-        round 0, queued rows, rows that can stop the run, and states that
-        ``iterate`` did not make."""
-        from dualprox.topology import IncidenceOperator
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an incidence operator was built")
-
-        monkeypatch.setattr(IncidenceOperator, "__init__", refuse)
+    def test_residuals_of_a_fresh_state_match_the_trace(self):
+        """The consensus residual of a state that ``iterate`` did not make
+        equals the trace's last row, which came from round 0, queued rows
+        or rows that can stop the run; at zero duals it is zero."""
         instance = build_market()
         result = solve(instance, SolverConfig(trace_every=1))
         assert result.converged
@@ -1155,15 +1149,3 @@ class TestDualValueAlongTheRun:
         assert result.converged
         assert np.all(np.isfinite(phi))
         assert abs(phi[-1] + primal_objective(instance, result.x)) <= 1e-6
-
-
-class TestEdgeMultipliers:
-    def test_labels_follow_ownership(self):
-        from dualprox.solver import edge_multipliers
-
-        instance = build_market()
-        xi = np.arange(5.0).reshape(5, 1)
-        labelled = edge_multipliers(instance.graph, xi)
-        assert [(e.owner, e.peer) for e in labelled] == list(instance.graph.edges)
-        assert all(e.owner < e.peer for e in labelled)
-        assert labelled[2].xi[0] == 2.0

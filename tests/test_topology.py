@@ -9,7 +9,8 @@ from dualprox.topology import (
     check_connected,
     laplacian_spectral_radius,
 )
-from dualprox.problems import market_graph
+from dualprox.problems import build_market, market_graph
+from dualprox.solver import SolverState, gap_bound_constant, lyapunov_value
 
 from oracles import (
     apply_m_transpose,
@@ -129,9 +130,8 @@ class TestIncidence:
 
     def test_q_entries_match_dense(self):
         graph = Graph(4, [(1, 2), (2, 4), (1, 3)])
-        inc = graph.incidence(2)
         q = np.zeros((4, 3))
-        for vertex, edge, sign in q_entries(inc):
+        for vertex, edge, sign in q_entries(graph):
             q[vertex - 1, edge] = sign
         assert np.array_equal(q, dense_q(graph))
 
@@ -143,16 +143,17 @@ class TestIncidence:
 
 
 class TestApplyM:
+    """``Graph.edge_diff`` is the consensus operator M on the coupling block,
+    the first B columns of stacked (theta, mu) rows."""
+
     def test_consensual_duals_in_kernel(self):
         graph = market_graph()
-        inc = graph.incidence(2)
         lam = np.hstack([np.tile([1.5, -2.0], (5, 1)), np.random.default_rng(0).normal(size=(5, 3))])
-        assert np.allclose(inc.apply_m(lam), 0.0)
+        assert np.allclose(graph.edge_diff(lam[:, :2]), 0.0)
 
     def test_two_agents_scalar(self):
-        inc = Graph(2, [(1, 2)]).incidence(1)
         lam = np.array([[3.0, 9.9], [1.0, -4.2]])  # theta = (3, 1), mu arbitrary
-        assert np.array_equal(inc.apply_m(lam), [[2.0]])
+        assert np.array_equal(Graph(2, [(1, 2)]).edge_diff(lam[:, :1]), [[2.0]])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_kronecker(self, seed):
@@ -161,12 +162,17 @@ class TestApplyM:
         b_dim = int(rng.integers(1, 3))
         m = int(rng.integers(1, 3))
         graph = random_connected_graph(rng, n)
-        inc = graph.incidence(b_dim)
         lam = rng.normal(size=(n, b_dim + m))
         dense = dense_m(graph, b_dim, m) @ lam.ravel()
         assert np.allclose(
-            inc.apply_m(lam).ravel(), dense, atol=1e-12, rtol=0.0
+            graph.edge_diff(lam[:, :b_dim]).ravel(), dense, atol=1e-12, rtol=0.0
         )
+        # a leading axis of K states: each slice is that state's own edge_diff
+        stacked = rng.normal(size=(3, n, b_dim))
+        batched = graph.edge_diff(stacked)
+        assert batched.shape == (3, graph.n_edges, b_dim)
+        for theta, got in zip(stacked, batched):
+            assert got.tobytes() == graph.edge_diff(theta).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_transpose_matches_dense(self, seed):
@@ -175,11 +181,10 @@ class TestApplyM:
         b_dim = int(rng.integers(1, 3))
         m = int(rng.integers(1, 3))
         graph = random_connected_graph(rng, n)
-        inc = graph.incidence(b_dim)
         xi = rng.normal(size=(graph.n_edges, b_dim))
         dense = dense_m(graph, b_dim, m).T @ xi.ravel()
         assert np.allclose(
-            apply_m_transpose(inc, xi, m).ravel(), dense, atol=1e-12, rtol=0.0
+            apply_m_transpose(graph, xi, m).ravel(), dense, atol=1e-12, rtol=0.0
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -189,9 +194,8 @@ class TestApplyM:
         n = int(rng.integers(2, 6))
         graph = random_connected_graph(rng, n)
         b_dim, m = 2, 1
-        inc = graph.incidence(b_dim)
         lam = rng.normal(size=(n, b_dim + m))
-        via_ops = apply_m_transpose(inc, inc.apply_m(lam), m)
+        via_ops = apply_m_transpose(graph, graph.edge_diff(lam[:, :b_dim]), m)
         q = dense_q(graph)
         ktk = np.zeros((b_dim + m, b_dim + m))
         ktk[:b_dim, :b_dim] = np.eye(b_dim)
@@ -199,13 +203,23 @@ class TestApplyM:
         assert np.allclose(via_ops, dense, atol=1e-12, rtol=0.0)
 
     def test_dimension_mismatch(self):
-        inc = Graph(2, [(1, 2)]).incidence(2)
+        """The bounds reject a saddle theta with a row too many or too few,
+        also where it broadcasts against a one-row start, whose first rows M
+        alone would read without complaint."""
+        instance = build_market()
+        graph, b_dim, m = instance.graph, instance.b_dim, instance.m
+        mu0, xi0 = np.zeros((5, m)), np.zeros((5, b_dim))
+        for start_rows, match in ((5, None), (1, "rows")):
+            theta0 = np.zeros((start_rows, b_dim))
+            for rows in (6, 4):
+                theta_star = np.ones((rows, b_dim))
+                with pytest.raises(ValueError, match=match):
+                    gap_bound_constant(graph, 0.001, 1.0, theta0, mu0, xi0, theta_star, mu0, xi0)
+                with pytest.raises(ValueError, match=match):
+                    lyapunov_value(graph, 0.001, 1.0, SolverState(theta0, mu0, xi0),
+                                   theta_star, mu0, xi0)
         with pytest.raises(ValueError):
-            inc.apply_m(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            inc.apply_m(np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            apply_m_transpose(inc, np.zeros((5, 2)), 1)
+            apply_m_transpose(graph, np.zeros((4, 1)), 1)
 
 
 class TestNeighborSets:
@@ -246,8 +260,6 @@ class TestLazyStructures:
 
     PROBES = {
         "neighbors": lambda g: {i: g.neighbors(i) for i in range(1, g.n_vertices + 1)},
-        "edge_index": lambda g: g.edge_index,
-        "owned_edges": lambda g: {i: g.owned_edges(i) for i in range(1, g.n_vertices + 1)},
         "degree": lambda g: {i: g.degree(i) for i in range(1, g.n_vertices + 1)},
         "max_degree": lambda g: g.max_degree(),
         "connected": check_connected,
@@ -281,7 +293,7 @@ class TestLazyStructures:
     @pytest.mark.parametrize("vertex", [0, 6, -1])
     def test_unknown_vertex_is_a_key_error(self, vertex):
         graph = market_graph()
-        for probe in (graph.neighbors, graph.degree, graph.owned_edges):
+        for probe in (graph.neighbors, graph.degree):
             with pytest.raises(KeyError):
                 probe(vertex)
 
@@ -345,14 +357,11 @@ class TestGraph:
         assert np.array_equal(pairs, np.asarray(graph.edges).reshape(-1, 2))
         assert not pairs.flags.writeable
         assert graph.edge_array is pairs
-        for name in ("degrees", "nbr_start", "nbr_split", "nbr", "nbr_edge"):
+        assert np.array_equal(graph.edge_owner, pairs[:, 0] - 1)
+        assert np.array_equal(graph.edge_peer, pairs[:, 1] - 1)
+        for name in ("edge_owner", "edge_peer", "degrees", "nbr_start", "nbr_split", "nbr",
+                     "nbr_edge"):
             assert not getattr(graph, name).flags.writeable, name
 
     def test_equality_after_canonicalization(self):
         assert Graph(3, [(3, 1), (1, 2)]) == Graph(3, [(1, 2), (1, 3)])
-
-    def test_owned_edges_indices(self):
-        graph = market_graph()
-        assert graph.owned_edges(1) == [(0, 2), (1, 3)]
-        assert graph.owned_edges(3) == [(3, 4)]
-        assert graph.owned_edges(5) == []
