@@ -283,7 +283,7 @@ class _Oracles:
         inner_tol: float = 1e-10,
         inner_max_iter: int = 100_000,
     ):
-        if sigma <= 0:
+        if not sigma > 0:  # NaN too
             raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
         self._value = value
         self._gradient = gradient

@@ -35,9 +35,10 @@ certified bound cannot settle its stop test.  The graph's consensus
 operator, :meth:`~dualprox.topology.Graph.edge_diff`, serves ``xi_bar``,
 the xi update, the consensus residual and the weighted distance behind
 :func:`lyapunov_value` and :func:`gap_bound_constant`.  The dual sweep
-also takes a leading axis of states: :func:`solve` evaluates the trace
-rows that cannot stop its run in batches, and records each row from its
-batch's sweep, bit-identical to its own sweep.
+also takes a leading axis of states: :func:`solve` queues every row after
+round 0 that is due or can stop its run, evaluates the queue in one sweep,
+bit-identical to each row's own sweep, and records each row by
+:meth:`Trace.record`.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def lipschitz_h(a_block, sigma: float) -> float:
     which reduces to (||A_i||_2^2 + 1) / sigma because the map stacks the
     negated coupling block on a negated identity.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
     a = np.atleast_2d(np.asarray(a_block, dtype=float))
     spec = float(np.linalg.norm(a, 2)) if a.size else 0.0
@@ -128,7 +129,7 @@ def max_lipschitz(instance: ProblemInstance) -> float:
     """
     stacked = instance.stacked
     sigma = stacked.sigma()
-    if np.any(sigma <= 0):
+    if not np.all(sigma > 0):  # NaN too
         raise ValueError(f"strong convexity modulus must be positive, got {sigma.min()}")
     spec = _spectral_norms(stacked.a)
     return float(np.max((spec * spec + 1.0) / sigma))
@@ -174,7 +175,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
     on rejection, also of a step or ``tau_bar`` that is not finite, and
     ValueError on a nonpositive ``h``.
     """
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ValueError(f"h must be positive (sigma finite implies h > 0), got {h}")
     if not (0 <= tau_bar < math.inf and 0 < c < math.inf and 0 < gamma < math.inf):
         raise StepSizeError(
@@ -265,8 +266,9 @@ def lambda_update(
         Updated dual pair and the primal maximizer at the *old* duals
         (a by-product of the gradient computation).
 
-    Sums over neighbors run in ascending index order so results are
-    reproducible bit-for-bit regardless of message arrival order.
+    The pressure sums the owned edges by ascending peer, then the incoming
+    ones by ascending owner, so results are reproducible bit-for-bit
+    regardless of message arrival order.
     """
     grad_theta, grad_mu, x_hat = _grad_p_parts(agent, b, theta, mu)
     pressure = grad_theta.copy()
@@ -547,15 +549,13 @@ def residuals(
     costs a single conjugate-gradient solve.
     """
     # solve hands over the maximizers of a state it has already swept
-    return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0][0]
+    return _evaluate(instance, _round_plan(instance), [(state, _maximizers)])[0]
 
 
-def _evaluate(
-    instance: ProblemInstance, plan: _RoundPlan, rows: list
-) -> tuple[list[Residuals], Array, Array]:
+def _evaluate(instance: ProblemInstance, plan: _RoundPlan, rows: list) -> list[Residuals]:
     """The :class:`Residuals` of the states in ``rows``, ``(state,
-    maximizers)`` pairs, from one dual sweep over all of them, with the
-    theta and mu it swept.
+    maximizers)`` pairs, from one dual sweep over all of them: the one
+    evaluator behind :func:`residuals` and :func:`solve`'s queue.
 
     A state whose maximizers are None is swept here.  One state is swept in
     place, on its own arrays, and its consensus and primal norms are one
@@ -570,10 +570,9 @@ def _evaluate(
         duals = (np.asarray(state.theta, dtype=float), np.asarray(state.mu, dtype=float))
         swept.append((*duals, *(found or plan.maximizers(*duals))))
     arrays = swept[0] if len(swept) == 1 else [np.array(column) for column in zip(*swept)]
-    theta, mu = arrays[:2]
     phis, ax = _dual_sweep(plan, *arrays)
     ax -= instance.b
-    edge_diff = plan.edge_diff(theta)
+    edge_diff = plan.edge_diff(arrays[0])
     k = len(rows)
     if k == 1:
         norms = [(_norm(edge_diff), _norm(ax))]
@@ -581,8 +580,7 @@ def _evaluate(
         edge_diff, ax = edge_diff.reshape(k, -1), ax.reshape(k, -1)
         norms = zip(np.sqrt(_rowdot(edge_diff, edge_diff)).tolist(),
                     np.sqrt(_rowdot(ax, ax)).tolist())
-    per_state = zip(norms, phis.reshape(-1).tolist())
-    return [Residuals(*norm, phi) for norm, phi in per_state], theta, mu
+    return [Residuals(*norm, phi) for norm, phi in zip(norms, phis.reshape(-1).tolist())]
 
 
 class RunningAverage:
@@ -766,14 +764,6 @@ class Trace:
                 (state.theta.copy(), state.mu.copy(), state.xi.copy())
             )
 
-    def _record_batch(self, rows: list[tuple], snapshots) -> None:
-        """Record ``rows``, :meth:`record`'s first six arguments each, and
-        with state their ``(theta, mu, xi)`` ``snapshots``, which are kept
-        as given: arrays that nothing else holds or writes."""
-        self.rows += rows
-        if self.with_state:
-            self.state_rows += snapshots
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -856,17 +846,17 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     and ``tau``, picks the steps and compiles the round plan; a rejection
     raises :class:`SetupError` before round 0.
 
-    Round 0, and every round whose step norm is at most ``tol_step``, is
-    evaluated at once, since it may stop the run.  A trace row that is due
-    on any other round (its step norm above ``tol_step`` or NaN) cannot stop
-    the run, so it is queued, and the queue is evaluated in one batched
+    Round 0 is evaluated at once.  Every later round that is due for a
+    trace row, or whose step norm is at most ``tol_step`` so that it may
+    stop the run, joins one queue.  The queue is evaluated in one batched
     dual sweep when it is full (up to 64 rows, fewer on large instances),
-    before the next row that can stop the run, and after the last round.
-    Every row is recorded in round order and keeps the bits it would have
-    alone; a queued row's ``wall_time`` is taken when its round ends.  An
-    error raised while a queued row is evaluated propagates from
-    ``solve``, at most one batch after that row's round, and the rows of
-    its batch are not recorded.
+    when its last row may stop the run, and after the last round, so a
+    round makes at most one sweep.  Every row keeps the bits it would have
+    alone, and is recorded, in round order, if it is due or meets the
+    tolerances; its ``wall_time`` is taken when its round ends.  An error
+    raised while a queued row is evaluated propagates from ``solve``, at
+    most one batch after that row's round, and the rows of its batch are
+    not recorded.
 
     The exact step norm is computed for a due row, and for a round whose
     step a certified bound cannot place above ``tol_step``.  Any other
@@ -882,18 +872,15 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     round computes the exact norm.  Every branch, row and stop is that of
     the exact rule.
 
-    Round 0 and the rows that can stop the run are evaluated by
-    :func:`residuals`, and every round by :func:`iterate`, called through
-    this module's namespace, so that a replacement installed there (a
-    benchmark hook or a tracer) sees those calls, round 0's
-    :func:`residuals` first.  A queued row is recorded from its batch's
-    sweep and calls neither: a batch of several rows takes its norms from
-    one dot product per row of its stacked arrays and, with
-    ``trace_state``, its snapshots are rows of its stacked theta and mu and
-    of one stacked xi, recorded without a copy.  Each evaluated state
-    costs one sweep of primal maximizers: ``solve`` sweeps the state once
-    and hands the maximizers to its row's evaluation, to the next round,
-    and after the last round to the recovery of ``x``.
+    Round 0 is evaluated by :func:`residuals`, and every round run by
+    :func:`iterate`, called through this module's namespace, so that a
+    replacement installed there (a benchmark hook or a tracer) sees those
+    calls, round 0's :func:`residuals` first.  A queued row calls neither:
+    it is evaluated by the queue's sweep and recorded by
+    :meth:`Trace.record`, as round 0 is.  Each evaluated state costs one
+    sweep of primal maximizers: ``solve`` sweeps the state once and hands
+    the maximizers to its row's evaluation, to the next round, and after
+    the last round to the recovery of ``x``.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -927,29 +914,11 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
 
-    # (state, maximizers, step norm, wall time) of the due rows that cannot
-    # stop the run
+    # (state, maximizers, step norm, wall time, due) of the rows after round 0
+    # that are due or can stop the run, in round order
     queue = []
     batch = max(1, min(_BATCH_ROWS, _BATCH_ELEMENTS // (n * max(m, b_dim))))
-
-    def record_queue():
-        if not queue:
-            return
-        evaluated, theta, mu = _evaluate(instance, plan, [row[:2] for row in queue])
-        rows = [(row_state.t, res.dual_value, res.consensus, res.primal, row_step, wall)
-                for (row_state, _, row_step, wall), res in zip(queue, evaluated)]
-        if len(queue) == 1:
-            trace.record(*rows[0], queue[0][0])
-        else:
-            snapshots = ()
-            if trace.with_state:
-                # the batch's stacks are fresh, so their rows serve as snapshots
-                snapshots = zip(theta, mu, np.array([row[0].xi for row in queue]))
-            trace._record_batch(rows, snapshots)
-        queue.clear()
-
     converged = False
-    reason = "max_iter exhausted"
     max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
     # the squared theta step that certifies a step norm above tol_step (see
     # the docstring), in the band where 4 * tol_step**2 is a normal number
@@ -967,25 +936,26 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         step_norm = _step_norm(state, old)
         # the stop rule needs all three tolerances, so a round whose step is
         # not small enough needs its residuals only for a due trace row
-        if not step_norm <= tol_step:  # NaN too
-            if due:
-                found = plan.maximizers(state.theta, state.mu)
-                queue.append((state, found, step_norm, time.perf_counter() - t0))
-                if len(queue) == batch:
-                    record_queue()
+        can_stop = step_norm <= tol_step  # False for NaN
+        if not (due or can_stop):
             continue
-        record_queue()
         found = plan.maximizers(state.theta, state.mu)
-        res = residuals(instance, state, _maximizers=found)
-        done = res.consensus <= config.tol_consensus and res.primal <= config.tol_primal
-        if done or due:
-            trace.record(state.t, res.dual_value, res.consensus, res.primal,
-                         step_norm, time.perf_counter() - t0, state)
-        if done:
-            converged = True
-            reason = "residual tolerances met"
+        queue.append((state, found, step_norm, time.perf_counter() - t0, due))
+        if not (can_stop or len(queue) == batch or state.t == max_iter):
+            continue
+        # only the last row can stop the run: every earlier one is queued
+        # because it is due, with a step norm above tol_step
+        for (row_state, _, row_step, wall, row_due), res in zip(
+            queue, _evaluate(instance, plan, [row[:2] for row in queue])
+        ):
+            converged = (row_step <= tol_step and res.consensus <= config.tol_consensus
+                         and res.primal <= config.tol_primal)
+            if converged or row_due:
+                trace.record(row_state.t, res.dual_value, res.consensus, res.primal,
+                             row_step, wall, row_state)
+        queue.clear()
+        if converged:
             break
-    record_queue()
 
     # the last state stopped the run or is due, so x is its evaluation's
     return SolveResult(
@@ -995,7 +965,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
         x=found[1],
         trace=trace,
         converged=converged,
-        reason=reason,
+        reason="residual tolerances met" if converged else "max_iter exhausted",
         iterations=state.t,
         ergodic_theta=avg.theta,
         ergodic_mu=avg.mu,

@@ -512,7 +512,7 @@ class TestSharedImplementations:
             mu = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 1.0)
             assert bits(psi.support_value(mu)) == bits(f.conjugate_value(mu))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_both_custom_kinds_reject_a_nonpositive_modulus(self, sigma):
         with pytest.raises(ValueError, match="modulus must be positive"):
             CustomSmooth(lambda u: 0.0, lambda u: u, sigma=sigma, dim=1)

@@ -384,15 +384,12 @@ def test_a_batched_sweep_gives_each_state_its_own_residuals(instance, k, seed):
     ``Residuals`` must be, bit for bit, those of ``residuals`` on a fresh
     copy, whether the state comes with its maximizers or is swept in the
     batch, and its consensus the norm of the graph's consensus operator at
-    its theta.  A single agent has no edges and a zero consensus.  The
-    swept theta and mu it returns hold the states' duals in order."""
+    its theta.  A single agent has no edges and a zero consensus."""
     rng = np.random.default_rng(seed)
     states = [signed_duals(rng, instance) for _ in range(k)]
     plan = _round_plan(instance)
     rows = [(s, plan.maximizers(s.theta, s.mu) if i % 2 else None) for i, s in enumerate(states)]
-    got, theta, mu = solver_module._evaluate(instance, plan, rows)
-    assert theta.tobytes() == b"".join(s.theta.tobytes() for s in states)
-    assert mu.tobytes() == b"".join(s.mu.tobytes() for s in states)
+    got = solver_module._evaluate(instance, plan, rows)
     for state, res in zip(states, got):
         want = residuals(instance, state.copy())
         for name in ("dual_value", "consensus", "primal"):

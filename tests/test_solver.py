@@ -139,8 +139,18 @@ class TestLipschitz:
         assert lipschitz_h(a, sigma) == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            lipschitz_h(np.eye(1), 0.0)
+        for sigma in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                lipschitz_h(np.eye(1), sigma)
+
+    def test_max_lipschitz_rejects_a_nonpositive_sigma(self, monkeypatch):
+        instance = build_market()
+        for bad in (0.0, math.nan):
+            sigma = np.ones(instance.n_agents)
+            sigma[2] = bad
+            monkeypatch.setattr(instance.stacked, "sigma", lambda: sigma)
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                max_lipschitz(instance)
 
 
 class TestStepSizes:
@@ -152,8 +162,9 @@ class TestStepSizes:
             validate_step_sizes(2.0, 4.0, 0.2, 1.0)
 
     def test_zero_h_is_precondition_error(self):
-        with pytest.raises(ValueError, match="positive"):
-            validate_step_sizes(0.0, 4.0, 0.1, 1.0)
+        for h in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                validate_step_sizes(h, 4.0, 0.1, 1.0)
 
     def test_suggestion_formula(self):
         assert suggest_step_sizes(2.0, 4.0, 1.0).c == pytest.approx(1.0 / 6.0)
@@ -662,17 +673,18 @@ class TestLazyResiduals:
     def test_market_evaluates_residuals_in_few_rounds(self, monkeypatch):
         import dualprox.solver as solver_module
 
-        calls = []
-        original = solver_module.residuals
+        evaluated = []
+        original = solver_module._evaluate
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(instance, plan, rows):
+            evaluated.extend(state.t for state, _ in rows)
+            return original(instance, plan, rows)
 
-        monkeypatch.setattr(solver_module, "residuals", counted)
+        monkeypatch.setattr(solver_module, "_evaluate", counted)
         result = solve(build_market(), SolverConfig())
         assert result.converged
-        assert 1 <= len(calls) < 0.05 * result.iterations
+        assert evaluated[0] == 0 and evaluated == sorted(set(evaluated))
+        assert len(evaluated) < 0.05 * result.iterations
 
     def test_plan_is_built_before_round_0(self, monkeypatch):
         # compiling the plan is set-up: round 0's residuals must find it built
@@ -812,18 +824,17 @@ class TestStepNormBound:
         rounds = result.iterations
         assert result.converged and rounds == 2461
 
-        due, undecided, small = set(), set(), set()
+        due, undecided = set(), set()
         for old, new in pairs:
             d = (new.theta - old.theta).ravel()
             if new.t % config.trace_every == 0 or new.t == rounds:
                 due.add(new.t)
             elif not d.dot(d) > 4.0 * config.tol_step**2:
                 undecided.add(new.t)
-            if step_norm(new, old) <= config.tol_step:
-                small.add(new.t)
         assert exact_rounds == sorted(due | undecided)
         assert 0 < len(undecided) < 0.05 * rounds
-        assert residual_calls == [0, *sorted(small)]
+        # every row after round 0 is evaluated through the queue
+        assert residual_calls == [0]
         assert outputs(result) == outputs(reference_solve(instance, config))
 
     @pytest.mark.parametrize("tol_step", [0.0, 1e-200, math.inf])
@@ -996,13 +1007,11 @@ class TestOneSweepPerEvaluatedState:
         group, whatever the trace cadence and however the run ends: an
         evaluated state hands its sweep to its next round, or after the
         last round to the recovery of x.  ``solve`` must call ``iterate``
-        every round, and ``residuals`` for round 0 and each row that can
-        stop the run, through the module, where the benchmark's hooks
-        replace them."""
+        every round, and ``residuals`` for round 0 only, through the
+        module, where the benchmark's hooks replace them."""
         import dualprox.solver as solver_module
 
         counts = dict.fromkeys(("conjugate_gradient", "residuals", "iterate"), 0)
-        step_norms = []
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -1015,14 +1024,7 @@ class TestOneSweepPerEvaluatedState:
             Quadratic, "conjugate_gradient",
             counting("conjugate_gradient", Quadratic.conjugate_gradient),
         )
-        round_ = counting("iterate", solver_module.iterate)
-
-        def stepped(instance, state, *args, **kwargs):
-            new = round_(instance, state, *args, **kwargs)
-            step_norms.append(solver_module._step_norm(new, state))
-            return new
-
-        monkeypatch.setattr(solver_module, "iterate", stepped)
+        monkeypatch.setattr(solver_module, "iterate", counting("iterate", solver_module.iterate))
         monkeypatch.setattr(
             solver_module, "residuals", counting("residuals", solver_module.residuals)
         )
@@ -1037,16 +1039,39 @@ class TestOneSweepPerEvaluatedState:
         else:
             assert result.converged and rounds > 1000
         assert len(instance.stacked.f_groups) == 1
-        assert counts["iterate"] == len(step_norms) == rounds
+        assert counts["iterate"] == rounds
         assert len(result.trace) == 1 + rounds // every + (rounds % every != 0)
-        small_steps = np.array(step_norms) <= config.tol_step
-        assert counts["residuals"] == 1 + np.count_nonzero(small_steps) < rounds
+        assert counts["residuals"] == 1
         assert counts["conjugate_gradient"] == rounds + 1
+
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    def test_market_sweeps_at_most_once_a_round(self, monkeypatch, every):
+        """A round's due row and its stop test share one dual sweep: after
+        round 0, ``_dual_sweep`` runs at most once per round, also in the
+        rounds whose row can stop the run while earlier rows are queued."""
+        import dualprox.solver as solver_module
+
+        rounds, sweeps = [], []
+        round_, sweep = solver_module.iterate, solver_module._dual_sweep
+
+        def counted_round(*args, **kwargs):
+            rounds.append(1)
+            return round_(*args, **kwargs)
+
+        def counted_sweep(*args, **kwargs):
+            sweeps.append(len(rounds))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "iterate", counted_round)
+        monkeypatch.setattr(solver_module, "_dual_sweep", counted_sweep)
+        result = solve(build_market(), SolverConfig(trace_every=every))
+        assert result.converged and len(rounds) == result.iterations
+        assert sweeps[0] == 0 and len(sweeps) == len(set(sweeps))
 
     def test_residuals_of_a_fresh_state_match_the_trace(self):
         """The consensus residual of a state that ``iterate`` did not make
-        equals the trace's last row, which came from round 0, queued rows
-        or rows that can stop the run; at zero duals it is zero."""
+        equals the trace's last row, which came from the queue's batched
+        sweep; at zero duals it is zero."""
         instance = build_market()
         result = solve(instance, SolverConfig(trace_every=1))
         assert result.converged
@@ -1100,8 +1125,8 @@ class TestQueuedRows:
     def test_queued_rows_come_in_round_order_with_their_own_residuals(self, monkeypatch):
         """Queued rows are recorded from their batch's sweep, in round order,
         each with the residuals of its own state, also when the queue is
-        evaluated in batches of three.  Hooks on ``residuals`` see round 0,
-        the only row here that can stop the run."""
+        evaluated in batches of three.  Hooks on ``residuals`` see round 0
+        only."""
         import dualprox.solver as solver_module
 
         seen = []
