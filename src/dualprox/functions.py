@@ -344,13 +344,13 @@ class NonsmoothFunction:
 
     def prox(self, alpha: float, v: Array) -> Array:
         """argmin_u psi(u) + ||u - v||^2 / (2 alpha)."""
-        if alpha <= 0:
+        if not alpha > 0:  # NaN too
             raise ValueError(f"prox step must be positive, got {alpha}")
         return self._prox(alpha, np.asarray(v, dtype=float))
 
     def conjugate_prox(self, alpha: float, v: Array) -> Array:
         """Prox of the Fenchel conjugate."""
-        if alpha <= 0:
+        if not alpha > 0:  # NaN too
             raise ValueError(f"prox step must be positive, got {alpha}")
         return self._conjugate_prox(alpha, np.asarray(v, dtype=float))
 

@@ -83,7 +83,7 @@ class AgentProblem:
             raise ValueError(
                 f"box bounds have shape {g.lo.shape}, expected 1 or {f.dim} entries"
             )
-        if kappa < 0:
+        if not kappa >= 0:  # NaN too
             raise ValueError(f"kappa must be nonnegative, got {kappa}")
         self.kappa = float(kappa)
 
@@ -204,31 +204,16 @@ def _each(groups: list, method: str, points: np.ndarray, shape: tuple, *args):
     return out
 
 
-def _offset(b) -> np.ndarray:
-    """The constraint offset as a float vector; an empty or non-finite one is
-    rejected."""
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.size == 0:
-        raise ValueError(
-            "coupling constraint is empty (no multiplier to agree on); "
-            "solve the agents independently instead"
-        )
-    if not np.isfinite(b).all():
-        raise ValueError(f"constraint offset b must be finite, got {b.tolist()}")
-    return b
-
-
 class ProblemInstance:
     """N coupled agents, the constraint offset b, and the network graph.
 
     Besides its agents, an instance has a stacked view of them,
     :attr:`stacked`, which is all that :func:`validate`, the step-size
     constants and the solver's round plan read.  An instance built from
-    agents makes that view on first use.  :func:`build_market` instead
-    builds an instance from the view, with the checks of
-    :class:`AgentProblem` and of this constructor run once on its arrays,
-    and its ``agents`` are then made on first access from the rows of the
-    stacked functions, bit for bit the agents it would otherwise take.
+    agents makes that view on first use.  :func:`build_market` sets the
+    view itself, from checked parameter rows, and the ``agents`` are then
+    made on first access from the rows of the stacked functions, bit for
+    bit the agents it would otherwise take.
 
     An instance, with its agents, their functions and its graph, is treated
     as immutable once constructed: the views and the solver's plan are kept
@@ -239,7 +224,14 @@ class ProblemInstance:
         self.agents = list(agents)
         if not self.agents:
             raise ValueError("instance needs at least one agent")
-        self.b = _offset(b)
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        if self.b.size == 0:
+            raise ValueError(
+                "coupling constraint is empty (no multiplier to agree on); "
+                "solve the agents independently instead"
+            )
+        if not np.isfinite(self.b).all():
+            raise ValueError(f"constraint offset b must be finite, got {self.b.tolist()}")
         self.graph = graph
         m = self.agents[0].m
         b_dim = self.b.shape[0]
@@ -255,40 +247,6 @@ class ProblemInstance:
                 f"graph has {graph.n_vertices} vertices for {len(self.agents)} agents"
             )
         self.n_agents, self.m = len(self.agents), m
-
-    @classmethod
-    def _from_stacked(
-        cls, f: Quadratic, g: Box, a: np.ndarray, kappa: np.ndarray, b, graph: Graph
-    ) -> "ProblemInstance":
-        """The instance whose agent i is ``AgentProblem(f_i, g_i, a[i],
-        kappa[i])``, with ``f_i`` and ``g_i`` the rows of the stacked ``f``
-        and ``g``.  Raises the errors the per-agent constructors would."""
-        a = np.asarray(a, dtype=float)
-        kappa = np.asarray(kappa, dtype=float)
-        n, b_dim, m = a.shape
-        if m != f.dim:
-            raise ValueError(f"coupling block has {m} columns but f lives on R^{f.dim}")
-        if not np.isfinite(a).all():
-            raise ValueError("coupling blocks must be finite")
-        if g.lo.shape[1] not in (1, f.dim):
-            raise ValueError(
-                f"box bounds have shape {g.lo.shape[1:]}, expected 1 or {f.dim} entries"
-            )
-        negative = kappa < 0
-        if negative.any():
-            raise ValueError(f"kappa must be nonnegative, got {kappa[np.argmax(negative)]}")
-        self = cls.__new__(cls)
-        self.b = _offset(b)
-        if b_dim != self.b.shape[0]:
-            raise ValueError(
-                f"agent 1 coupling block has {b_dim} rows, expected {self.b.shape[0]}"
-            )
-        if graph.n_vertices != n:
-            raise ValueError(f"graph has {graph.n_vertices} vertices for {n} agents")
-        self.graph = graph
-        self.n_agents, self.m = n, m
-        self.stacked = StackedAgents(a, kappa, [(slice(None), f)], [(slice(None), g)])
-        return self
 
     @cached_property
     def agents(self) -> list[AgentProblem]:
@@ -574,8 +532,9 @@ def build_market(
 
     The costs are checked as one stacked :class:`Quadratic` and the caps as
     one stacked :class:`Box`, with the same checks and errors as one agent
-    at a time, and the instance is built from them, the coupling blocks and
-    the shares as its stacked view: no per-agent object is made until
+    at a time.  They, the coupling blocks and the shares, made here from
+    checked rows, become the instance's stacked view, and only the
+    topology's vertex count is checked: no per-agent object is made until
     ``agents`` is read.  Agent i's ``f`` and ``g`` are then the stacks'
     rows, equal bit for bit to ``Quadratic(delta, varsigma, beta)`` (or
     ``Quadratic(pi, -chi, 0.0)``) and ``Box(0.0, x_max)``.
@@ -597,8 +556,13 @@ def build_market(
     a[:n_uc], a[n_uc:] = 1.0, -1.0
     costs = Quadratic(p.reshape(n, 1, 1), q.reshape(n, 1), r)
     caps = Box(np.zeros((n, 1)), x_max.reshape(n, 1))
-    kappa = np.full(n, 1.0 / n)
-    return ProblemInstance._from_stacked(costs, caps, a.reshape(n, 1, 1), kappa, [0.0], topology)
+    if topology.n_vertices != n:
+        raise ValueError(f"graph has {topology.n_vertices} vertices for {n} agents")
+    instance = ProblemInstance.__new__(ProblemInstance)
+    instance.b, instance.graph, instance.n_agents, instance.m = np.zeros(1), topology, n, 1
+    instance.stacked = StackedAgents(a.reshape(n, 1, 1), np.full(n, 1.0 / n),
+                                     [(slice(None), costs)], [(slice(None), caps)])
+    return instance
 
 
 # --- instance files -------------------------------------------------------

@@ -44,6 +44,7 @@ bit-identical to each row's own sweep, and records each row by
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -115,17 +116,16 @@ def lipschitz_h(a_block, sigma: float) -> float:
     if not sigma > 0:  # NaN too
         raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
     a = np.atleast_2d(np.asarray(a_block, dtype=float))
-    spec = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    spec = float(_spectral_norms(a[None])[0]) if a.size else 0.0
     return (spec * spec + 1.0) / sigma
 
 
 def max_lipschitz(instance: ProblemInstance) -> float:
     """Network-wide constant h, the max over agents of :func:`lipschitz_h`.
 
-    It reads the instance's stacked view.  One batched spectral norm of the
-    stacked coupling blocks makes the same LAPACK call per block as
-    :func:`lipschitz_h`, and most 1x1 blocks take ``|a|``, which that call
-    returns, so ``h`` is bit-identical to the per-agent maximum.
+    It reads the instance's stacked view.  It and :func:`lipschitz_h` take
+    their norms from :func:`_spectral_norms`, so ``h`` is bit-identical to
+    the per-agent maximum.
     """
     stacked = instance.stacked
     sigma = stacked.sigma()
@@ -135,25 +135,12 @@ def max_lipschitz(instance: ProblemInstance) -> float:
     return float(np.max((spec * spec + 1.0) / sigma))
 
 
-# LAPACK's SVD rescales a matrix whose largest entry lies outside
-# [_SVD_UNSCALED, 1 / _SVD_UNSCALED] (sqrt(tiny) / eps and its inverse),
-# which can move the last bit of a singular value.
-_SVD_UNSCALED = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
-
-
 def _spectral_norms(a: Array) -> Array:
-    """Entry i is ``np.linalg.norm(a[i], 2)``, bit for bit.
-
-    The SVD of an unscaled 1x1 block returns ``|a|`` exactly, so 1x1 blocks
-    take ``np.abs`` and only the rest (zero excepted) go through LAPACK.
-    """
-    if a.shape[1:] != (1, 1):
-        return np.linalg.norm(a, 2, axis=(1, 2))
-    spec = np.abs(a[:, 0, 0])
-    rescaled = ~((spec >= _SVD_UNSCALED) & (spec <= 1.0 / _SVD_UNSCALED)) & (spec != 0.0)
-    if rescaled.any():
-        spec[rescaled] = np.linalg.norm(a[rescaled], 2, axis=(1, 2))
-    return spec
+    """Entry i is the spectral norm of ``a[i]``: ``|a|`` exactly for 1x1
+    blocks, and one batched LAPACK SVD for the rest."""
+    if a.shape[1:] == (1, 1):
+        return np.abs(a[:, 0, 0])
+    return np.linalg.norm(a, 2, axis=(1, 2))
 
 
 # Relative slack of the step rule: 1/c of the suggested c = 1/required is
@@ -162,8 +149,17 @@ _STEP_RULE_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
 def _short_of(c: float, required: float) -> bool:
-    """1/c is below ``required`` by more than the step rule's slack."""
-    return 1.0 / c < required - max(1e-12, _STEP_RULE_SLACK * required)
+    """1/c is below ``required`` by more than the step rule's slack; always for inf."""
+    return not 1.0 / c >= required - max(1e-12, _STEP_RULE_SLACK * required)
+
+
+def _check_step_inputs(**inputs: float) -> None:
+    """Raise :class:`StepSizeError` unless every input is finite and positive,
+    or zero for ``tau_bar``; NaN is rejected too."""
+    if not all(0 <= x < math.inf and (x > 0 or k == "tau_bar") for k, x in inputs.items()):
+        got = ", ".join(f"{k}={x}" for k, x in inputs.items())
+        raise StepSizeError("step-size inputs must be finite and positive (tau_bar may be "
+                            f"zero for an edgeless network), got {got}")
 
 
 def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> None:
@@ -177,11 +173,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
     """
     if not h > 0:  # NaN too
         raise ValueError(f"h must be positive (sigma finite implies h > 0), got {h}")
-    if not (0 <= tau_bar < math.inf and 0 < c < math.inf and 0 < gamma < math.inf):
-        raise StepSizeError(
-            f"step-size inputs must be finite and positive (tau_bar may be zero for "
-            f"an edgeless network), got tau_bar={tau_bar}, c={c}, gamma={gamma}"
-        )
+    _check_step_inputs(tau_bar=tau_bar, c=c, gamma=gamma)
     required = h + gamma * tau_bar
     if _short_of(c, required):
         raise StepSizeError(
@@ -191,11 +183,7 @@ def validate_step_sizes(h: float, tau_bar: float, c: float, gamma: float) -> Non
 
 def suggest_step_sizes(h: float, tau_bar: float, gamma: float = 1.0) -> StepSizes:
     """Step sizes exactly at the acceptance boundary: c = 1/(h + gamma*tau)."""
-    if not (0 < h < math.inf and 0 <= tau_bar < math.inf and 0 < gamma < math.inf):
-        raise StepSizeError(
-            f"step-size inputs must be finite and positive (tau_bar may be zero for "
-            f"an edgeless network), got h={h}, tau_bar={tau_bar}, gamma={gamma}"
-        )
+    _check_step_inputs(h=h, tau_bar=tau_bar, gamma=gamma)
     return StepSizes(c=1.0 / (h + gamma * tau_bar), gamma=gamma)
 
 
@@ -648,10 +636,11 @@ def gap_bound_constant(
     saddle duals with scaled squared norms of the saddle and initial edge
     multipliers.  Requires the weighting matrix to be positive
     semidefinite, which holds whenever the step-size rule does; steps that
-    violate it by more than :func:`validate_step_sizes`' slack raise
-    :class:`StepSizeError`.
+    are not finite and positive, or violate it by more than
+    :func:`validate_step_sizes`' slack, raise :class:`StepSizeError`.
     """
     tau = laplacian_spectral_radius(graph).value
+    _check_step_inputs(tau_bar=tau, c=c, gamma=gamma)
     if _short_of(c, gamma * tau):
         raise StepSizeError(
             f"1/c = {1.0 / c:.6g} < gamma*tau = {gamma * tau:.6g}: "
@@ -886,10 +875,15 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     report = validate(instance)
     if not report.ok:
         raise SetupError(f"instance failed validation:\n{report}")
-    if config.trace_every < 1:
-        raise SetupError(f"trace_every must be at least 1, got {config.trace_every}")
-    if config.max_iter < 0:
-        raise SetupError(f"max_iter must be at least 0, got {config.max_iter}")
+    try:  # NumPy integers pass, floats and NaN do not
+        max_iter, trace_every = map(operator.index, (config.max_iter, config.trace_every))
+    except TypeError:
+        raise SetupError(f"max_iter and trace_every must be integers, got "
+                         f"{config.max_iter!r} and {config.trace_every!r}") from None
+    if trace_every < 1:
+        raise SetupError(f"trace_every must be at least 1, got {trace_every}")
+    if max_iter < 0:
+        raise SetupError(f"max_iter must be at least 0, got {max_iter}")
     for name in ("tol_consensus", "tol_primal", "tol_step"):
         tol = getattr(config, name)
         if not tol >= 0:  # false for NaN too; inf turns the criterion off
@@ -897,9 +891,9 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
     h = max_lipschitz(instance)
     tau = laplacian_spectral_radius(instance.graph).value
-    c = suggest_step_sizes(h, tau, config.gamma).c if config.c is None else config.c
-    validate_step_sizes(h, tau, c, config.gamma)
-    steps = StepSizes(c, config.gamma)
+    steps = (suggest_step_sizes(h, tau, config.gamma) if config.c is None
+             else StepSizes(config.c, config.gamma))
+    validate_step_sizes(h, tau, steps.c, steps.gamma)
 
     state = init_state(instance)
     trace = Trace(with_state=config.trace_state)
@@ -919,7 +913,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     queue = []
     batch = max(1, min(_BATCH_ROWS, _BATCH_ELEMENTS // (n * max(m, b_dim))))
     converged = False
-    max_iter, trace_every, tol_step = config.max_iter, config.trace_every, config.tol_step
+    tol_step = config.tol_step
     # the squared theta step that certifies a step norm above tol_step (see
     # the docstring), in the band where 4 * tol_step**2 is a normal number
     # far above any underflowed square

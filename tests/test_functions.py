@@ -128,8 +128,10 @@ class TestProx:
             assert np.array_equal(Zero().prox(alpha, v), v)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            L1(1.0).prox(0.0, np.array([1.0]))
+        for method in (L1(1.0).prox, L1(1.0).conjugate_prox):
+            for alpha in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="prox step must be positive"):
+                    method(alpha, np.array([1.0]))
 
     @pytest.mark.parametrize("psi", catalog(), ids=lambda p: repr(p))
     def test_firmly_nonexpansive(self, psi):

@@ -235,11 +235,11 @@ class TestValidate:
             solve(instance, SolverConfig(max_iter=3))
 
     def test_non_finite_row_of_a_stacked_smooth_part_fails(self):
-        f = Quadratic(np.ones((3, 1, 1)), [[0.0], [np.nan], [1.0]], [0.0, 0.0, np.inf])
-        g = Box(np.zeros((3, 1)), np.ones((3, 1)))
-        a = np.array([1.0, 1.0, -1.0]).reshape(3, 1, 1)
-        instance = ProblemInstance._from_stacked(f, g, a, np.full(3, 1 / 3), [0.5],
-                                                 Graph(3, [(1, 2), (2, 3)]))
+        # the three quadratics form one stacked group in the instance's view
+        agents = [AgentProblem(Quadratic(1.0, q, r), Box(0.0, 1.0), [[a]], 1 / 3)
+                  for q, r, a in [(0.0, 0.0, 1.0), (np.nan, 0.0, 1.0), (1.0, np.inf, -1.0)]]
+        instance = ProblemInstance(agents, [0.5], Graph(3, [(1, 2), (2, 3)]))
+        assert len(instance.stacked.f_groups) == 1
         (failure,) = validate(instance).failures()
         assert failure.detail == "agents [2, 3] have a non-finite P, q or r"
 
@@ -290,13 +290,11 @@ class TestInstanceConstruction:
         agent = AgentProblem(Quadratic(1.0), Zero(), [[1.0]], 1.0)
         with pytest.raises(ValueError, match="offset b must be finite"):
             ProblemInstance([agent], [value], Graph(1, []))
-        f, g = Quadratic(np.ones((2, 1, 1))), Box(np.zeros((2, 1)), np.ones((2, 1)))
-        a, kappa = np.array([1.0, value]).reshape(2, 1, 1), np.full(2, 0.5)
-        with pytest.raises(ValueError, match="coupling blocks must be finite"):
-            ProblemInstance._from_stacked(f, g, a, kappa, [0.0], Graph(2, [(1, 2)]))
-        with pytest.raises(ValueError, match="offset b must be finite"):
-            ProblemInstance._from_stacked(f, g, np.ones((2, 1, 1)), kappa, [value],
-                                          Graph(2, [(1, 2)]))
+
+    @pytest.mark.parametrize("kappa", [-1.0, np.nan])
+    def test_rejects_a_negative_or_nan_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be nonnegative"):
+            AgentProblem(Quadratic(1.0), Zero(), 1.0, kappa)
 
 
 class TestBuildMarket:
@@ -336,6 +334,8 @@ class TestBuildMarket:
             build_market(params)
         instance = build_market(params, Graph(2, [(1, 2)]))
         assert instance.n_agents == 2
+        with pytest.raises(ValueError, match="graph has 3 vertices for 2 agents"):
+            build_market(params, Graph(3, [(1, 2), (2, 3)]))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -63,7 +63,6 @@ from dualprox.problems import (
     validate,
 )
 from dualprox.solver import (
-    _SVD_UNSCALED,
     SolverConfig,
     SolverState,
     _round_plan,
@@ -625,17 +624,22 @@ def test_h_is_the_max_of_the_per_agent_constants(instance):
     assert bits(solve(instance, SolverConfig(max_iter=0)).h) == bits(want)
 
 
-def test_1x1_spectral_norms_match_the_batched_svd_bitwise():
-    """1x1 blocks skip the SVD where LAPACK would not rescale them: over
-    320 decades, at the rescaling thresholds, at zeros of either sign and
-    at subnormals, every norm must equal the batched SVD's."""
+def test_1x1_spectral_norms_are_the_exact_absolute_value():
+    """A 1x1 block's spectral norm is ``|a|`` exactly, in the batched
+    :func:`_spectral_norms` and in :func:`lipschitz_h` alike: over 320
+    decades, at LAPACK's rescaling thresholds (sqrt(tiny) / eps and its
+    inverse), at zeros of either sign and at subnormals."""
     rng = np.random.default_rng(11)
     values = rng.choice([-1.0, 1.0], size=200_000) * 10.0 ** rng.uniform(-160, 160, 200_000)
-    edges = [_SVD_UNSCALED, 1.0 / _SVD_UNSCALED]
+    threshold = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+    edges = [threshold, 1.0 / threshold]
     edges += [np.nextafter(edges[0], 0.0), np.nextafter(edges[1], np.inf)]
     special = [0.0, -0.0, 5e-324, -1e-310, 1.7e308, -1.7e308, *edges, *(-e for e in edges)]
-    a = np.concatenate([values, special]).reshape(-1, 1, 1)
-    assert bits(_spectral_norms(a)) == bits(np.linalg.norm(a, 2, axis=(1, 2)))
+    a = np.concatenate([values, special])
+    assert bits(_spectral_norms(a.reshape(-1, 1, 1))) == bits(np.abs(a))
+    # (|a|^2 + 1) / 1.0 with a Python float |a|; NumPy would warn on overflow
+    want = [abs(x) * abs(x) + 1.0 for x in a.tolist()]
+    assert bits(np.array([lipschitz_h([[x]], 1.0) for x in a.tolist()])) == bits(np.array(want))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

@@ -161,6 +161,12 @@ class TestStepSizes:
         with pytest.raises(StepSizeError):
             validate_step_sizes(2.0, 4.0, 0.2, 1.0)
 
+    def test_an_infinite_requirement_rejects_every_step(self):
+        # an infinite h, or a gamma * tau that overflows, leaves no step
+        for h, gamma in [(math.inf, 1.0), (2.0, 1e308)]:
+            with pytest.raises(StepSizeError, match="below the required"):
+                validate_step_sizes(h, 4.0, 1e-3, gamma)
+
     def test_zero_h_is_precondition_error(self):
         for h in (0.0, math.nan):
             with pytest.raises(ValueError, match="positive"):
@@ -471,11 +477,13 @@ class TestGapBound:
         oracle = centralized_oracle(instance)
         theta, mu, xi = saddle_point(instance, oracle)
         state = init_state(instance)
-        with pytest.raises(StepSizeError):
-            ergodic_gap_bound(
-                instance.graph, 1.0, 10.0,
-                state.theta, state.mu, state.xi, theta, mu, xi, T=10,
-            )
+        # a step short of the rule, a NaN c and a NaN gamma
+        for c, gamma in [(1.0, 10.0), (math.nan, 1.0), (1e-3, math.nan)]:
+            with pytest.raises(StepSizeError):
+                ergodic_gap_bound(
+                    instance.graph, c, gamma,
+                    state.theta, state.mu, state.xi, theta, mu, xi, T=10,
+                )
 
     def test_every_accepted_suggestion_has_a_bound(self):
         # the suggested 1/c can round an ulp below gamma*tau, inside the
@@ -589,6 +597,10 @@ class TestSolve:
             (SolverConfig(gamma=math.inf), StepSizeError),
             (SolverConfig(c=1e-4, gamma=math.nan), StepSizeError),
             (SolverConfig(max_iter=-1), SetupError),
+            (SolverConfig(max_iter=2.5), SetupError),
+            (SolverConfig(max_iter=math.nan), SetupError),
+            (SolverConfig(trace_every=2.5), SetupError),
+            (SolverConfig(trace_every=math.nan), SetupError),
             (SolverConfig(tol_consensus=math.nan), SetupError),
             (SolverConfig(tol_consensus=-1.0), SetupError),
             (SolverConfig(tol_primal=math.nan), SetupError),
@@ -598,6 +610,7 @@ class TestSolve:
             (SolverConfig(tol_step=-math.inf), SetupError),
         ],
         ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "c-and-gamma-nan", "max-iter",
+             "max-iter-fraction", "max-iter-nan", "trace-every-fraction", "trace-every-nan",
              "tol-consensus-nan", "tol-consensus-negative", "tol-primal-nan",
              "tol-primal-negative", "tol-step-nan", "tol-step-negative", "tol-step-minus-inf"],
     )
