@@ -34,11 +34,12 @@ and to its round, and computes a round's exact step norm only where a
 certified bound cannot settle its stop test.  The graph's consensus
 operator, :meth:`~dualprox.topology.Graph.edge_diff`, serves ``xi_bar``,
 the xi update, the consensus residual and the weighted distance behind
-:func:`lyapunov_value` and :func:`gap_bound_constant`.  The dual sweep
-also takes a leading axis of states: :func:`solve` queues every row after
-round 0 that is due or can stop its run, evaluates the queue in one sweep,
-bit-identical to each row's own sweep, and records each row by
-:meth:`Trace.record`.
+:func:`lyapunov_value` and :func:`gap_bound_constant`; in :func:`solve`
+each round hands its ``gamma * M theta`` to the next, so a round takes
+one edge difference.  The dual sweep also takes a leading axis of states:
+:func:`solve` queues every row after round 0 that is due or can stop its
+run, evaluates the queue in one sweep, bit-identical to each row's own
+sweep, and records each row by :meth:`Trace.record`.
 """
 
 from __future__ import annotations
@@ -132,7 +133,10 @@ def max_lipschitz(instance: ProblemInstance) -> float:
     if not np.all(sigma > 0):  # NaN too
         raise ValueError(f"strong convexity modulus must be positive, got {sigma.min()}")
     spec = _spectral_norms(stacked.a)
-    return float(np.max((spec * spec + 1.0) / sigma))
+    # a tiny modulus or a huge block makes h inf, as in lipschitz_h, and the
+    # step check rejects it
+    with np.errstate(over="ignore"):
+        return float(np.max((spec * spec + 1.0) / sigma))
 
 
 def _spectral_norms(a: Array) -> Array:
@@ -431,6 +435,7 @@ def iterate(
     steps: StepSizes,
     *,
     _maximizers=None,
+    _edge_term=None,
 ) -> SolverState:
     """One synchronous round: all dual pairs, then all edge multipliers.
 
@@ -439,34 +444,42 @@ def iterate(
     kernel over the instance's compiled plan, bit-identical to calling
     :func:`lambda_update` per agent and :func:`xi_update` per edge, for
     every value but the sign of a NaN.  Its formulas are exact rewrites of
-    those updates that make fewer NumPy calls: ``xi_bar`` is gathered per
-    edge end times a sign of +-1.0, and the new xi is summed in place into
-    the edge differences of the new theta.  It returns a new state.
+    those updates that make fewer NumPy calls: ``xi_bar = gamma * M theta
+    + xi`` is gathered per edge end times a sign of +-1.0, and the new xi
+    is ``gamma * M theta_new + xi``.  The term ``gamma * M theta_new`` is
+    also the next round's ``gamma * M theta``, so a round that is handed it
+    takes one edge difference instead of two.  It returns a new state.
     """
     plan = _round_plan(instance)
     c, gamma = steps.c, steps.gamma
     theta, mu, xi = state.theta, state.mu, state.xi
 
-    # solve hands over the maximizers of a state it has already swept
+    # solve hands over the maximizers of a state it has already swept, and,
+    # in a one-slot list, the gamma * M theta that the round before computed;
+    # this round puts its own in the list's slot
     _, x_hat = _maximizers or plan.maximizers(theta, mu)
+    if _edge_term:
+        xi_bar = _edge_term.pop()
+    else:
+        xi_bar = plan.edge_diff(theta)
+        xi_bar *= gamma
     # lambda_update's pressure: np.add.at is unbuffered and adds the entries
     # of a repeated target one by one in index order, so every agent's sum
     # runs over its own ends in lambda_update's order.  Subtracting x is
     # adding -x by the definition of IEEE subtraction, and -x is x times
     # -1.0; likewise kappa*b - A x_hat is -(A x_hat) + kappa*b, and
     # mu + c*x_hat is mu - c*(-x_hat), for every value but a NaN's sign.
-    xi_bar = plan.edge_diff(theta)
-    xi_bar *= gamma
     xi_bar += xi
     pressure = plan.kappa_b - plan.coupling_terms(x_hat)
     flat = pressure.reshape(-1)  # a view: pressure is a fresh C-ordered array
     np.add.at(flat, plan.end_target, xi_bar.reshape(-1).take(plan.xi_source) * plan.xi_sign)
     theta_new = theta - c * pressure
     mu_new = plan.stacked.conjugate_prox(c, mu + c * x_hat)
-    xi_new = plan.edge_diff(theta_new)
-    xi_new *= gamma
-    xi_new += xi
-    return SolverState(theta_new, mu_new, xi_new, state.t + 1)
+    edge_term = plan.edge_diff(theta_new)
+    edge_term *= gamma
+    if _edge_term is not None:
+        _edge_term.append(edge_term)
+    return SolverState(theta_new, mu_new, edge_term + xi, state.t + 1)
 
 
 # --- recovery, objective, diagnostics --------------------------------------
@@ -869,7 +882,9 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     :meth:`Trace.record`, as round 0 is.  Each evaluated state costs one
     sweep of primal maximizers: ``solve`` sweeps the state once and hands
     the maximizers to its row's evaluation, to the next round, and after
-    the last round to the recovery of ``x``.
+    the last round to the recovery of ``x``.  Each round also hands the
+    next its ``gamma * M theta``, the edge term of its new xi, so that a
+    run of R rounds takes R + 1 edge differences, not 2R, in its rounds.
     """
     config = config or SolverConfig()
     report = validate(instance)
@@ -902,8 +917,10 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     plan = _round_plan(instance)
     t0 = time.perf_counter()
 
-    # the maximizers of the last evaluated state, for its next round
+    # the maximizers of the last evaluated state, for its next round, and
+    # the gamma * M theta of the last state, which each round refills
     found = plan.maximizers(state.theta, state.mu)
+    edge_term = []
     res = residuals(instance, state, _maximizers=found)
     trace.record(0, res.dual_value, res.consensus, res.primal, math.nan,
                  time.perf_counter() - t0, state)
@@ -919,7 +936,8 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     # far above any underflowed square
     floor = 4.0 * tol_step * tol_step if 1e-100 <= tol_step <= 1e100 else None
     while state.t < max_iter:
-        old, state = state, iterate(instance, state, steps, _maximizers=found)
+        old, state = state, iterate(instance, state, steps, _maximizers=found,
+                                    _edge_term=edge_term)
         found = None
         avg.update(state.theta, state.mu)
         due = state.t % trace_every == 0 or state.t == max_iter

@@ -118,7 +118,8 @@ class Graph:
     are ``nbr[nbr_start[i - 1]:nbr_start[i]]``, the larger (owned) ones from
     ``nbr_split[i - 1]`` on, and ``nbr_edge`` holds the canonical index of
     the edge to each.  The Python pairs ``edges`` and a vertex's
-    :class:`NeighborSets` are built on first use.
+    :class:`NeighborSets` are built on first use.  :meth:`edge_diff` alone
+    reads private, writeable copies of ``edge_owner`` and ``edge_peer``.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
@@ -138,6 +139,9 @@ class Graph:
         for a in (pairs, self.edge_owner, self.edge_peer, self.degrees, self.nbr_start,
                   self.nbr_split, self.nbr, self.nbr_edge):
             a.setflags(write=False)
+        # edge_diff's own rows: ndarray.take copies an index that is not
+        # C-contiguous and writeable, as the public rows are not
+        self._owner, self._peer = self.edge_owner.copy(), self.edge_peer.copy()
 
     @property
     def n_edges(self) -> int:
@@ -151,8 +155,12 @@ class Graph:
     def edge_diff(self, theta: np.ndarray) -> np.ndarray:
         """The consensus operator M: rows ``theta[..., owner_e, :] -
         theta[..., peer_e, :]``, one per canonical edge, over any leading
-        axes of states."""
-        return theta.take(self.edge_owner, axis=-2) - theta.take(self.edge_peer, axis=-2)
+        axes of states.
+
+        It takes from private, contiguous copies of ``edge_owner`` and
+        ``edge_peer``, which ``take`` uses without copying them again.
+        """
+        return theta.take(self._owner, axis=-2) - theta.take(self._peer, axis=-2)
 
     def _row(self, i: int) -> tuple[int, int, int]:
         """Vertex i's ``nbr_start``, ``nbr_split`` and end in ``nbr``."""

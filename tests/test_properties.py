@@ -10,11 +10,13 @@ must reproduce ``iterate`` bit for bit, and ``residuals`` and
 ``eval_dual_objective`` must reproduce the per-agent dual sweep bit for
 bit, and ``solve`` must recover the same x as the per-agent
 ``primal_recovery``.  ``solve``, which reuses each state's maximizers,
-must match ``oracles.reference_solve``, which sweeps every state afresh,
-in every output but the wall times, also with its queued trace rows
-evaluated two at a time, and a batch of up to 64 states swept at once
-must give each state its own residuals bit for bit, on a single agent
-without edges too.  The stacked view's four catalog calls must give each
+must match ``oracles.reference_solve``, which sweeps every state afresh
+and calls ``iterate`` with no hand-off of the edge term, in every output
+but the wall times, also with its queued trace rows evaluated two at a
+time, and on the market, the committed mixed file and draws with M, B >= 2
+at three gammas, two trace cadences and 0, 1 or 41 rounds.  A batch of up
+to 64 states swept at once must give each state its own residuals bit for
+bit, on a single agent without edges too.  The stacked view's four catalog calls must give each
 agent's own call bit for bit, with and without leading batch axes.  A
 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale; stars with the hub
@@ -60,6 +62,7 @@ from dualprox.problems import (
     UCParams,
     UserParams,
     build_market,
+    load_instance,
     validate,
 )
 from dualprox.solver import (
@@ -126,10 +129,10 @@ def smooth(custom: bool, rng: np.random.Generator, dim: int):
 
 
 @st.composite
-def instances(draw, n_agents=None):
+def instances(draw, n_agents=None, dims=(1, 2, 3)):
     n = draw(st.integers(2, 12)) if n_agents is None else n_agents
-    m = draw(st.sampled_from([1, 2, 3]))
-    b_dim = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.sampled_from(dims))
+    b_dim = draw(st.sampled_from(dims))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n)):
         if i != j:
@@ -257,6 +260,35 @@ def test_solve_matches_the_reference_loop_bitwise(trace_every, trace_state, stop
         got_bits = result_bits(result)
         for name in want_bits:
             assert got_bits[name] == want_bits[name], name
+
+
+def assert_solve_matches_the_plain_loop(instance, gamma, trace_every, max_iter):
+    """``solve`` hands each round's ``gamma * M theta`` to the next; the
+    reference loop calls ``iterate`` with no hand-off.  Every output must
+    keep its bits, the theta, mu and xi of every trace row included."""
+    config = SolverConfig(gamma=gamma, max_iter=max_iter, trace_every=trace_every,
+                          trace_state=True)
+    got = result_bits(solve(instance, config))
+    want = result_bits(reference_solve(instance, config))
+    for name in want:
+        assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 41])
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+class TestEdgeTermHandOff:
+    @pytest.mark.parametrize("name", ["market", "mixed"])
+    def test_fixed_instances(self, name, gamma, trace_every, max_iter):
+        instance = (build_market() if name == "market" else
+                    load_instance(Path(__file__).parent / "data" / "mixed_instance.txt"))
+        assert_solve_matches_the_plain_loop(instance, gamma, trace_every, max_iter)
+
+    @settings(max_examples=3, deadline=None)
+    @given(instance=instances(dims=(2, 3)))
+    def test_vector_draws(self, instance, gamma, trace_every, max_iter):
+        assume(validate(instance).ok)
+        assert_solve_matches_the_plain_loop(instance, gamma, trace_every, max_iter)
 
 
 def load_bench_inputs():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dualprox.cli import main
 from dualprox.functions import (
     L1,
     Box,
@@ -19,7 +20,13 @@ from dualprox.functions import (
     Zero,
 )
 from dualprox.oracle import centralized_oracle, primal_objective, saddle_point
-from dualprox.problems import AgentProblem, ProblemInstance, build_market
+from dualprox.problems import (
+    AgentProblem,
+    ProblemInstance,
+    build_market,
+    load_instance,
+    save_instance,
+)
 from dualprox.solver import (
     RunningAverage,
     SetupError,
@@ -151,6 +158,33 @@ class TestLipschitz:
             monkeypatch.setattr(instance.stacked, "sigma", lambda: sigma)
             with pytest.raises(ValueError, match="modulus must be positive"):
                 max_lipschitz(instance)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_an_overflowing_h_is_a_set_up_rejection(self, tmp_path, capsys, m):
+        """A modulus so small that ``h`` overflows, which ``validate``
+        accepts, gives ``h = inf`` without a warning, from the stacked
+        maximum and the per-agent constant alike; the step check then
+        rejects it before round 0, in ``solve`` and on the command line."""
+        agents = [
+            AgentProblem(Quadratic(p * np.eye(m)), Box(-np.ones(m), np.ones(m)),
+                         np.ones((1, m)), 0.5)
+            for p in (5e-321, 1.0)
+        ]
+        instance = ProblemInstance(agents, np.zeros(1), Graph(2, [(1, 2)]))
+        path = tmp_path / "tiny_modulus.txt"
+        save_instance(instance, path)
+        loaded = load_instance(path)
+        assert loaded.agents[0].f.sigma == agents[0].f.sigma > 0
+        for inst in (instance, loaded):
+            h = max_lipschitz(inst)
+            assert h == lipschitz_h(inst.agents[0].a_block, inst.agents[0].f.sigma) == math.inf
+            with pytest.raises(SetupError):
+                solve(inst)
+        code = main(["solve", "--instance", str(path), "--trace-out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "h=inf" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestStepSizes:
@@ -1021,10 +1055,15 @@ class TestOneSweepPerEvaluatedState:
         evaluated state hands its sweep to its next round, or after the
         last round to the recovery of x.  ``solve`` must call ``iterate``
         every round, and ``residuals`` for round 0 only, through the
-        module, where the benchmark's hooks replace them."""
+        module, where the benchmark's hooks replace them.  Each round hands
+        its ``gamma * M theta`` to the next, so R rounds take R + 1 edge
+        differences, and each evaluation sweep one more; the graph's public
+        edge rows stay read-only and equal to the rows they take from."""
         import dualprox.solver as solver_module
 
-        counts = dict.fromkeys(("conjugate_gradient", "residuals", "iterate"), 0)
+        counts = dict.fromkeys(
+            ("conjugate_gradient", "residuals", "iterate", "edge_diff", "_evaluate"), 0
+        )
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -1037,10 +1076,9 @@ class TestOneSweepPerEvaluatedState:
             Quadratic, "conjugate_gradient",
             counting("conjugate_gradient", Quadratic.conjugate_gradient),
         )
-        monkeypatch.setattr(solver_module, "iterate", counting("iterate", solver_module.iterate))
-        monkeypatch.setattr(
-            solver_module, "residuals", counting("residuals", solver_module.residuals)
-        )
+        monkeypatch.setattr(Graph, "edge_diff", counting("edge_diff", Graph.edge_diff))
+        for name in ("iterate", "residuals", "_evaluate"):
+            monkeypatch.setattr(solver_module, name, counting(name, getattr(solver_module, name)))
         if batch_rows is not None:
             monkeypatch.setattr(solver_module, "_BATCH_ROWS", batch_rows)
         instance = build_market()
@@ -1056,6 +1094,12 @@ class TestOneSweepPerEvaluatedState:
         assert len(result.trace) == 1 + rounds // every + (rounds % every != 0)
         assert counts["residuals"] == 1
         assert counts["conjugate_gradient"] == rounds + 1
+        assert counts["edge_diff"] == rounds + 1 + counts["_evaluate"]
+        graph = instance.graph
+        for public, taken in ((graph.edge_owner, graph._owner), (graph.edge_peer, graph._peer)):
+            assert not public.flags.writeable
+            assert taken.flags.c_contiguous and taken.flags.writeable
+            assert np.array_equal(taken, public)
 
     @pytest.mark.parametrize("every", [1, 7, 100])
     def test_market_sweeps_at_most_once_a_round(self, monkeypatch, every):
