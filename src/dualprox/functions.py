@@ -283,8 +283,8 @@ class _Oracles:
         inner_tol: float = 1e-10,
         inner_max_iter: int = 100_000,
     ):
-        if not sigma > 0:  # NaN too
-            raise ValueError(f"strong convexity modulus must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:  # NaN too
+            raise ValueError(f"strong convexity modulus must be positive and finite, got {sigma}")
         self._value = value
         self._gradient = gradient
         self.sigma = float(sigma)

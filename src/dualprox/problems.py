@@ -12,6 +12,7 @@ text file format for instances.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain
@@ -72,6 +73,8 @@ class AgentProblem:
             a = a.reshape(1, 1)
         elif a.ndim == 1:
             a = a.reshape(1, -1)
+        elif a.ndim > 2:
+            raise ValueError(f"coupling block must be a matrix, got shape {a.shape}")
         if a.shape[1] != f.dim:
             raise ValueError(
                 f"coupling block has {a.shape[1]} columns but f lives on R^{f.dim}"
@@ -455,19 +458,29 @@ _USER_FLOOR = np.array([-np.inf, 0.0, 0.0])
 
 def _table(rows: Sequence[tuple], kind: type, floor: np.ndarray, what: str) -> np.ndarray:
     """``rows`` as one read-only (len(rows), fields) float array, made in one
-    pass.  Every row must be a ``kind``, so that the fields line up; a row
-    with a field that is not finite or not above its ``floor`` is a
-    ValueError that names the first such row."""
+    pass.  Every row must be a ``kind``, so that the fields line up, and
+    every field a number: ``struct`` packs a float, an int or a NumPy
+    number as a double, and refuses a string, which ``float`` would parse.
+    A row that breaks either is a TypeError, and one with a field that is
+    not finite or not above its ``floor`` a ValueError, that names the
+    first such row."""
     if not all(issubclass(row_type, kind) for row_type in set(map(type, rows))):
         row = next(row for row in rows if not isinstance(row, kind))
         raise TypeError(f"invalid {what} row {row!r}: not a {kind.__name__}")
     width = len(floor)
-    table = np.fromiter(chain.from_iterable(rows), float, width * len(rows))
-    table = table.reshape(len(rows), width)
+    try:
+        packed = struct.pack(f"{width * len(rows)}d", *chain.from_iterable(rows))
+    except struct.error:
+        for row in rows:
+            try:
+                struct.pack(f"{width}d", *row)
+            except struct.error:
+                raise TypeError(f"invalid {what} row {row!r}: a field is not a number") from None
+        raise
+    table = np.frombuffer(packed).reshape(len(rows), width)  # read-only, as bytes are
     ok = np.isfinite(table) & (table > floor)
     if np.count_nonzero(ok) < ok.size:
         raise ValueError(f"invalid {what} row {rows[np.argmin(ok.all(axis=1))]}")
-    table.flags.writeable = False
     return table
 
 

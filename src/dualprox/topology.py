@@ -10,6 +10,7 @@ Laplacian is ``M^T M``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -123,7 +124,10 @@ class Graph:
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
-        self.n_vertices = n = int(n_vertices)
+        try:  # NumPy integers pass; floats and numeric strings do not
+            self.n_vertices = n = operator.index(n_vertices)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n_vertices!r}") from None
         self.edge_array = pairs = _edge_array(n, edges)
         self.edge_owner, self.edge_peer = (pairs - 1).T
         # every edge's peer end, then its owner end: sorted stably by vertex, a

@@ -262,6 +262,13 @@ class TestCustomKinds:
         psi = CustomProx(lambda a, v: np.clip(v, 0.0, 1.0))
         assert np.allclose(psi.prox(2.0, np.array([5.0, -1.0])), [1.0, 0.0])
 
+    def test_custom_prox_value_needs_its_oracle(self):
+        clip = lambda a, v: np.clip(v, 0.0, 1.0)
+        with pytest.raises(ValueError, match="no value oracle was supplied"):
+            CustomProx(clip).value(np.array([0.5]))
+        value = CustomProx(clip, lambda x: float(x @ x)).value([1.0, 2.0])
+        assert type(value) is float and value == 5.0
+
     def test_custom_strongly_convex_prox_matches_closed_form(self):
         # prox of 0.8||u||^2 + 0.1 1'u has the closed form (v - 0.1 a)/(1 + 1.6 a)
         quad = lambda u: 0.8 * float(u @ u) + 0.1 * float(np.sum(u))
@@ -302,6 +309,11 @@ class TestQuadraticValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (2, 2, 2, 2)])
+    def test_rejects_a_p_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=rf"P must be square, got shape \({shape[0]}, "):
+            Quadratic(np.ones(shape))
 
     def test_sigma_is_twice_smallest_eigenvalue(self):
         f = Quadratic(np.diag([0.25, 2.0]))
@@ -467,6 +479,16 @@ class TestBoxValidation:
     def test_accepts_infinite_bounds(self):
         Box([-math.inf, 0.0], [math.inf, math.inf])
 
+    def test_rejects_bounds_of_different_shapes(self):
+        with pytest.raises(ValueError, match=r"bound shapes differ: \(1,\) vs \(2,\)"):
+            Box([0.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("e", [0, 3, math.inf])
+def test_norm_penalty_rejects_an_order_other_than_1_or_2(e):
+    with pytest.raises(ValueError, match="supported norm orders are 1 and 2"):
+        NormPenalty(e)
+
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
 def test_l1_rejects_a_weight_outside_zero_to_infinity(weight):
@@ -514,8 +536,9 @@ class TestSharedImplementations:
             mu = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 1.0)
             assert bits(psi.support_value(mu)) == bits(f.conjugate_value(mu))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_both_custom_kinds_reject_a_nonpositive_modulus(self, sigma):
+        """An infinite modulus is rejected too: it would give h_i = 0."""
         with pytest.raises(ValueError, match="modulus must be positive"):
             CustomSmooth(lambda u: 0.0, lambda u: u, sigma=sigma, dim=1)
         with pytest.raises(ValueError, match="modulus must be positive"):

@@ -264,6 +264,27 @@ class TestInstanceConstruction:
                 Graph(2, [(1, 2)]),
             )
 
+    def test_rejects_no_agents_and_blocks_with_the_wrong_row_count(self):
+        with pytest.raises(ValueError, match="instance needs at least one agent"):
+            ProblemInstance([], [0.0], Graph(1, []))
+        agent = AgentProblem(Quadratic(1.0), Zero(), [[1.0]], 1.0)
+        with pytest.raises(ValueError, match="agent 1 coupling block has 1 rows, expected 2"):
+            ProblemInstance([agent], [0.0, 0.0], Graph(1, []))
+
+    @pytest.mark.parametrize("block, message", [
+        ([[1.0]], r"coupling block has 1 columns but f lives on R\^2"),
+        ([1.0, 2.0, 3.0], r"coupling block has 3 columns but f lives on R\^2"),
+        (np.ones((1, 2, 2)), r"coupling block must be a matrix, got shape \(1, 2, 2\)"),
+    ], ids=["width", "1-D", "three-axes"])
+    def test_rejects_a_coupling_block_of_the_wrong_shape(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            AgentProblem(Quadratic(np.eye(2)), Zero(), block, 1.0)
+
+    def test_a_1d_block_is_one_row_and_a_1x1x1_block_is_rejected(self):
+        assert AgentProblem(Quadratic(np.eye(2)), Zero(), [1.0, 2.0], 1.0).a_block.shape == (1, 2)
+        with pytest.raises(ValueError, match="must be a matrix"):
+            AgentProblem(Quadratic(1.0), Box(0.0, 1.0), np.ones((1, 1, 1)), 0.5)
+
     @pytest.mark.parametrize("entries", [2, 4])
     def test_rejects_box_bounds_of_the_wrong_length(self, entries):
         with pytest.raises(ValueError, match="box bounds"):
@@ -369,6 +390,25 @@ class TestBuildMarket:
         with pytest.raises(TypeError) as raised:
             MarketParams(uc=uc, users=users)
         assert str(raised.value).endswith(f"row {first!r}: not a {kind}")
+
+    @pytest.mark.parametrize("uc, users, first", [
+        ((UCParams("0.0031", 8.71, 0.0, 150.0),), (), 0),
+        ((UCParams(0.0031, 8.71, 0.0, 150.0), UCParams(0.0074, 3.53, b"0", 150.0)), (), 1),
+        ((), (UserParams(17.17, 0.0935, 91.79), UserParams(12.28, "nan", 147.29),
+              UserParams("x", 0.1, 1.0)), 1),
+    ], ids=["str", "bytes-second", "first-of-two"])
+    def test_a_field_that_is_not_a_number_raises(self, uc, users, first):
+        """``float`` would parse a numeric string; the row is refused instead,
+        and the first such row is named."""
+        what, rows = ("generating-company", uc) if uc else ("user", users)
+        with pytest.raises(TypeError) as raised:
+            MarketParams(uc=uc, users=users)
+        assert str(raised.value) == f"invalid {what} row {rows[first]!r}: a field is not a number"
+
+    def test_fields_of_any_real_number_type_are_read(self):
+        params = MarketParams(uc=(UCParams(np.float32(0.5), 1, np.int64(0), 150.0),), users=())
+        assert params.uc_table.tolist() == [[0.5, 1.0, 0.0, 150.0]]
+        assert not params.uc_table.flags.writeable
 
     def test_rows_keep_their_record_behaviour(self):
         row = UCParams(delta=0.0031, varsigma=8.71, beta=0.0, x_max=150.0)
@@ -663,10 +703,47 @@ class TestInstanceFiles:
             ("values = 0.0", "values = 0.0\nvalue = 1.0", "line 15: unknown key 'value' in [b]"),
             ("n_vertices = 5", "n_vertices = 5\nn_vertices = 6",
              "line 7: duplicate key 'n_vertices' in [graph]"),
+            ("b_dim = 1", "b_dim = 1\nm = 1", "line 4: duplicate key 'm' in [dims]"),
+            ("values = 0.0", "values = 0.0\nvalues = 1.0", "line 15: duplicate key 'values' in [b]"),
+            ("kappa = 0.2", "kappa = 0.2\nkappa = 0.3",
+             "line 18: duplicate key 'kappa' in [agent 1]"),
+            ("n_vertices = 5", "n_vertices = 5\nedges = 1 2", "line 7: unknown graph key 'edges'"),
         ],
-        ids=["kappa", "f.r", "key-of-another-kind", "dims", "b", "duplicate-n_vertices"],
+        ids=["kappa", "f.r", "key-of-another-kind", "dims", "b", "duplicate-n_vertices",
+             "duplicate-dims", "duplicate-b", "duplicate-agent", "graph"],
     )
     def test_unknown_or_repeated_key_is_parse_error(self, tmp_path, old, new, message):
+        path = tmp_path / "inst.txt"
+        save_instance(build_market(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as caught:
+            load_instance(path)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a_block = 1.0", "a_block = 1.0 2.0; 3.0",
+             "[agent 1] a_block: ragged matrix rows in '1.0 2.0; 3.0'"),
+            ("[dims]", "m = 1\n[dims]", "line 1: entry before any [section]"),
+            ("m = 1\n", "", "[dims]: missing required key 'm'"),
+            ("f.p = 0.0031\n", "", "[agent 1]: missing required key 'f.p'"),
+            ("edge = 1 2", "edge = 1 2 3", "line 7: edge needs two endpoints, got '1 2 3'"),
+            ("n_vertices = 5\n", "", "[graph]: missing n_vertices"),
+            ("values = 0.0", "values = 0.0 1.0", "[b]: got 2 values, expected b_dim = 1"),
+            ("f = quadratic", "f = cubic", "[agent 1]: unknown smooth kind 'cubic'"),
+            ("g = box", "g = ball", "[agent 1]: unknown nonsmooth kind 'ball'"),
+            ("m = 1", "m = 2", "[agent 1]: dimension 1 != dims m = 2"),
+            ("a_block = 1.0", "a_block = 1.0; 2.0", "[agent 1]: a_block rows 2 != dims b_dim = 1"),
+            ("n_vertices = 5", "n_vertices = 6", "graph has 6 vertices for 5 agents"),
+        ],
+        ids=["ragged", "before-section", "no-m", "no-f.p", "edge", "no-n_vertices", "b-count",
+             "f-kind", "g-kind", "agent-m", "agent-b_dim", "vertex-count"],
+    )
+    def test_inconsistent_file_is_parse_error(self, tmp_path, old, new, message):
+        """Every other way the market's file can break, with its message."""
         path = tmp_path / "inst.txt"
         save_instance(build_market(), path)
         text = path.read_text()
@@ -871,6 +948,19 @@ class TestCentralizedOracle:
             Graph(2, [(1, 2)]),
         )
         with pytest.raises(OracleError, match="box or zero"):
+            centralized_oracle(instance)
+
+    def test_rejects_a_smooth_part_that_is_not_quadratic(self):
+        custom = CustomSmooth(lambda u: float(u @ u), lambda u: 2.0 * u, sigma=2.0, dim=1)
+        instance = ProblemInstance(
+            [
+                AgentProblem(Quadratic(1.0), Box(0.0, 1.0), [[1.0]], 0.5),
+                AgentProblem(custom, Box(0.0, 1.0), [[-1.0]], 0.5),
+            ],
+            [0.0],
+            Graph(2, [(1, 2)]),
+        )
+        with pytest.raises(OracleError, match="agent 2: the reference solver handles quadratic"):
             centralized_oracle(instance)
 
 

@@ -34,6 +34,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -314,9 +315,16 @@ def scaled_market(edges=None, n=1000):
 
 
 def plan_arrays(instance) -> dict:
-    """Every array of an instance's round plan and of its stacked view's
+    """Every array of an instance's round plan, with the function and the
+    operands each of its bound products reads, and of its stacked view's
     catalog groups, by name."""
-    out = {k: v for k, v in vars(_round_plan(instance)).items() if isinstance(v, np.ndarray)}
+    out = {}
+    for k, v in vars(_round_plan(instance)).items():
+        if isinstance(v, partial):
+            out[f"{k}.func"] = np.array(v.func.__name__)
+            out.update((f"{k}.args[{i}]", arg) for i, arg in enumerate(v.args))
+        elif isinstance(v, np.ndarray):
+            out[k] = v
     for name in ("f_groups", "g_groups"):
         for k, (rows, fn) in enumerate(getattr(instance.stacked, name)):
             out[f"{name}[{k}].rows"] = np.arange(instance.n_agents)[rows]
@@ -613,16 +621,17 @@ def test_iterate_leaves_its_inputs_and_the_plan_alone(instance, seed):
     tables and a second call from the same state must be untouched by it."""
     state = signed_duals(np.random.default_rng(seed), instance)
     steps = steps_for(instance)
-    plan = _round_plan(instance)
     before = [bits(a) for a in (state.theta, state.mu, state.xi)]
-    tables = {k: v.copy() for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    assert {"kappa_b", "end_target", "xi_source", "xi_sign"} <= tables.keys()
+    tables = {k: v.copy() for k, v in plan_arrays(instance).items()}
+    assert {"kappa_b", "end_target", "xi_source", "xi_sign", "a_x.args[0]",
+            "a_t_theta.args[0]"} <= tables.keys()
     assert "nbr_source" not in tables
     first = iterate(instance, state, steps)
     second = iterate(instance, state, steps)
     assert [bits(a) for a in (state.theta, state.mu, state.xi)] == before
+    after = plan_arrays(instance)
     for name, table in tables.items():
-        got = getattr(plan, name)
+        got = after[name]
         assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), name
     for name in ("theta", "mu", "xi"):
         assert bits(getattr(first, name)) == bits(getattr(second, name)), name

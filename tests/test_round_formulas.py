@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from dualprox import functions, solver
 from dualprox.functions import L1, Box, NormPenalty, Quadratic, Zero
-from dualprox.problems import AgentProblem, ProblemInstance, build_market
+from dualprox.problems import AgentProblem, ProblemInstance, StackedAgents, build_market
 from dualprox.solver import (
     RunningAverage,
     SolverConfig,
@@ -35,6 +35,7 @@ from dualprox.solver import (
     residuals,
     suggest_step_sizes,
 )
+from dualprox.topology import Graph
 
 from oracles import (
     ReferenceRunningAverage,
@@ -205,10 +206,31 @@ def assert_1x1_parity(new, reference, *args):
     assert conditions(new_warnings) <= conditions(old_warnings)
 
 
+def compiled_products(mats):
+    """The two block products that a round plan binds for an all-1x1
+    instance whose stacked view holds ``mats``.  The instance sets its view
+    as ``build_market`` does, so that drawn blocks that are not finite skip
+    the checks that would reject them; only the products are run."""
+    n = len(mats)
+    instance = ProblemInstance.__new__(ProblemInstance)
+    instance.b, instance.graph, instance.n_agents, instance.m = np.zeros(1), Graph(n, []), n, 1
+    instance.stacked = StackedAgents(mats, np.ones(n), [(slice(None), None)],
+                                     [(slice(None), None)])
+    plan = solver._round_plan(instance)
+    return plan.a_x, plan.a_t_theta
+
+
 def check_1x1_products(mats, vecs):
     assert_1x1_parity(lambda a, x: solver._column_product(a[:, :, 0], x),
                       reference_stacked_matvec, mats, vecs)
     assert_1x1_parity(solver._rowdot, reference_rowdot, mats[:, 0], vecs)
+    if len(mats):  # a graph, and so a plan, has at least one vertex
+        a_x, a_t_theta = compiled_products(mats)
+        assert a_x.func is a_t_theta.func is solver._column_product
+        assert_1x1_parity(lambda a, x: a_x(x), reference_stacked_matvec, mats, vecs)
+        assert_1x1_parity(lambda a, x: a_t_theta(x),
+                          lambda a, x: reference_stacked_matvec(a.transpose(0, 2, 1), x),
+                          mats, vecs)
 
 
 def test_1x1_products_keep_their_bits_on_every_pair_of_special_values():

@@ -506,6 +506,13 @@ class TestGapBound:
             2.0 * ergodic_gap_bound(*args, T=19), rel=1e-12
         )
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_a_horizon_below_one_is_rejected(self, T):
+        graph = build_market().graph
+        zeros, xi = np.zeros((5, 1)), np.zeros((graph.n_edges, 1))
+        with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
+            ergodic_gap_bound(graph, 1e-3, 1.0, zeros, zeros, xi, zeros, zeros, xi, T=T)
+
     def test_invalid_steps_rejected(self):
         instance = build_market()
         oracle = centralized_oracle(instance)

@@ -118,6 +118,15 @@ class TestCanonicalEdgeOrder:
         with pytest.raises(ValueError, match="pairs of integers"):
             canonical_edge_order(3, edges)
 
+    @pytest.mark.parametrize("n, edges", [(2.7, [(1, 2)]), ("3", [(1, 2), (2, 3)]), (3.0, [])])
+    def test_non_integer_vertex_count_rejected(self, n, edges):
+        with pytest.raises(ValueError, match=f"vertex count must be an integer, got {n!r}"):
+            Graph(n, edges)
+
+    def test_numpy_integer_vertex_count_accepted(self):
+        graph = Graph(np.int64(3), [(1, 2), (2, 3)])
+        assert type(graph.n_vertices) is int and graph == Graph(3, [(1, 2), (2, 3)])
+
 
 class TestIncidence:
     def test_path_graph(self):
