@@ -9,6 +9,7 @@ the default output directory comes from DUALPROX_TRACE_DIR when set.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -30,10 +31,7 @@ TRACE_DIR_ENV = "DUALPROX_TRACE_DIR"
 
 
 def _trace_path(arg: str | None, default_name: str) -> Path:
-    if arg:
-        return Path(arg)
-    base = os.environ.get(TRACE_DIR_ENV, ".")
-    return Path(base) / default_name
+    return Path(arg) if arg else Path(os.environ.get(TRACE_DIR_ENV, ".")) / default_name
 
 
 # the SolverConfig fields that the solver flags set, each from its own flag
@@ -73,27 +71,43 @@ def _load(path: str):
     return None
 
 
+def _unwritable(path: Path) -> OSError | None:
+    """The error that opening ``path`` for writing would raise, "No such
+    file or directory" or "Is a directory", when its parent is not a
+    directory or it is one; ``None`` otherwise.  It is found by ``stat``
+    alone, so nothing is created."""
+    if path.is_dir() or not path.parent.is_dir():
+        code = errno.EISDIR if path.is_dir() else errno.ENOENT
+        return OSError(code, os.strerror(code), str(path))
+    return None
+
+
 def _solve(
     instance, args, default_trace: str, trace_state: bool = False
 ) -> SolveResult | int:
-    """Solve and write the trace; an exit code after a set-up rejection or a
-    trace file that cannot be written, each reported on stderr.  Errors
-    raised during the rounds propagate."""
+    """Solve and write the trace; an exit code after a trace path that
+    cannot be written, checked before round 0 and again when written, or a
+    set-up rejection, each reported on stderr.  Errors raised during the
+    rounds propagate."""
     config = SolverConfig(trace_state=trace_state,
                           **{name: getattr(args, name) for name in _CONFIG_FIELDS})
-    try:
-        result = solve(instance, config)
-    except SetupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     trace_path = _trace_path(args.trace_out, default_trace)
-    try:
-        result.trace.write_csv(trace_path)
-    except OSError as exc:
-        print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"trace: {trace_path}")
-    return result
+    error = _unwritable(trace_path)
+    if error is None:
+        try:
+            result = solve(instance, config)
+        except SetupError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        try:
+            result.trace.write_csv(trace_path)
+        except OSError as exc:
+            error = exc
+        else:
+            print(f"trace: {trace_path}")
+            return result
+    print(f"error: cannot write {trace_path}: {error}", file=sys.stderr)
+    return EXIT_IO
 
 
 def _fmt_row(v) -> str:

@@ -323,14 +323,16 @@ class _RoundPlan:
     """An instance compiled into stacked arrays for the batched round kernel.
 
     The edge terms of :func:`lambda_update`'s pressure sum are indexed by
-    edge end and component, in flat arrays of 2E*B entries: entry
-    ``e*B + k`` adds to the flattened pressure at ``end_target``, which is
-    ``agent*B + k``.  The ends are agent-major, so an agent's entries lie
-    together, in the order that :func:`lambda_update` sums them.
-    ``xi_source`` indexes a flattened per-edge array, and ``xi_sign`` holds
-    the sign the entry takes: first the edges the agent owns (``+1.0``, by
-    ascending peer), then those its smaller neighbours own (``-1.0``, by
-    ascending owner).  ``edge_diff`` is the graph's consensus operator,
+    edge end and component, in flat arrays of 2E*B entries laid out from
+    the canonical edge order: every edge's owner end, then every edge's
+    peer end.  In each half, entry ``e*B + k`` takes entry ``xi_source =
+    e*B + k`` of a flattened per-edge array, times ``xi_sign`` (``+1.0`` at
+    the owner end, ``-1.0`` at the peer end), and adds it to the flattened
+    pressure at ``end_target``, which is ``agent*B + k``.  The canonical
+    edges come by owner, then by peer, so an agent's entries come in the
+    order that :func:`lambda_update` sums them: the edges it owns by
+    ascending peer, then those its smaller neighbours own by ascending
+    owner.  ``edge_diff`` is the graph's consensus operator,
     :meth:`~dualprox.topology.Graph.edge_diff`.  The coupling blocks ``a``
     and the shares ``kappa`` are those of the instance's stacked view,
     ``stacked``, which makes every catalog call of the round and the sweep;
@@ -348,20 +350,12 @@ class _RoundPlan:
     """
 
     def __init__(self, instance: ProblemInstance):
-        n, b_dim = instance.n_agents, instance.b_dim
-        graph, n_edges = instance.graph, instance.graph.n_edges
+        graph, b_dim = instance.graph, instance.b_dim
         self.edge_diff = graph.edge_diff
-        # an agent's adjacency list holds its smaller neighbours, then its
-        # larger ones; its xi terms take the larger (owned) ones first
-        agent = np.arange(n).repeat(graph.degrees)
-        incoming = np.arange(2 * n_edges) < graph.nbr_split[agent]
-        xi_order = np.argsort(2 * agent + incoming, kind="stable")
-        components = np.arange(b_dim)
-        self.end_target, self.xi_source = (
-            (rows[:, None] * b_dim + components).ravel()
-            for rows in (agent, graph.nbr_edge[xi_order])
-        )
-        self.xi_sign = np.where(incoming[xi_order][:, None], -1.0, np.ones(b_dim)).ravel()
+        ends = np.concatenate((graph.edge_owner, graph.edge_peer))
+        self.end_target = (ends[:, None] * b_dim + np.arange(b_dim)).ravel()
+        self.xi_source = np.tile(np.arange(graph.n_edges * b_dim), 2)
+        self.xi_sign = np.repeat([1.0, -1.0], graph.n_edges * b_dim)
 
         self.stacked = instance.stacked
         self.a, self.kappa = self.stacked.a, self.stacked.kappa
@@ -370,7 +364,7 @@ class _RoundPlan:
         else:
             self.a_x = partial(_stacked_matvec, self.a)
             self.a_t_theta = partial(_stacked_matvec, self.a.transpose(0, 2, 1))
-        self.b_rows = np.broadcast_to(instance.b, (n, b_dim))
+        self.b_rows = np.broadcast_to(instance.b, (instance.n_agents, b_dim))
         self.kappa_b = self.kappa[:, None] * instance.b
 
     def maximizers(self, theta: Array, mu: Array) -> tuple[Array, Array]:

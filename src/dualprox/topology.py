@@ -114,13 +114,11 @@ class Graph:
     construction; a graph is immutable afterwards, so problem instances
     and engines can share one.  Construction builds every structure the
     solver reads as read-only arrays: ``edge_array``, its 0-based rows
-    ``edge_owner`` and ``edge_peer``, the ``degrees`` (entry ``i - 1`` is
-    vertex i's) and the adjacency lists.  Vertex i's neighbors, ascending,
-    are ``nbr[nbr_start[i - 1]:nbr_start[i]]``, the larger (owned) ones from
-    ``nbr_split[i - 1]`` on, and ``nbr_edge`` holds the canonical index of
-    the edge to each.  The Python pairs ``edges`` and a vertex's
-    :class:`NeighborSets` are built on first use.  :meth:`edge_diff` alone
-    reads private, writeable copies of ``edge_owner`` and ``edge_peer``.
+    ``edge_owner`` and ``edge_peer``, and the ``degrees`` (entry ``i - 1``
+    is vertex i's).  The Python pairs ``edges`` are built on first use, and
+    so, in one pass over them on the first :meth:`neighbors` call, is every
+    vertex's :class:`NeighborSets`.  :meth:`edge_diff` alone reads private,
+    writeable copies of ``edge_owner`` and ``edge_peer``.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
@@ -130,18 +128,8 @@ class Graph:
             raise ValueError(f"vertex count must be an integer, got {n_vertices!r}") from None
         self.edge_array = pairs = _edge_array(n, edges)
         self.edge_owner, self.edge_peer = (pairs - 1).T
-        # every edge's peer end, then its owner end: sorted stably by vertex, a
-        # vertex's edges keep their canonical order, smaller neighbors first
-        ends = pairs[:, ::-1].ravel()
-        by_end = np.argsort(ends, kind="stable")
-        counts = np.bincount(ends, minlength=n + 1)  # no vertex 0: counts[0] == 0
-        self.degrees = counts[1:]
-        self.nbr_start = np.add.accumulate(counts)
-        self.nbr_split = self.nbr_start[:-1] + np.bincount(pairs[:, 1], minlength=n + 1)[1:]
-        self.nbr = ends[by_end ^ 1]
-        self.nbr_edge = by_end >> 1
-        for a in (pairs, self.edge_owner, self.edge_peer, self.degrees, self.nbr_start,
-                  self.nbr_split, self.nbr, self.nbr_edge):
+        self.degrees = np.bincount(pairs.ravel(), minlength=n + 1)[1:]  # no vertex 0
+        for a in (pairs, self.edge_owner, self.edge_peer, self.degrees):
             a.setflags(write=False)
         # edge_diff's own rows: ndarray.take copies an index that is not
         # C-contiguous and writeable, as the public rows are not
@@ -166,21 +154,30 @@ class Graph:
         """
         return theta.take(self._owner, axis=-2) - theta.take(self._peer, axis=-2)
 
-    def _row(self, i: int) -> tuple[int, int, int]:
-        """Vertex i's ``nbr_start``, ``nbr_split`` and end in ``nbr``."""
-        if not 1 <= i <= self.n_vertices:
-            raise KeyError(i)
-        return int(self.nbr_start[i - 1]), int(self.nbr_split[i - 1]), int(self.nbr_start[i])
+    @cached_property
+    def _neighbor_sets(self) -> dict[int, NeighborSets]:
+        """Every vertex's :class:`NeighborSets`, in one pass over the
+        canonical pairs, which come by owner and then by peer: an owner
+        collects its peers ascending, a peer its owners ascending."""
+        owned = {v: [] for v in range(1, self.n_vertices + 1)}
+        incoming = {v: [] for v in owned}
+        for i, j in self.edges:
+            owned[i].append(j)
+            incoming[j].append(i)
+        return {v: NeighborSets(tuple(incoming[v] + owned[v]), tuple(owned[v]), tuple(incoming[v]))
+                for v in owned}
 
     def neighbors(self, i: int) -> NeighborSets:
-        """Neighbor sets of agent ``i``."""
-        start, split, stop = self._row(i)
-        nbrs = tuple(self.nbr[start:stop].tolist())
-        return NeighborSets(all=nbrs, owned=nbrs[split - start:], incoming=nbrs[:split - start])
+        """Neighbor sets of agent ``i``; ``KeyError`` unless ``i`` is a
+        vertex, read with ``operator.index`` (NumPy integers pass; floats,
+        strings and None do not)."""
+        try:
+            return self._neighbor_sets[operator.index(i)]
+        except TypeError:
+            raise KeyError(i) from None
 
     def degree(self, i: int) -> int:
-        start, _, stop = self._row(i)
-        return stop - start
+        return len(self.neighbors(i).all)
 
     def max_degree(self) -> int:
         return int(self.degrees.max())

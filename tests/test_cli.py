@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualprox.cli as cli
+import dualprox.solver as solver
 from dualprox.cli import main
 from dualprox.problems import MarketParams, ProblemInstance, build_market, market_graph, save_instance
 from dualprox.solver import SolverConfig
@@ -272,25 +273,28 @@ class TestBadSolverOptions:
         assert not trace.exists()
 
     def test_error_during_rounds_is_not_a_rejection(self, monkeypatch, tmp_path):
-        import dualprox.solver
-
         def broken_round(*args, **kwargs):
             raise ValueError("raised inside a round")
 
-        monkeypatch.setattr(dualprox.solver, "iterate", broken_round)
+        monkeypatch.setattr(solver, "iterate", broken_round)
         with pytest.raises(ValueError, match="inside a round"):
             main(["market-demo", "--trace-out", str(tmp_path / "t.csv")])
 
 
 class TestUnwritableTrace:
     """A trace file that cannot be written is an I/O failure (exit 3) with
-    one line on stderr, not a traceback and exit 1 after the rounds."""
+    one line on stderr, reported before round 0, not a traceback and exit 1
+    after the rounds."""
 
     @pytest.mark.parametrize("command", ["solve", "market-demo"])
     @pytest.mark.parametrize("target", ["missing-dir", "directory", "env-missing-dir"])
     def test_exits_3_with_one_line(
         self, command, target, market_file, tmp_path, monkeypatch, capsys
     ):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the trace path was checked")
+
+        monkeypatch.setattr(solver, "iterate", no_rounds)
         argv = [command, "--max-iter", "20"]
         if command == "solve":
             argv += ["--instance", str(market_file)]
@@ -307,3 +311,9 @@ class TestUnwritableTrace:
         assert "trace:" not in captured.out
         assert not (tmp_path / "nonexistent").exists()
 
+    def test_reported_before_a_set_up_rejection(self, tmp_path, capsys):
+        trace = tmp_path / "nonexistent" / "t.csv"
+        assert main(["market-demo", "--gamma", "0", "--trace-out", str(trace)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: cannot write {trace}: [Errno 2] No such file or directory: '{trace}'\n"
+        )

@@ -482,6 +482,7 @@ class TestBuildMarket:
         assert calls == {"eigvalsh": 1, "NeighborSets": 0, "AgentProblem": 0, "rows": 0,
                          "stack": 0}
         assert "edges" not in graph.__dict__  # no Python edge pairs either
+        assert "_neighbor_sets" not in graph.__dict__
         assert instance.agents == per_agent_market(params, graph).agents
 
     def test_stationarity_at_reported_point(self):

@@ -21,7 +21,9 @@ agent's own call bit for bit, with and without leading batch axes.  A
 1000-agent market on the benchmark's ring-plus-chord graph checks
 the kernel against the per-agent round at scale; stars with the hub
 first and last, preferential-attachment trees, paths and a single agent
-check it at signed duals, mostly zeros; and a 3000-agent star checks that the plan and a round take memory linear in
+check it at signed duals, mostly zeros; a five-agent graph whose middle
+agent owns two edges and receives two pins the order of its four terms
+at multipliers whose sum depends on it; and a 3000-agent star checks that the plan and a round take memory linear in
 the edges.  ``iterate`` must leave its state and the plan's arrays as they
 were, and ``h`` must be the per-agent maximum bit for bit, also where
 1x1 blocks skip the SVD.  The step that
@@ -29,6 +31,7 @@ were, and ``h`` must be the per-agent maximum bit for bit, also where
 Laplacian eigenvalue, on the same random graphs and on three fixed ones.
 """
 
+import copy
 import importlib.util
 import math
 import sys
@@ -558,6 +561,27 @@ def test_scatter_over_edge_ends_matches_the_per_agent_round(kind, n, b_dim, zero
     assert bits(got.theta) == bits(want.theta)
     assert bits(got.mu) == bits(want.mu)
     assert bits(got.xi) == bits(want.xi)
+
+
+@pytest.mark.parametrize("b_dim", [1, 2])
+def test_scatter_adds_owned_terms_before_incoming_ones(b_dim):
+    """Agent 3 owns the edges to 4 and 5 and receives those from 1 and 2,
+    whose multipliers 1e16, -3.0, 1e16 and 1.0 round differently in every
+    order of addition: each agent's new theta must be ``lambda_update``'s
+    bit for bit, and a plan that adds the incoming terms first must not
+    give those bits."""
+    instance = zero_data(Graph(5, [(1, 3), (2, 3), (3, 4), (3, 5)]), b_dim)
+    xi = np.outer([1e16, -3.0, 1e16, 1.0], [1.0, 2.0][:b_dim])
+    state = SolverState(np.zeros((5, b_dim)), np.zeros((5, 1)), xi)
+    steps = steps_for(instance)
+    got, want = iterate(instance, state, steps), reference_iterate(instance, state, steps)
+    for i in range(5):
+        assert bits(got.theta[i]) == bits(want.theta[i]), f"agent {i + 1}"
+    swapped = copy.copy(_round_plan(instance))  # every peer end, then every owner end
+    for name in ("end_target", "xi_source", "xi_sign"):
+        setattr(swapped, name, np.roll(getattr(swapped, name), 4 * b_dim))
+    instance._round_plan = swapped
+    assert bits(iterate(instance, state, steps).theta[2]) != bits(want.theta[2])
 
 
 @settings(max_examples=60, deadline=None)

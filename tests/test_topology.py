@@ -299,7 +299,13 @@ class TestLazyStructures:
         assert graph.degrees.tolist() == list(want["degree"].values())
         assert want["connected"] == (not kind.endswith("-cut"))
 
-    @pytest.mark.parametrize("vertex", [0, 6, -1])
+    @pytest.mark.parametrize("kind", INTEGER_KINDS)
+    def test_numpy_integer_vertex_accepted(self, kind):
+        graph = market_graph()
+        assert graph.neighbors(kind(3)) == graph.neighbors(3)
+        assert graph.degree(kind(3)) == graph.degree(3) == 3
+
+    @pytest.mark.parametrize("vertex", [0, 6, -1, 2.5, "2", None])
     def test_unknown_vertex_is_a_key_error(self, vertex):
         graph = market_graph()
         for probe in (graph.neighbors, graph.degree):
@@ -368,8 +374,7 @@ class TestGraph:
         assert graph.edge_array is pairs
         assert np.array_equal(graph.edge_owner, pairs[:, 0] - 1)
         assert np.array_equal(graph.edge_peer, pairs[:, 1] - 1)
-        for name in ("edge_owner", "edge_peer", "degrees", "nbr_start", "nbr_split", "nbr",
-                     "nbr_edge"):
+        for name in ("edge_owner", "edge_peer", "degrees"):
             assert not getattr(graph, name).flags.writeable, name
 
     def test_equality_after_canonicalization(self):
