@@ -138,11 +138,10 @@ class AgentNode:
         self.mu = np.zeros(problem.m)
         self.neighbor_theta = {j: np.zeros(b_dim) for j in neighbors.all}
         self.xi = {j: np.zeros(b_dim) for j in neighbors.all}  # keyed by peer
-        self.x_hat = np.zeros(problem.m)
 
     def update(self, t: int) -> list[tuple[int, Message]]:
         """Update the duals and return the fresh estimate for each neighbor."""
-        self.theta, self.mu, self.x_hat = lambda_update(
+        self.theta, self.mu, _ = lambda_update(
             self.problem,
             self.b,
             self.theta,

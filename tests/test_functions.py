@@ -14,6 +14,9 @@ from dualprox.functions import (
     Quadratic,
     Zero,
 )
+from dualprox.problems import AgentProblem, ProblemInstance
+from dualprox.solver import solve
+from dualprox.topology import Graph
 
 from oracles import golden_max, golden_min, grid_max_value
 
@@ -79,6 +82,66 @@ class TestConjugateGradient:
             f.conjugate_gradient(np.array([5.0]))
         assert err.value.grad_norm > 0.0
         assert err.value.iterations == 3
+
+
+# ``p * u @ u`` with ``p`` just under 1 or 1/2 and a slope ``v``: from u = 0
+# the inner loop's doubled step lands almost on the reflection of its start
+# across the maximizer ``v / (2p)``, where the gradient has nearly the same
+# norm and the opposite sign.  The last case is a draw of the property suite.
+NEAR_REFLECTIONS = [(0.99999, 20.0), (0.499995, 20.0), (0.99985, 7.548)]
+
+
+def counted_gradient(p: float):
+    """The gradient of ``p * u @ u`` and the list its calls are counted in."""
+    calls = []
+
+    def gradient(u):
+        calls.append(1)
+        return 2 * p * u
+
+    return gradient, calls
+
+
+class TestNearReflections:
+    @pytest.mark.parametrize("p, v", NEAR_REFLECTIONS)
+    def test_conjugate_gradient_converges_in_a_few_steps(self, p, v):
+        gradient, calls = counted_gradient(p)
+        f = CustomSmooth(lambda u: p * float(u @ u), gradient, sigma=2 * p, dim=1)
+        u = f.conjugate_gradient(np.array([v]))
+        assert len(calls) < 50
+        assert abs(2 * p * u[0] - v) <= f.inner_tol
+
+    @pytest.mark.parametrize("p, v", NEAR_REFLECTIONS)
+    def test_support_value_converges_in_a_few_steps(self, p, v):
+        gradient, calls = counted_gradient(p)
+        points = []
+
+        def value(u):
+            points.append(u.copy())
+            return p * float(u @ u)
+
+        psi = CustomStronglyConvex(value, gradient, sigma=2 * p)
+        support = psi.support_value(np.array([v]))
+        (u,) = points  # read once, at the maximizer: the inner loop reads no values
+        assert len(calls) < 50
+        assert abs(2 * p * u[0] - v) <= psi.inner_tol
+        assert support == pytest.approx(v * v / (4 * p), rel=1e-14)
+
+    def test_a_solve_through_a_near_reflection_reaches_the_kkt_point(self):
+        """Agent 1 costs ``p x^2 - 20x`` with p just under 1, agent 2
+        ``x^2 + 3x``, and ``x_1 + x_2 = 4``; the price ``eta`` of the
+        coupling sets ``x_1 = (20 - eta) / 2p`` and ``x_2 = (-3 - eta) / 2``."""
+        p = 0.99999
+        smooth = CustomSmooth(lambda x: float(p * x @ x) - 20 * x[0],
+                              lambda x: 2 * p * x - 20, sigma=2 * p, dim=1)
+        agents = [
+            AgentProblem(smooth, Box(-50, 50), [[1.0]], 0.5),
+            AgentProblem(Quadratic(1.0, 3.0), Box(-50, 50), [[1.0]], 0.5),
+        ]
+        result = solve(ProblemInstance(agents, [4.0], Graph(2, [(1, 2)])))
+        eta = (10 / p - 5.5) / (1 / (2 * p) + 0.5)
+        assert result.converged
+        assert result.x.ravel() == pytest.approx([(20 - eta) / (2 * p), (-3 - eta) / 2], abs=1e-6)
 
 
 class TestConjugateValue:
@@ -543,3 +606,22 @@ class TestSharedImplementations:
             CustomSmooth(lambda u: 0.0, lambda u: u, sigma=sigma, dim=1)
         with pytest.raises(ValueError, match="modulus must be positive"):
             CustomStronglyConvex(lambda u: 0.0, lambda u: u, sigma=sigma)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"inner_tol": math.nan}, "tolerance must be nonnegative, got nan"),
+        ({"inner_tol": -1.0}, "tolerance must be nonnegative, got -1.0"),
+        ({"inner_max_iter": 2.5}, "cap must be an integer, got 2.5"),
+        ({"inner_max_iter": "3"}, "cap must be an integer, got '3'"),
+        ({"inner_max_iter": -3}, "cap must be nonnegative, got -3"),
+    ])
+    def test_both_custom_kinds_reject_a_bad_inner_loop_setting(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            CustomSmooth(lambda u: 0.0, lambda u: u, sigma=1.0, dim=1, **setting)
+        with pytest.raises(ValueError, match=message):
+            CustomStronglyConvex(lambda u: 0.0, lambda u: u, sigma=1.0, **setting)
+
+    def test_a_numpy_integer_cap_is_read_as_an_int(self):
+        f = CustomSmooth(lambda u: 0.5 * float(u @ u), lambda u: u, sigma=1.0, dim=1,
+                         inner_tol=0.0, inner_max_iter=np.int64(1))
+        assert type(f.inner_max_iter) is int
+        assert f.conjugate_gradient(np.array([0.7])) == pytest.approx([0.7], rel=1e-15)
